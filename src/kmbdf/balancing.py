@@ -168,6 +168,19 @@ def _evaluate(cfg, histories, labels, forecasts, selected=None):
     n = len(reals)
     if cfg.top_k > n:
         raise ConfigError(f"top_k={cfg.top_k} exceeds batch size {n}")
+    mse = _mse_sum(labels, forecasts)
+    if cfg.alpha == 0.0:
+        # The penalty carries no weight: no scores, no anchors, no kernel work.
+        empty = np.zeros(0)
+        diag = BalanceDiagnostics(
+            deltas=empty,
+            selected=np.zeros(0, dtype=int),
+            slacks=empty,
+            penalty_term=0.0,
+            mse_term=mse,
+            total=mse,
+        )
+        return mse, diag, reals, fcs
     deltas = informativeness_scores(cfg, reals, fcs)
     if selected is None:
         selected = select_top_k(deltas, cfg.top_k)
@@ -177,7 +190,6 @@ def _evaluate(cfg, histories, labels, forecasts, selected=None):
         [hinge_slack(float(deltas[i]), cfg.margin_c, cfg.hinge_mode) for i in selected]
     )
     penalty = float(np.sum(slacks))
-    mse = _mse_sum(labels, forecasts)
     total = cfg.alpha * penalty + (1.0 - cfg.alpha) * mse
     diag = BalanceDiagnostics(
         deltas=deltas,

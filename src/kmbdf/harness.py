@@ -7,7 +7,7 @@ import json
 import os
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,6 +30,23 @@ LR_GRID = (5e-3, 2e-3, 1e-3, 5e-4, 2e-4, 1e-4, 5e-5)
 ALPHA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 C_GRID = (0.0005, 0.001, 0.005, 0.01, 0.05)
 K_GRID = (1, 2, 3, 4, 5)
+
+_DATA_KEYS = {
+    "synthetic": {"source"} | {f.name for f in fields(data_mod.SyntheticSpec)},
+    "csv": {"source", "path", "date_column"},
+}
+_OBJECTIVE_KEYS = {
+    "mse": {"kind"},
+    "freq_l1": {"kind", "beta"},
+    "kmb_df": {"kind", "alpha", "top_k", "margin_c", "kernel", "anchor_mode", "hinge_mode"},
+}
+_KERNEL_KEYS = {"family", "sigma", "degree", "scale", "offset"}
+
+
+def _reject_unknown(what: str, given, allowed) -> None:
+    unknown = set(given) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
 
 
 @dataclass
@@ -55,9 +72,20 @@ class ExperimentConfig:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.max_epochs < 1:
+            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.history_len < 1 or self.horizon < 1:
             raise ConfigError("history_len and horizon must be positive")
-        if self.objective.get("kind") == "kmb_df":
+        source = self.data.get("source", "synthetic")
+        if source not in _DATA_KEYS:
+            raise ConfigError(f"unknown data source {source!r}")
+        _reject_unknown("data", self.data, _DATA_KEYS[source])
+        kind = self.objective.get("kind", "mse")
+        if kind not in _OBJECTIVE_KEYS:
+            raise ConfigError(f"unknown objective kind {kind!r}")
+        _reject_unknown("objective", self.objective, _OBJECTIVE_KEYS[kind])
+        if kind == "kmb_df":
+            _reject_unknown("objective.kernel", self.objective.get("kernel", {}), _KERNEL_KEYS)
             k = int(self.objective.get("top_k", 3))
             if self.batch_size < k:
                 raise ConfigError(
@@ -70,10 +98,7 @@ class ExperimentConfig:
         split = d.pop("split", {})
         if not isinstance(split, data_mod.SplitSpec):
             split = data_mod.SplitSpec(**split)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        _reject_unknown("config", d, cls.__dataclass_fields__)
         return cls(split=split, **d)
 
     def to_dict(self) -> dict:

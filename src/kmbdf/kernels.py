@@ -114,38 +114,84 @@ def eval_kernel(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> float:
     return float(_from_inner(spec, np.sum(af * bf), af.size))
 
 
-def gram_matrix(spec: KernelSpec, rows, cols) -> np.ndarray:
-    """Entry (i, j) = eval_kernel(spec, rows[i], cols[j]).
+# Squared distances at most this share of ||a||^2 + ||b||^2 are recomputed
+# from the difference: there the expansion loses its relative accuracy.
+NEAR_PAIR_RATIO = 1e-3
+# Near pairs recomputed per chunk.  Every self-Gram recomputes its diagonal,
+# so the chunk's (chunk, L*D) temporaries are kept small: at 256 pairs they
+# set the process's peak memory in the test MMD^2.
+_NEAR_PAIR_CHUNK = 32
 
-    Computed row-chunked so the reduction inside each entry runs over the
-    flattened axis in the same order as `eval_kernel`; the result is therefore
-    identical to the sequential double loop.
+
+def _pairwise(rf: np.ndarray, cf: np.ndarray, distance: bool) -> np.ndarray:
+    """Squared distances or inner products between the rows of two stacks.
+
+    `rf` (R, P) and `cf` (C, P) are float stacks the caller owns; for
+    distances they are centred in place on their shared mean (pass the same
+    array twice for distances within one stack).  Inner products are
+    `rf @ cf.T`.  Squared distances are ||a||^2 + ||b||^2 - 2 <a, b> on the
+    centred rows, one matrix product for all entries; an entry whose result
+    is at most NEAR_PAIR_RATIO * (||a||^2 + ||b||^2) is recomputed as
+    sum((a - b)^2), so coincident rows give exactly 0.
+
+    Error bound: the expansion's rounding is at most about 2 P u
+    (||a||^2 + ||b||^2) for unit roundoff u = 2^-53, so an entry kept from
+    it is within a relative 2e3 P u of the squared distance of the centred
+    rows; a recomputed entry carries only the rounding of the difference.
     """
-    rows = [np.asarray(r, dtype=float) for r in rows]
-    cols = [np.asarray(c, dtype=float) for c in cols]
-    if not rows or not cols:
-        raise ShapeError("gram_matrix requires nonempty row/col lists")
-    shape = rows[0].shape
-    for m in (*rows, *cols):
+    if not distance:
+        return rf @ cf.T
+    if rf is cf:
+        rf -= rf.mean(axis=0)
+        r_sq = c_sq = np.einsum("ij,ij->i", rf, rf)
+    else:
+        mean = (rf.sum(axis=0) + cf.sum(axis=0)) / (len(rf) + len(cf))
+        rf -= mean
+        cf -= mean
+        r_sq = np.einsum("ij,ij->i", rf, rf)
+        c_sq = np.einsum("ij,ij->i", cf, cf)
+    norms = r_sq[:, None] + c_sq[None, :]
+    sq = rf @ cf.T
+    sq *= -2.0
+    sq += norms
+    norms *= NEAR_PAIR_RATIO
+    ii, jj = np.nonzero(sq <= norms)
+    for lo in range(0, ii.size, _NEAR_PAIR_CHUNK):
+        i, j = ii[lo : lo + _NEAR_PAIR_CHUNK], jj[lo : lo + _NEAR_PAIR_CHUNK]
+        d = rf[i] - cf[j]
+        sq[i, j] = np.einsum("ij,ij->i", d, d)
+    return sq
+
+
+def _stack(mats, shape=None) -> np.ndarray:
+    """(N, L*D) float stack of same-shaped finite matrices."""
+    mats = [np.asarray(m, dtype=float) for m in mats]
+    shape = mats[0].shape if shape is None else shape
+    for m in mats:
         if m.shape != shape:
-            raise ShapeError(f"gram inputs differ in shape: {shape} vs {m.shape}")
-        if not np.isfinite(m).all():
-            raise DomainError("gram inputs must be finite")
-    rf = np.stack([r.ravel() for r in rows])
-    cf = np.stack([c.ravel() for c in cols])
-    out = np.empty((len(rows), len(cols)))
-    buf = np.empty_like(cf)
+            raise ShapeError(f"kernel inputs differ in shape: {shape} vs {m.shape}")
+    flat = np.stack([m.ravel() for m in mats])
+    if not np.isfinite(flat).all():
+        raise DomainError("kernel inputs must be finite")
+    return flat
+
+
+def gram_matrix(spec: KernelSpec, rows, cols) -> np.ndarray:
+    """Entry (i, j) = K(rows[i], cols[j]), through one `_pairwise` product.
+
+    Rows and columns are stacked into fresh arrays, so the in-place centring
+    never touches the caller's data.  Against the sequential double loop over
+    `eval_kernel` the entries agree to rtol 1e-12 in the tests, including
+    near-duplicate points and points at a large common offset; see
+    `_pairwise` for the bound.  Identical inputs give bit-identical results.
+    """
+    if len(rows) == 0 or len(cols) == 0:
+        raise ShapeError("gram_matrix requires nonempty row/col lists")
+    rf = _stack(rows)
+    cf = _stack(cols, shape=np.shape(rows[0]))
     if spec.family.value in _DISTANCE_FAMILIES:
-        for i in range(len(rows)):
-            np.subtract(rf[i], cf, out=buf)
-            np.multiply(buf, buf, out=buf)
-            out[i] = np.sum(buf, axis=1)
-        return _from_sq_dist(spec, out)
-    size = rf.shape[1]
-    for i in range(len(rows)):
-        np.multiply(rf[i], cf, out=buf)
-        out[i] = np.sum(buf, axis=1)
-    return _from_inner(spec, out, size)
+        return _from_sq_dist(spec, _pairwise(rf, cf, distance=True))
+    return _from_inner(spec, _pairwise(rf, cf, distance=False), rf.shape[1])
 
 
 def kernel_grad_b(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -230,16 +276,11 @@ def median_bandwidth(joints) -> float:
 
     Falls back to 1.0 if the median distance is zero (all points coincide).
     """
-    joints = [np.asarray(j, dtype=float) for j in joints]
     if len(joints) < 2:
         raise ConfigError("median bandwidth needs at least 2 joint sequences")
-    flats = np.stack([j.ravel() for j in joints])
-    n = len(flats)
-    dists = []
-    for i in range(n - 1):
-        d = flats[i + 1:] - flats[i]
-        dists.append(np.sqrt(np.sum(d * d, axis=1)))
-    med = float(np.median(np.concatenate(dists)))
+    flats = _stack(joints)
+    sq = _pairwise(flats, flats, distance=True)
+    med = float(np.median(np.sqrt(sq[np.triu_indices(len(flats), k=1)])))
     if med <= 0.0:
         return 1.0
     return float(np.sqrt(med))

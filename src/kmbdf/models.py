@@ -76,7 +76,7 @@ def forward_batch(model: LinearForecaster, xs: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"batch shape {xs.shape} incompatible with ({model.history_len}, {model.channels})"
         )
-    return np.einsum("th,nhd->ntd", model.weight, xs) + model.bias[None, :, None]
+    return np.matmul(model.weight, xs) + model.bias[None, :, None]
 
 
 def backward(model: LinearForecaster, x: np.ndarray, grad_out: np.ndarray):
@@ -98,7 +98,7 @@ def backward_batch(model: LinearForecaster, xs: np.ndarray, grad_outs: np.ndarra
     grad_outs = np.asarray(grad_outs, dtype=float)
     if xs.shape[0] != grad_outs.shape[0]:
         raise ShapeError("batch sizes differ between inputs and output gradients")
-    grad_w = np.einsum("ntd,nhd->th", grad_outs, xs)
+    grad_w = np.tensordot(grad_outs, xs, axes=([0, 2], [0, 2]))
     grad_b = grad_outs.sum(axis=(0, 2))
     return grad_w, grad_b
 

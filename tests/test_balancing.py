@@ -2,18 +2,21 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from kmbdf import balancing
 from kmbdf.balancing import (
     BalanceConfig,
     hinge_slack,
     informativeness_scores,
     kmb_df_grad,
     kmb_df_loss,
+    kmb_df_loss_and_grad,
     kmb_df_loss_with_selection,
     mmd_squared,
     select_top_k,
 )
 from kmbdf.errors import ConfigError, ShapeError
 from kmbdf.kernels import KernelSpec, eval_kernel, median_bandwidth
+from kmbdf.objectives import mse_grad, mse_loss
 
 EXP = KernelSpec(family="exponential", sigma=1.0)
 
@@ -55,11 +58,18 @@ class TestInformativenessScores:
     @pytest.mark.parametrize("anchor", ["forecast", "real"])
     def test_zero_at_identity(self, anchor):
         rng = np.random.default_rng(0)
-        cfg = BalanceConfig(kernel=EXP, anchor_mode=anchor)
-        hist, labels, _ = random_batch(rng)
-        reals = joints_of(hist, labels)
-        deltas = informativeness_scores(cfg, reals, [r.copy() for r in reals])
-        np.testing.assert_array_equal(deltas, np.zeros(len(reals)))
+        # The second batch has H * D = 1050: the Gram's matrix product
+        # rounds, but the real and the forecast Grams run identical
+        # operations on identical inputs.
+        for kernel, shape in (
+            (EXP, {}),
+            (KernelSpec(family="exponential", sigma=7.0), {"n": 16, "h": 50, "t": 10, "d": 21}),
+        ):
+            cfg = BalanceConfig(kernel=kernel, anchor_mode=anchor)
+            hist, labels, _ = random_batch(rng, **shape)
+            reals = joints_of(hist, labels)
+            deltas = informativeness_scores(cfg, reals, [r.copy() for r in reals])
+            np.testing.assert_array_equal(deltas, np.zeros(len(reals)))
 
     def test_hand_example(self):
         cfg = BalanceConfig(kernel=EXP, anchor_mode="forecast", top_k=1)
@@ -179,6 +189,26 @@ class TestKmbDfLoss:
         expected = sum(float(np.sum((y - f) ** 2)) for y, f in zip(labels, fcs))
         assert total == pytest.approx(expected, rel=1e-12)
 
+    def test_alpha_zero_does_no_kernel_work(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("kernel work at alpha=0")
+
+        monkeypatch.setattr(balancing, "gram_matrix", forbidden)
+        monkeypatch.setattr(balancing, "grad_b_sum", forbidden)
+        monkeypatch.setattr(balancing, "grad_b_batch", forbidden)
+        rng = np.random.default_rng(6)
+        hist, labels, fcs = random_batch(rng)
+        for anchor in ("forecast", "real"):
+            cfg = BalanceConfig(alpha=0.0, top_k=2, kernel=EXP, anchor_mode=anchor)
+            total, grads, diag = kmb_df_loss_and_grad(cfg, hist, labels, fcs)
+            assert total == mse_loss(labels, fcs)
+            for g, want in zip(grads, mse_grad(labels, fcs)):
+                np.testing.assert_array_equal(g, want)
+            assert diag.to_dict() == {
+                "deltas": [], "selected": [], "slacks": [],
+                "penalty_term": 0.0, "mse_term": total, "total": total,
+            }
+
     def test_alpha_one_hand_example(self):
         cfg = BalanceConfig(alpha=1.0, top_k=1, margin_c=0.0, kernel=EXP)
         hist = [np.zeros((0, 1)), np.zeros((0, 1))]
@@ -199,10 +229,11 @@ class TestKmbDfLoss:
 
     def test_top_k_larger_than_batch(self):
         rng = np.random.default_rng(8)
-        cfg = BalanceConfig(top_k=10, kernel=EXP)
         hist, labels, fcs = random_batch(rng, n=4)
-        with pytest.raises(ConfigError):
-            kmb_df_loss(cfg, hist, labels, fcs)
+        for alpha in (0.3, 0.0):
+            cfg = BalanceConfig(alpha=alpha, top_k=10, kernel=EXP)
+            with pytest.raises(ConfigError):
+                kmb_df_loss(cfg, hist, labels, fcs)
 
 
 def fd_grads(cfg, hist, labels, fcs, selected, eps=1e-6):

@@ -71,6 +71,26 @@ class TestTrainCommand:
         assert err["error"] == "ConfigError"
 
 
+    @pytest.mark.parametrize("override", [
+        "data.lenght=400",
+        "objective.alpah=0.5",
+        "max_epochs=0",
+    ])
+    def test_config_typo_fails_before_training(self, config_path, capsys, override):
+        # With kind=kmb_df the objective key set is the balancing one, so
+        # "alpah" is a typo, not a key of another objective.
+        rc = main([
+            "train", "--config", config_path,
+            "--set", "objective.kind=kmb_df", "--set", override,
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError"
+        assert override.split("=")[0].split(".")[-1] in err["message"]
+
+
 class TestEvaluateCommand:
     def test_round_trip_with_checkpoint(self, config_path, capsys, tmp_path):
         out = tmp_path / "run"

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from kmbdf import data as data_mod
 from kmbdf.data import SplitSpec, WindowPair
 from kmbdf.errors import ConfigError
 from kmbdf.harness import (
@@ -117,6 +118,24 @@ class TestBuildDataset:
     def test_unknown_config_key(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"learning_rate": 1e-3})
+
+    @pytest.mark.parametrize("overrides", [
+        {"data": {"source": "synthetic", "lenght": 400}},
+        {"data": {"source": "csv", "path": "x.csv", "seed": 1}},
+        {"objective": {"kind": "mse", "alpha": 0.3}},
+        {"objective": {"kind": "kmb_df", "alpah": 0.5}},
+        {"objective": {"kind": "kmb_df", "kernel": {"familly": "gaussian"}}},
+        {"objective": {"kind": "huber"}},
+        {"max_epochs": 0},
+    ])
+    def test_rejected_at_parse(self, monkeypatch, overrides):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("data built for an invalid config")
+
+        monkeypatch.setattr(data_mod, "generate", forbidden)
+        monkeypatch.setattr(data_mod, "load_csv", forbidden)
+        with pytest.raises(ConfigError):
+            small_config(**overrides)
 
 
 class TestTrain:

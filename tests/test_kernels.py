@@ -34,6 +34,11 @@ def fd_grad_b(spec, a, b, eps=1e-5):
     return g
 
 
+def double_loop(spec, rows, cols):
+    """Sequential oracle: one eval_kernel call per entry."""
+    return np.array([[eval_kernel(spec, r, c) for c in cols] for r in rows])
+
+
 class TestEvalKernel:
     def test_exponential_zero_distance(self):
         spec = KernelSpec(family="exponential", sigma=1.0)
@@ -113,10 +118,40 @@ class TestGramMatrix:
     def test_matches_double_loop(self, spec):
         rng = np.random.default_rng(4)
         pts = [rng.normal(size=(3, 2)) for _ in range(5)]
-        got = gram_matrix(spec, pts, pts)
-        for i in range(5):
-            for j in range(5):
-                assert got[i, j] == eval_kernel(spec, pts[i], pts[j])
+        np.testing.assert_allclose(
+            gram_matrix(spec, pts, pts), double_loop(spec, pts, pts), rtol=1e-12, atol=0
+        )
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family.value)
+    def test_near_duplicates(self, spec):
+        # Z against Z + 1e-9: the diagonal's squared distances are ~1e-18
+        # per entry, far below the expansion's rounding of ||Z||^2.
+        rng = np.random.default_rng(9)
+        pts = [rng.normal(size=(6, 3)) for _ in range(7)]
+        shifted = [p + 1e-9 for p in pts]
+        np.testing.assert_allclose(
+            gram_matrix(spec, pts, shifted), double_loop(spec, pts, shifted),
+            rtol=1e-12, atol=0,
+        )
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family.value)
+    def test_large_offset(self, spec):
+        # Points at +1e3 with spread 1e-3 over L*D = 4000 entries: the
+        # uncentred squared norms are ~4e9 and the distances ~8e-3.
+        rng = np.random.default_rng(10)
+        rows = [1e3 + 1e-3 * rng.normal(size=(200, 20)) for _ in range(6)]
+        cols = [1e3 + 1e-3 * rng.normal(size=(200, 20)) for _ in range(5)]
+        np.testing.assert_allclose(
+            gram_matrix(spec, rows, cols), double_loop(spec, rows, cols),
+            rtol=1e-12, atol=0,
+        )
+
+    def test_inputs_not_modified(self):
+        rng = np.random.default_rng(11)
+        pts = np.asarray([rng.normal(size=(3, 2)) for _ in range(4)])
+        before = pts.copy()
+        gram_matrix(KernelSpec(family="gaussian", sigma=1.0), pts, pts)
+        np.testing.assert_array_equal(pts, before)
 
     @pytest.mark.parametrize("family", ["exponential", "gaussian"])
     def test_psd(self, family):
@@ -189,18 +224,21 @@ class TestKernelSpec:
 class TestMedianBandwidth:
     def test_matches_direct_median(self):
         rng = np.random.default_rng(8)
-        joints = [rng.normal(size=(3, 2)) for _ in range(10)]
+        joints = [rng.normal(size=(24, 3)) for _ in range(64)]
         dists = [
             np.linalg.norm((joints[i] - joints[j]).ravel())
-            for i in range(10)
-            for j in range(i + 1, 10)
+            for i in range(64)
+            for j in range(i + 1, 64)
         ]
         sigma = median_bandwidth(joints)
-        assert sigma**2 == pytest.approx(np.median(dists))
+        np.testing.assert_allclose(sigma**2, np.median(dists), rtol=1e-12, atol=0)
 
     def test_degenerate_batch_falls_back(self):
-        z = np.ones((2, 2))
-        assert median_bandwidth([z, z.copy(), z.copy()]) == 1.0
+        # Coincident rows whose centred values and norms round still give
+        # distance exactly 0.
+        noise = np.random.default_rng(13).normal(size=(40, 25))
+        for z in (np.ones((2, 2)), noise, 1e3 + noise):
+            assert median_bandwidth([z, z.copy(), z.copy(), z.copy()]) == 1.0
 
     def test_needs_two_points(self):
         with pytest.raises(ConfigError):

@@ -27,8 +27,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
-from .kernels import KernelSpec, grad_b_batch, grad_b_sum, gram_matrix
+from .errors import ConfigError, DomainError, ShapeError
+from .kernels import (
+    KernelSpec,
+    as_stack,
+    grad_b_sum,
+    grad_coeffs,
+    gram_matrix,
+    joint_stats,
+    kernel_from_stat,
+)
 
 ANCHOR_MODES = ("forecast", "real")
 HINGE_MODES = ("canonical", "paper_literal")
@@ -86,38 +94,54 @@ class MmdResult(NamedTuple):
         return self.value
 
 
-def _as_joint_lists(histories, labels, forecasts):
-    n = len(histories)
-    if not (len(labels) == len(forecasts) == n):
+class Scores(NamedTuple):
+    """Informativeness scores and the pair statistic the penalty gradient
+    reads its kernel coefficients from: column k of `cross` pairs anchor k
+    with the N joints of its second kernel sum (see `kernels.joint_stats`)."""
+
+    deltas: np.ndarray
+    cross: np.ndarray
+
+
+def _as_stacks(histories, labels, forecasts):
+    """(N, H, D), (N, T, D) and (N, T, D) float stacks of one batch; lists
+    are stacked once here, float ndarrays pass through uncopied."""
+    x, y, f = as_stack(histories), as_stack(labels), as_stack(forecasts)
+    if not len(x) == len(y) == len(f):
         raise ShapeError("histories, labels and forecasts must have equal length")
-    if n == 0:
-        raise ShapeError("empty batch")
-    reals, fcs = [], []
-    for x, y, yhat in zip(histories, labels, forecasts):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        yhat = np.asarray(yhat, dtype=float)
-        if y.shape != yhat.shape:
-            raise ShapeError(f"label/forecast shapes differ: {y.shape} vs {yhat.shape}")
-        if x.shape[1:] != y.shape[1:]:
-            raise ShapeError(f"history/label channel counts differ: {x.shape} vs {y.shape}")
-        reals.append(np.concatenate([x, y], axis=0))
-        fcs.append(np.concatenate([x, yhat], axis=0))
-    return reals, fcs
+    if y.shape != f.shape:
+        raise ShapeError(f"label/forecast shapes differ: {y.shape} vs {f.shape}")
+    if x.ndim != 3 or y.ndim != 3 or x.shape[2] != y.shape[2]:
+        raise ShapeError(f"history/label channel counts differ: {x.shape} vs {y.shape}")
+    return x, y, f
 
 
-def informativeness_scores(cfg: BalanceConfig, reals, forecasts) -> np.ndarray:
-    """Per-anchor first-moment gap delta_k over a batch of joint sequences."""
-    if len(reals) == 0:
-        raise ShapeError("empty batch")
-    if len(reals) != len(forecasts):
-        raise ShapeError("reals and forecasts must have equal length")
-    g_rr = gram_matrix(cfg.kernel, reals, reals)
-    if cfg.anchor_mode == "forecast":
-        g_rf = gram_matrix(cfg.kernel, reals, forecasts)
-        return g_rr.sum(axis=0) - g_rf.sum(axis=0)
-    g_fr = gram_matrix(cfg.kernel, forecasts, reals)
-    return g_rr.sum(axis=0) - g_fr.sum(axis=0)
+def informativeness_scores(cfg: BalanceConfig, histories, labels, forecasts) -> Scores:
+    """Per-anchor first-moment gap delta_k over one batch, with its statistic.
+
+    The real joints are (history_n, label_n), the forecast joints
+    (history_n, forecast_n).  The history block of the pair statistic is
+    computed once and shared by both kernel sums; the label-label and
+    label-forecast blocks come from one centring of the label and forecast
+    stacks.  Each block keeps `_pairwise`'s error bound for its own width
+    (H*D or T*D), so delta agrees with the per-pair `eval_kernel` sums to
+    rtol 1e-12 in the tests, and forecasts equal to the labels give delta
+    exactly 0.  Inputs must be finite.
+    """
+    x, y, f = _as_stacks(histories, labels, forecasts)
+    if not (np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(f).all()):
+        raise DomainError("histories, labels and forecasts must be finite")
+    n = len(x)
+    xf, yf = x.reshape(n, -1), y.reshape(n, -1)
+    real, cross = joint_stats(
+        cfg.kernel, xf, yf, f.reshape(n, -1), cfg.anchor_mode == "forecast"
+    )
+    size = xf.shape[1] + yf.shape[1]
+    deltas = (
+        kernel_from_stat(cfg.kernel, real, size).sum(axis=0)
+        - kernel_from_stat(cfg.kernel, cross, size).sum(axis=0)
+    )
+    return Scores(deltas, cross)
 
 
 def select_top_k(deltas: np.ndarray, k: int) -> np.ndarray:
@@ -155,33 +179,22 @@ def _hinge_subgradient(delta: float, c: float, mode: str) -> float:
     return 0.0
 
 
-def _mse_sum(labels, forecasts) -> float:
-    total = 0.0
-    for y, yhat in zip(labels, forecasts):
-        d = np.asarray(yhat, dtype=float) - np.asarray(y, dtype=float)
-        total += float(np.sum(d * d))
-    return total
-
-
-def _evaluate(cfg, histories, labels, forecasts, selected=None):
-    reals, fcs = _as_joint_lists(histories, labels, forecasts)
-    n = len(reals)
+def _evaluate(cfg, x, y, f, selected=None):
+    """Total, diagnostics, forecast errors and scores (None at alpha=0) of
+    one batch given as validated stacks."""
+    n = len(x)
     if cfg.top_k > n:
         raise ConfigError(f"top_k={cfg.top_k} exceeds batch size {n}")
-    mse = _mse_sum(labels, forecasts)
+    err = f - y
+    mse = float(np.sum(err * err))
     if cfg.alpha == 0.0:
         # The penalty carries no weight: no scores, no anchors, no kernel work.
+        if not np.isfinite(mse):
+            raise DomainError(f"non-finite MSE term {mse!r}: labels and forecasts must be finite")
         empty = np.zeros(0)
-        diag = BalanceDiagnostics(
-            deltas=empty,
-            selected=np.zeros(0, dtype=int),
-            slacks=empty,
-            penalty_term=0.0,
-            mse_term=mse,
-            total=mse,
-        )
-        return mse, diag, reals, fcs
-    deltas = informativeness_scores(cfg, reals, fcs)
+        return BalanceDiagnostics(empty, np.zeros(0, dtype=int), empty, 0.0, mse, mse), err, None
+    scores = informativeness_scores(cfg, x, y, f)
+    deltas = scores.deltas
     if selected is None:
         selected = select_top_k(deltas, cfg.top_k)
     else:
@@ -199,58 +212,53 @@ def _evaluate(cfg, histories, labels, forecasts, selected=None):
         mse_term=mse,
         total=total,
     )
-    return total, diag, reals, fcs
+    return diag, err, scores
 
 
 def kmb_df_loss(cfg: BalanceConfig, histories, labels, forecasts):
     """Composite balancing objective; returns (total, BalanceDiagnostics)."""
-    total, diag, _, _ = _evaluate(cfg, histories, labels, forecasts)
-    return total, diag
+    diag, _, _ = _evaluate(cfg, *_as_stacks(histories, labels, forecasts))
+    return diag.total, diag
 
 
 def kmb_df_loss_with_selection(cfg, histories, labels, forecasts, selected):
     """Objective value with the anchor selection pinned (for gradient checks)."""
-    total, diag, _, _ = _evaluate(cfg, histories, labels, forecasts, selected=selected)
-    return total, diag
+    diag, _, _ = _evaluate(cfg, *_as_stacks(histories, labels, forecasts), selected)
+    return diag.total, diag
 
 
 def kmb_df_grad(cfg: BalanceConfig, histories, labels, forecasts):
     """d total / d forecast for every sample; top-K selection held constant.
 
-    Returns (grads, BalanceDiagnostics) where grads is a list of T x D arrays.
+    Returns (grads, BalanceDiagnostics) where grads is an (N, T, D) array.
+    The penalty gradient touches only the label block of each joint: its
+    kernel coefficients come from the scores' pair statistic.
     """
-    total, diag, reals, fcs = _evaluate(cfg, histories, labels, forecasts)
-    h_len = np.asarray(histories[0]).shape[0]
-    grads = [
-        2.0 * (1.0 - cfg.alpha) * (np.asarray(f, dtype=float) - np.asarray(y, dtype=float))
-        for y, f in zip(labels, forecasts)
-    ]
-    if cfg.alpha > 0.0:
-        gsub = {
-            int(i): cfg.alpha * _hinge_subgradient(float(diag.deltas[i]), cfg.margin_c, cfg.hinge_mode)
-            for i in diag.selected
-        }
+    x, y, f = _as_stacks(histories, labels, forecasts)
+    diag, err, scores = _evaluate(cfg, x, y, f)
+    grads = 2.0 * (1.0 - cfg.alpha) * err
+    if scores is None:
+        return grads, diag
+    n = len(y)
+    spec = cfg.kernel
+    yf, ff, gf = y.reshape(n, -1), f.reshape(n, -1), grads.reshape(n, -1)
+    size = x[0].size + yf.shape[1]
+    for i in diag.selected:
+        w = cfg.alpha * _hinge_subgradient(float(diag.deltas[i]), cfg.margin_c, cfg.hinge_mode)
+        if w == 0.0:
+            continue
+        stat = scores.cross[:, i]
         if cfg.anchor_mode == "forecast":
             # delta_k depends on forecast k only: d delta_k / d Zhat_k =
             # -sum_n dK(Z_n, Zhat_k)/d Zhat_k.
-            reals_stack = np.stack(reals)
-            for i, g in gsub.items():
-                if g == 0.0:
-                    continue
-                joint_grad = -grad_b_sum(cfg.kernel, reals_stack, fcs[i])
-                grads[i] = grads[i] + g * joint_grad[h_len:, :]
+            gf[i] -= w * grad_b_sum(spec, stat, yf, ff[i], size)
         else:
             # delta_k = sum_n K(Z_n, Z_k) - sum_n K(Zhat_n, Z_k): every
             # forecast appears once per selected anchor.  All families are
-            # symmetric, so the gradient w.r.t. the first argument equals
-            # grad_b with the arguments swapped.
-            fcs_stack = np.stack(fcs)
-            for i, g in gsub.items():
-                if g == 0.0:
-                    continue
-                per_fc = -grad_b_batch(cfg.kernel, reals[i], fcs_stack)
-                for n in range(len(grads)):
-                    grads[n] = grads[n] + g * per_fc[n][h_len:, :]
+            # symmetric, so d K(Zhat_n, Z_k) / d Zhat_n = c_n (Z_k - Zhat_n)
+            # or c_n Z_k, restricted to the label block.
+            c = w * grad_coeffs(spec, stat, size)
+            gf -= c[:, None] * (yf[i] - ff if spec.is_distance else yf[i])
     return grads, diag
 
 

@@ -7,13 +7,13 @@ import json
 import os
 import statistics
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import data as data_mod
 from .balancing import BalanceConfig, kmb_df_grad, kmb_df_loss, mmd_squared
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, KmbdfError
 from .kernels import KernelSpec, median_bandwidth
 from .models import (
     LinearForecaster,
@@ -80,6 +80,12 @@ class ExperimentConfig:
         if source not in _DATA_KEYS:
             raise ConfigError(f"unknown data source {source!r}")
         _reject_unknown("data", self.data, _DATA_KEYS[source])
+        if source == "csv" and "path" not in self.data:
+            raise ConfigError("csv data source requires a path")
+        if self.compute_mmd and self.mmd_max_samples < 2:
+            raise ConfigError(
+                f"test MMD^2 needs mmd_max_samples >= 2, got {self.mmd_max_samples}"
+            )
         kind = self.objective.get("kind", "mse")
         if kind not in _OBJECTIVE_KEYS:
             raise ConfigError(f"unknown objective kind {kind!r}")
@@ -97,32 +103,13 @@ class ExperimentConfig:
         d = dict(d)
         split = d.pop("split", {})
         if not isinstance(split, data_mod.SplitSpec):
+            _reject_unknown("split", split, data_mod.SplitSpec.__dataclass_fields__)
             split = data_mod.SplitSpec(**split)
         _reject_unknown("config", d, cls.__dataclass_fields__)
         return cls(split=split, **d)
 
     def to_dict(self) -> dict:
-        return {
-            "data": self.data,
-            "split": {
-                "train": self.split.train,
-                "val": self.split.val,
-                "test": self.split.test,
-                "convention": self.split.convention,
-                "standardize": self.split.standardize,
-            },
-            "history_len": self.history_len,
-            "horizon": self.horizon,
-            "objective": self.objective,
-            "lr": self.lr,
-            "batch_size": self.batch_size,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "seed": self.seed,
-            "out": self.out,
-            "compute_mmd": self.compute_mmd,
-            "mmd_max_samples": self.mmd_max_samples,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -312,14 +299,12 @@ def train(config: ExperimentConfig) -> TrainReport:
             xb, yb = xs_all[idx], ys_all[idx]
             t0 = time.perf_counter()
             preds = forward_batch(model, xb)
-            loss, grads, diag = objective.loss_and_grad(
-                list(xb), list(yb), list(preds)
-            )
+            loss, grads, diag = objective.loss_and_grad(xb, yb, preds)
             if not np.isfinite(loss):
                 raise DomainError(
                     f"non-finite loss at epoch {epoch}, step {step}: {loss!r}"
                 )
-            gw, gb = backward_batch(model, xb, np.stack(grads))
+            gw, gb = backward_batch(model, xb, grads)
             params = adam_step(state, params, {"weight": gw, "bias": gb})
             model.set_params(params)
             step_times.append(time.perf_counter() - t0)
@@ -417,7 +402,7 @@ def run_sweep(base_config: ExperimentConfig, param: str, values, out_dir=None):
             continue
         try:
             rep = train(variant(**{param: v}))
-        except Exception as exc:  # record and continue per sweep contract
+        except KmbdfError as exc:  # record and continue per sweep contract
             rows.append((label, None, None, None, str(exc)))
             continue
         reports[label] = rep
@@ -457,10 +442,10 @@ def timing_probe(
     results = []
     for t in horizons:
         rng = np.random.default_rng(seed)
-        hist = list(rng.normal(size=(n, history_len, channels)))
-        labels = list(rng.normal(size=(n, t, channels)))
-        fcs = list(rng.normal(size=(n, t, channels)))
-        joints = [np.concatenate([x, y], axis=0) for x, y in zip(hist, labels)]
+        hist = rng.normal(size=(n, history_len, channels))
+        labels = rng.normal(size=(n, t, channels))
+        fcs = rng.normal(size=(n, t, channels))
+        joints = np.concatenate([hist, labels], axis=1)
         kernel = KernelSpec(family="exponential", sigma=median_bandwidth(joints))
         cfg = BalanceConfig(
             alpha=alpha, top_k=top_k, margin_c=margin_c, kernel=kernel

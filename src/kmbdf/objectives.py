@@ -1,7 +1,9 @@
 """Baseline training objectives sharing one loss/gradient contract.
 
-Every objective maps (histories, labels, forecasts) -> scalar loss and
-exposes the analytic gradient of that loss with respect to each forecast.
+Every objective's `loss_and_grad(histories, labels, forecasts)` returns the
+scalar loss, its analytic gradient with respect to the forecasts as one
+(N, T, D) array, and diagnostics (None outside kmb_df).  Batches are stacked
+arrays or lists of same-shaped per-sample arrays.
 `mse` ignores the histories; `freq_l1` mixes an L1 penalty on DFT
 coefficients of the forecast error with the MSE; `kmb_df` delegates to the
 balancing module.
@@ -9,40 +11,32 @@ balancing module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .balancing import BalanceConfig, kmb_df_loss_and_grad
 from .errors import ConfigError, ShapeError
+from .kernels import as_stack
 
 
-def _check_batch(labels, forecasts):
-    if len(labels) != len(forecasts):
-        raise ShapeError("labels and forecasts must have equal length")
-    if len(labels) == 0:
-        raise ShapeError("empty batch")
-    out = []
-    for y, yhat in zip(labels, forecasts):
-        y = np.asarray(y, dtype=float)
-        yhat = np.asarray(yhat, dtype=float)
-        if y.shape != yhat.shape:
-            raise ShapeError(f"label/forecast shapes differ: {y.shape} vs {yhat.shape}")
-        out.append((y, yhat))
-    return out
+def _as_pair(labels, forecasts):
+    y, f = as_stack(labels), as_stack(forecasts)
+    if y.shape != f.shape:
+        raise ShapeError(f"label/forecast shapes differ: {y.shape} vs {f.shape}")
+    return y, f
 
 
 def mse_loss(labels, forecasts) -> float:
     """Sum over the batch of squared Frobenius norms of the forecast error."""
-    total = 0.0
-    for y, yhat in _check_batch(labels, forecasts):
-        d = yhat - y
-        total += float(np.sum(d * d))
-    return total
+    y, f = _as_pair(labels, forecasts)
+    err = f - y
+    return float(np.sum(err * err))
 
 
-def mse_grad(labels, forecasts) -> list[np.ndarray]:
-    return [2.0 * (yhat - y) for y, yhat in _check_batch(labels, forecasts)]
+def mse_grad(labels, forecasts) -> np.ndarray:
+    y, f = _as_pair(labels, forecasts)
+    return 2.0 * (f - y)
 
 
 def _dft_matrices(t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -56,46 +50,31 @@ def frequency_l1_loss(labels, forecasts, beta: float = 0.5) -> float:
     """beta * L1 distance of per-channel DFT coefficients + (1-beta) * MSE."""
     if not 0.0 <= beta <= 1.0:
         raise ConfigError(f"beta must be in [0, 1], got {beta}")
-    pairs = _check_batch(labels, forecasts)
-    t = pairs[0][0].shape[0]
-    fr, fi = _dft_matrices(t)
-    freq_term = 0.0
-    for y, yhat in pairs:
-        d = y - yhat
-        freq_term += float(np.sum(np.abs(fr @ d)) + np.sum(np.abs(fi @ d)))
-    return beta * freq_term + (1.0 - beta) * mse_loss(labels, forecasts)
+    y, f = _as_pair(labels, forecasts)
+    fr, fi = _dft_matrices(y.shape[1])
+    d = y - f
+    freq_term = float(np.sum(np.abs(fr @ d)) + np.sum(np.abs(fi @ d)))
+    return beta * freq_term + (1.0 - beta) * mse_loss(y, f)
 
 
-def frequency_l1_grad(labels, forecasts, beta: float = 0.5) -> list[np.ndarray]:
+def frequency_l1_grad(labels, forecasts, beta: float = 0.5) -> np.ndarray:
     """Subgradient of frequency_l1_loss w.r.t. each forecast; sign(0) := 0."""
     if not 0.0 <= beta <= 1.0:
         raise ConfigError(f"beta must be in [0, 1], got {beta}")
-    pairs = _check_batch(labels, forecasts)
-    t = pairs[0][0].shape[0]
-    fr, fi = _dft_matrices(t)
-    grads = []
-    for y, yhat in pairs:
-        d = y - yhat
-        # d/d yhat |F (y - yhat)| = -F^T sign(F (y - yhat)), per part.
-        gf = -(fr.T @ np.sign(fr @ d) + fi.T @ np.sign(fi @ d))
-        grads.append(beta * gf + (1.0 - beta) * 2.0 * (yhat - y))
-    return grads
+    y, f = _as_pair(labels, forecasts)
+    fr, fi = _dft_matrices(y.shape[1])
+    d = y - f
+    # d/d yhat |F (y - yhat)| = -F^T sign(F (y - yhat)), per part.
+    gf = -(fr.T @ np.sign(fr @ d) + fi.T @ np.sign(fi @ d))
+    return beta * gf + (1.0 - beta) * 2.0 * (f - y)
 
 
 @dataclass(frozen=True)
 class MseObjective:
     kind: str = "mse"
 
-    def loss(self, histories, labels, forecasts) -> float:
-        return mse_loss(labels, forecasts)
-
-    def grad(self, histories, labels, forecasts):
-        return mse_grad(labels, forecasts)
-
     def loss_and_grad(self, histories, labels, forecasts):
-        return self.loss(histories, labels, forecasts), self.grad(
-            histories, labels, forecasts
-        ), None
+        return mse_loss(labels, forecasts), mse_grad(labels, forecasts), None
 
 
 @dataclass(frozen=True)
@@ -103,16 +82,12 @@ class FrequencyL1Objective:
     beta: float = 0.5
     kind: str = "freq_l1"
 
-    def loss(self, histories, labels, forecasts) -> float:
-        return frequency_l1_loss(labels, forecasts, self.beta)
-
-    def grad(self, histories, labels, forecasts):
-        return frequency_l1_grad(labels, forecasts, self.beta)
-
     def loss_and_grad(self, histories, labels, forecasts):
-        return self.loss(histories, labels, forecasts), self.grad(
-            histories, labels, forecasts
-        ), None
+        return (
+            frequency_l1_loss(labels, forecasts, self.beta),
+            frequency_l1_grad(labels, forecasts, self.beta),
+            None,
+        )
 
 
 @dataclass(frozen=True)
@@ -120,31 +95,12 @@ class KmbDfObjective:
     config: BalanceConfig
     kind: str = "kmb_df"
 
-    def _effective(self, n: int) -> BalanceConfig:
+    def loss_and_grad(self, histories, labels, forecasts):
         # Trailing partial batches may be smaller than top_k; clamp rather
         # than reject so the final windows still contribute.
         cfg = self.config
-        if cfg.top_k > n:
-            return BalanceConfig(
-                alpha=cfg.alpha,
-                top_k=n,
-                margin_c=cfg.margin_c,
-                kernel=cfg.kernel,
-                anchor_mode=cfg.anchor_mode,
-                hinge_mode=cfg.hinge_mode,
-            )
-        return cfg
-
-    def loss(self, histories, labels, forecasts) -> float:
-        total, _, _ = self.loss_and_grad(histories, labels, forecasts)
-        return total
-
-    def grad(self, histories, labels, forecasts):
-        _, grads, _ = self.loss_and_grad(histories, labels, forecasts)
-        return grads
-
-    def loss_and_grad(self, histories, labels, forecasts):
-        cfg = self._effective(len(histories))
+        if cfg.top_k > len(histories):
+            cfg = replace(cfg, top_k=len(histories))
         return kmb_df_loss_and_grad(cfg, histories, labels, forecasts)
 
 

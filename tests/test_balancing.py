@@ -14,8 +14,8 @@ from kmbdf.balancing import (
     mmd_squared,
     select_top_k,
 )
-from kmbdf.errors import ConfigError, ShapeError
-from kmbdf.kernels import KernelSpec, eval_kernel, median_bandwidth
+from kmbdf.errors import ConfigError, DomainError, ShapeError
+from kmbdf.kernels import KernelSpec, eval_kernel, kernel_grad_b, median_bandwidth
 from kmbdf.objectives import mse_grad, mse_loss
 
 EXP = KernelSpec(family="exponential", sigma=1.0)
@@ -54,59 +54,73 @@ def brute_force_deltas(kernel, reals, fcs, anchor_mode):
     return deltas
 
 
+# The same five families with widths whose kernel values stay away from 0
+# and 1 at H * D = T * D = 2016.
+WIDE_KERNELS = [
+    KernelSpec(family="exponential", sigma=7.0),
+    KernelSpec(family="gaussian", sigma=60.0),
+    KernelSpec(family="linear"),
+    KernelSpec(family="polynomial", degree=2),
+    KernelSpec(family="sigmoid"),
+]
+
+
 class TestInformativenessScores:
     @pytest.mark.parametrize("anchor", ["forecast", "real"])
     def test_zero_at_identity(self, anchor):
         rng = np.random.default_rng(0)
-        # The second batch has H * D = 1050: the Gram's matrix product
-        # rounds, but the real and the forecast Grams run identical
-        # operations on identical inputs.
-        for kernel, shape in (
-            (EXP, {}),
-            (KernelSpec(family="exponential", sigma=7.0), {"n": 16, "h": 50, "t": 10, "d": 21}),
+        # N=63 with H*D = T*D = 2016 is paper_t96's trailing batch, and N=32
+        # with T*D=48 the desk batch: at both, a symmetric product of the
+        # labels rounds differently from the general one.  The real and the
+        # forecast statistics must run identical operations.
+        for kernels, shape in (
+            (ALL_KERNELS, {}),
+            (ALL_KERNELS, {"n": 32, "h": 24, "t": 24, "d": 2}),
+            (WIDE_KERNELS, {"n": 63, "h": 96, "t": 96, "d": 21}),
         ):
-            cfg = BalanceConfig(kernel=kernel, anchor_mode=anchor)
             hist, labels, _ = random_batch(rng, **shape)
-            reals = joints_of(hist, labels)
-            deltas = informativeness_scores(cfg, reals, [r.copy() for r in reals])
-            np.testing.assert_array_equal(deltas, np.zeros(len(reals)))
+            for kernel in kernels:
+                cfg = BalanceConfig(kernel=kernel, anchor_mode=anchor)
+                scores = informativeness_scores(cfg, hist, labels, [y.copy() for y in labels])
+                np.testing.assert_array_equal(scores.deltas, np.zeros(len(hist)))
 
     def test_hand_example(self):
         cfg = BalanceConfig(kernel=EXP, anchor_mode="forecast", top_k=1)
-        reals = [np.array([[0.0]]), np.array([[2.0]])]
+        hist = [np.zeros((0, 1)), np.zeros((0, 1))]
+        labels = [np.array([[0.0]]), np.array([[2.0]])]
         fcs = [np.array([[0.0]]), np.array([[4.0]])]
-        deltas = informativeness_scores(cfg, reals, fcs)
+        deltas = informativeness_scores(cfg, hist, labels, fcs).deltas
         assert deltas[0] == pytest.approx(0.0)
         assert deltas[1] == pytest.approx(1.0 - np.exp(-2.0))
 
     @pytest.mark.parametrize("anchor", ["forecast", "real"])
     def test_matches_brute_force(self, anchor):
         rng = np.random.default_rng(1)
-        cfg = BalanceConfig(kernel=EXP, anchor_mode=anchor)
-        hist, labels, fcs = random_batch(rng, n=6)
-        reals = joints_of(hist, labels)
-        fc_joints = joints_of(hist, fcs)
-        got = informativeness_scores(cfg, reals, fc_joints)
-        want = brute_force_deltas(EXP, reals, fc_joints, anchor)
-        np.testing.assert_allclose(got, want, rtol=1e-12)
+        for shape in ({"n": 6}, {"n": 8, "h": 10, "t": 5, "d": 3}):
+            hist, labels, fcs = random_batch(rng, **shape)
+            reals = joints_of(hist, labels)
+            fc_joints = joints_of(hist, fcs)
+            for kernel in ALL_KERNELS:
+                cfg = BalanceConfig(kernel=kernel, anchor_mode=anchor)
+                got = informativeness_scores(cfg, hist, labels, fcs).deltas
+                want = brute_force_deltas(kernel, reals, fc_joints, anchor)
+                np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=kernel.family.value)
 
     def test_anchor_modes_differ_in_general(self):
         rng = np.random.default_rng(2)
         hist, labels, fcs = random_batch(rng, n=5)
-        reals = joints_of(hist, labels)
-        fc_joints = joints_of(hist, fcs)
         d_fc = informativeness_scores(
-            BalanceConfig(kernel=EXP, anchor_mode="forecast"), reals, fc_joints
-        )
+            BalanceConfig(kernel=EXP, anchor_mode="forecast"), hist, labels, fcs
+        ).deltas
         d_real = informativeness_scores(
-            BalanceConfig(kernel=EXP, anchor_mode="real"), reals, fc_joints
-        )
+            BalanceConfig(kernel=EXP, anchor_mode="real"), hist, labels, fcs
+        ).deltas
         assert not np.allclose(d_fc, d_real)
 
     def test_empty_batch(self):
         cfg = BalanceConfig(kernel=EXP)
         with pytest.raises(ShapeError):
-            informativeness_scores(cfg, [], [])
+            informativeness_scores(cfg, [], [], [])
 
 
 class TestSelectTopK:
@@ -193,9 +207,8 @@ class TestKmbDfLoss:
         def forbidden(*args, **kwargs):
             raise AssertionError("kernel work at alpha=0")
 
-        monkeypatch.setattr(balancing, "gram_matrix", forbidden)
-        monkeypatch.setattr(balancing, "grad_b_sum", forbidden)
-        monkeypatch.setattr(balancing, "grad_b_batch", forbidden)
+        for name in ("joint_stats", "kernel_from_stat", "grad_b_sum", "grad_coeffs"):
+            monkeypatch.setattr(balancing, name, forbidden)
         rng = np.random.default_rng(6)
         hist, labels, fcs = random_batch(rng)
         for anchor in ("forecast", "real"):
@@ -376,3 +389,100 @@ class TestBalanceConfig:
             BalanceConfig(anchor_mode="bogus", kernel=EXP)
         with pytest.raises(ConfigError):
             BalanceConfig(hinge_mode="bogus", kernel=EXP)
+
+
+def per_pair_grads(cfg, hist, labels, fcs, diag):
+    """Penalty gradient oracle: one `kernel_grad_b` call per joint pair."""
+    h = hist[0].shape[0]
+    reals = joints_of(hist, labels)
+    fc_joints = joints_of(hist, fcs)
+    grads = [2.0 * (1.0 - cfg.alpha) * (f - y) for y, f in zip(labels, fcs)]
+    for k in diag.selected:
+        w = cfg.alpha * np.sign(diag.deltas[k])  # canonical hinge, margin 0
+        if cfg.anchor_mode == "forecast":
+            for z in reals:
+                grads[k] = grads[k] - w * kernel_grad_b(cfg.kernel, z, fc_joints[k])[h:]
+        else:
+            for n, zhat in enumerate(fc_joints):
+                grads[n] = grads[n] - w * kernel_grad_b(cfg.kernel, reals[k], zhat)[h:]
+    return np.stack(grads)
+
+
+class TestPenaltyGradient:
+    @pytest.mark.parametrize("anchor", ["forecast", "real"])
+    def test_matches_per_pair_loop(self, anchor):
+        rng = np.random.default_rng(20)
+        for kernel in ALL_KERNELS:
+            hist, labels, fcs = random_batch(rng, n=8, h=5, t=4, d=3)
+            cfg = BalanceConfig(
+                alpha=0.6, top_k=8, margin_c=0.0, kernel=kernel, anchor_mode=anchor
+            )
+            # A forecast within 1e-9 of its label: the exponential kernel's
+            # coefficient is ~1/||Z - Zhat||, so the pair statistic and the
+            # difference must both keep their relative accuracy.
+            fcs[3] = labels[3] + 1e-9 * rng.normal(size=labels[3].shape)
+            grads, diag = kmb_df_grad(cfg, hist, labels, fcs)
+            want = per_pair_grads(cfg, hist, labels, fcs, diag)
+            np.testing.assert_allclose(
+                grads, want, rtol=1e-12, atol=1e-13 * np.abs(want).max(),
+                err_msg=kernel.family.value,
+            )
+
+
+class TestStackedInputs:
+    @pytest.mark.parametrize("anchor", ["forecast", "real"])
+    def test_lists_and_stacks_agree(self, anchor):
+        rng = np.random.default_rng(21)
+        hist, labels, fcs = random_batch(rng, n=6, h=4, t=3, d=2)
+        for kernel in ALL_KERNELS:
+            cfg = BalanceConfig(alpha=0.4, top_k=3, kernel=kernel, anchor_mode=anchor)
+            total_l, grads_l, diag_l = kmb_df_loss_and_grad(cfg, hist, labels, fcs)
+            total_s, grads_s, diag_s = kmb_df_loss_and_grad(
+                cfg, np.stack(hist), np.stack(labels), np.stack(fcs)
+            )
+            assert total_l == total_s
+            np.testing.assert_array_equal(grads_l, grads_s)
+            assert diag_l.to_dict() == diag_s.to_dict()
+
+    def test_stacked_inputs_not_modified(self):
+        rng = np.random.default_rng(22)
+        batch = [np.stack(b) for b in random_batch(rng, n=6)]
+        before = [b.copy() for b in batch]
+        for kernel in ALL_KERNELS:
+            for anchor in ("forecast", "real"):
+                cfg = BalanceConfig(alpha=0.4, top_k=3, kernel=kernel, anchor_mode=anchor)
+                kmb_df_loss_and_grad(cfg, *batch)
+        for b, b0 in zip(batch, before):
+            np.testing.assert_array_equal(b, b0)
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_ragged_inputs_raise(self, which):
+        rng = np.random.default_rng(23)
+        batch = list(random_batch(rng, n=4))
+        batch[which] = list(batch[which])
+        batch[which][2] = np.zeros((batch[which][2].shape[0] + 1, 2))
+        cfg = BalanceConfig(alpha=0.4, top_k=2, kernel=EXP)
+        with pytest.raises(ShapeError):
+            kmb_df_loss_and_grad(cfg, *batch)
+        with pytest.raises(ShapeError):
+            informativeness_scores(cfg, *batch)
+
+    def test_mismatched_batches_raise(self):
+        rng = np.random.default_rng(24)
+        hist, labels, fcs = random_batch(rng, n=4)
+        cfg = BalanceConfig(alpha=0.4, top_k=2, kernel=EXP)
+        with pytest.raises(ShapeError):
+            kmb_df_loss(cfg, hist[:3], labels, fcs)
+        with pytest.raises(ShapeError):
+            kmb_df_loss(cfg, hist, labels, [np.zeros((3, 2))] * 4)
+        with pytest.raises(ShapeError):
+            kmb_df_loss(cfg, [np.zeros((3, 1))] * 4, labels, fcs)
+
+    def test_nan_forecast_raises(self):
+        rng = np.random.default_rng(25)
+        hist, labels, fcs = random_batch(rng, n=4)
+        fcs[1][0, 0] = np.nan
+        for alpha, anchor in ((0.4, "forecast"), (0.4, "real"), (0.0, "forecast")):
+            cfg = BalanceConfig(alpha=alpha, top_k=2, kernel=EXP, anchor_mode=anchor)
+            with pytest.raises(DomainError):
+                kmb_df_loss_and_grad(cfg, hist, labels, fcs)

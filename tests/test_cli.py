@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from kmbdf import harness
 from kmbdf.cli import main
 
 
@@ -89,6 +90,32 @@ class TestTrainCommand:
         err = json.loads(captured.err)
         assert err["error"] == "ConfigError"
         assert override.split("=")[0].split(".")[-1] in err["message"]
+
+
+    @pytest.mark.parametrize("override, needle", [
+        ({"split": {"trian": 0.7}}, "trian"),
+        ({"data": {"source": "csv"}}, "path"),
+        ({"mmd_max_samples": 1}, "mmd_max_samples"),
+        ({"mmd_max_samples": 0}, "mmd_max_samples"),
+    ])
+    def test_config_gap_fails_before_data(self, config_path, capsys, monkeypatch,
+                                          override, needle):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("data built for an invalid config")
+
+        monkeypatch.setattr(harness, "build_dataset", forbidden)
+        with open(config_path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        raw.update(override)
+        with open(config_path, "w", encoding="utf-8") as fh:
+            json.dump(raw, fh)
+        rc = main(["train", "--config", config_path])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError"
+        assert needle in err["message"]
 
 
 class TestEvaluateCommand:

@@ -4,9 +4,12 @@ import json
 import numpy as np
 import pytest
 
+from types import SimpleNamespace
+
 from kmbdf import data as data_mod
+from kmbdf import harness
 from kmbdf.data import SplitSpec, WindowPair
-from kmbdf.errors import ConfigError
+from kmbdf.errors import ConfigError, DomainError
 from kmbdf.harness import (
     EarlyStopper,
     ExperimentConfig,
@@ -127,6 +130,10 @@ class TestBuildDataset:
         {"objective": {"kind": "kmb_df", "kernel": {"familly": "gaussian"}}},
         {"objective": {"kind": "huber"}},
         {"max_epochs": 0},
+        {"split": {"trian": 0.7}},
+        {"data": {"source": "csv"}},
+        {"mmd_max_samples": 1},
+        {"compute_mmd": True, "mmd_max_samples": 0},
     ])
     def test_rejected_at_parse(self, monkeypatch, overrides):
         def forbidden(*args, **kwargs):
@@ -219,6 +226,30 @@ class TestRunSweep:
     def test_bad_param(self):
         with pytest.raises(ConfigError):
             run_sweep(self.base(), "lr", [1e-3])
+
+    @staticmethod
+    def fake_train(error):
+        def fake(config):
+            if config.objective["alpha"] == 0.5:
+                raise error
+            return SimpleNamespace(test_mse=1.0, test_mae=2.0)
+
+        return fake
+
+    def test_package_error_becomes_failed_row(self, monkeypatch):
+        monkeypatch.setattr(harness, "train", self.fake_train(DomainError("diverged")))
+        rows, reports = run_sweep(self.base(), "alpha", [0.3, 0.5])
+        assert rows == [
+            ("DF", 1.0, 2.0, 0.0, 0.0),
+            ("alpha=0.3", 1.0, 2.0, 0.0, 0.0),
+            ("alpha=0.5", None, None, None, "diverged"),
+        ]
+        assert set(reports) == {"DF", "alpha=0.3"}
+
+    def test_programming_error_propagates(self, monkeypatch):
+        monkeypatch.setattr(harness, "train", self.fake_train(TypeError("bug")))
+        with pytest.raises(TypeError, match="bug"):
+            run_sweep(self.base(), "alpha", [0.3, 0.5])
 
     def test_requires_kmb_df(self):
         with pytest.raises(ConfigError):

@@ -215,14 +215,10 @@ def _evaluate(cfg, x, y, f, selected=None):
     return diag, err, scores
 
 
-def kmb_df_loss(cfg: BalanceConfig, histories, labels, forecasts):
-    """Composite balancing objective; returns (total, BalanceDiagnostics)."""
-    diag, _, _ = _evaluate(cfg, *_as_stacks(histories, labels, forecasts))
-    return diag.total, diag
+def kmb_df_loss(cfg: BalanceConfig, histories, labels, forecasts, selected=None):
+    """Composite balancing objective; returns (total, BalanceDiagnostics).
 
-
-def kmb_df_loss_with_selection(cfg, histories, labels, forecasts, selected):
-    """Objective value with the anchor selection pinned (for gradient checks)."""
+    `selected` pins the anchor indices in place of the top-K (gradient checks)."""
     diag, _, _ = _evaluate(cfg, *_as_stacks(histories, labels, forecasts), selected)
     return diag.total, diag
 
@@ -269,19 +265,26 @@ def kmb_df_loss_and_grad(cfg: BalanceConfig, histories, labels, forecasts):
 
 
 def mmd_squared(kernel: KernelSpec, sample_p, sample_q) -> MmdResult:
-    """Two-sample MMD^2 estimate between lists of joint sequences.
+    """Two-sample MMD^2 estimate between samples of joint sequences, each a
+    list or an (N, L, D) stack.
 
     Unbiased U-statistic when both samples have >= 2 points; for equal-size
-    samples the paired form excluding diagonal cross terms is used, which is
-    exactly 0 when the two lists coincide.  Falls back to the biased
-    V-statistic (flagged) when either sample is a singleton.
+    samples the paired form excluding diagonal cross terms is used.  Falls
+    back to the biased V-statistic (flagged) when either sample is a
+    singleton.  Samples that coincide give exactly 0: they are recognised,
+    because the within-sample Grams are symmetric products, which round
+    differently from the cross product.
     """
     m, n = len(sample_p), len(sample_q)
     if m == 0 or n == 0:
         raise ShapeError("mmd_squared requires nonempty samples")
-    g_pp = gram_matrix(kernel, sample_p, sample_p)
-    g_qq = gram_matrix(kernel, sample_q, sample_q)
-    g_pq = gram_matrix(kernel, sample_p, sample_q)
+    p, q = as_stack(sample_p), as_stack(sample_q)
+    g_pp = gram_matrix(kernel, p, p)
+    g_qq = gram_matrix(kernel, q, q)
+    g_pq = gram_matrix(kernel, p, q)
+    # After the Grams, which reject non-finite samples.
+    if p.shape == q.shape and np.array_equal(p, q):
+        return MmdResult(0.0, biased=m == 1)
     if m == n and m > 1:
         off = (
             float(g_pp.sum()) - float(np.trace(g_pp))

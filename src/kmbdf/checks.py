@@ -10,7 +10,6 @@ from .balancing import (
     BalanceConfig,
     kmb_df_grad,
     kmb_df_loss,
-    kmb_df_loss_with_selection,
 )
 from .kernels import KernelSpec
 
@@ -78,9 +77,7 @@ def run_gradcheck(trials: int = 3, tol: float = 1e-5, seed: int = 0):
                     grads, diag = kmb_df_grad(cfg, hist, labels, fcs)
 
                     def loss_fn(bumped, _sel=diag.selected):
-                        total, _ = kmb_df_loss_with_selection(
-                            cfg, hist, labels, bumped, _sel
-                        )
+                        total, _ = kmb_df_loss(cfg, hist, labels, bumped, _sel)
                         return total
 
                     fd = fd_forecast_grads(loss_fn, fcs)

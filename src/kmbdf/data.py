@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError, ShapeError
 
@@ -149,24 +150,28 @@ def standardize(series: np.ndarray, train_rows: int):
     return stats.apply(series), stats
 
 
-def window(series: np.ndarray, history_len: int, horizon: int, rows_range=None):
-    """Stride-1 (history, label) pairs from `rows_range` = (start, stop)."""
+def window_stacks(series: np.ndarray, history_len: int, horizon: int, rows_range=None):
+    """Stride-1 windows of `rows_range` = (start, stop) as (n, H, D)
+    histories and (n, T, D) labels.
+
+    Both are read-only views of the series, so they copy nothing; indexing
+    one with an index array gives a C-contiguous copy of those windows.
+    """
     series = np.asarray(series, dtype=float)
     start, stop = (0, series.shape[0]) if rows_range is None else rows_range
-    length = stop - start
-    if length < history_len + horizon:
+    if stop - start < history_len + horizon:
         raise ShapeError(
-            f"range of {length} rows too short for H={history_len}, T={horizon}"
+            f"range of {stop - start} rows too short for H={history_len}, T={horizon}"
         )
-    pairs = []
-    for s in range(start, stop - history_len - horizon + 1):
-        pairs.append(
-            WindowPair(
-                history=series[s : s + history_len],
-                label=series[s + history_len : s + history_len + horizon],
-            )
-        )
-    return pairs
+    hist = sliding_window_view(series[start : stop - horizon], history_len, axis=0)
+    labels = sliding_window_view(series[start + history_len : stop], horizon, axis=0)
+    return np.moveaxis(hist, -1, 1), np.moveaxis(labels, -1, 1)
+
+
+def window(series: np.ndarray, history_len: int, horizon: int, rows_range=None):
+    """Stride-1 (history, label) pairs: the rows of `window_stacks`."""
+    stacks = window_stacks(series, history_len, horizon, rows_range)
+    return [WindowPair(x, y) for x, y in zip(*stacks)]
 
 
 @dataclass(frozen=True)

@@ -126,19 +126,9 @@ class TrainReport:
     timing: dict
 
     def to_dict(self, include_timing: bool = True) -> dict:
-        d = {
-            "config": self.config,
-            "seed": self.seed,
-            "epochs": self.epochs,
-            "best_epoch": self.best_epoch,
-            "test_mse": self.test_mse,
-            "test_mae": self.test_mae,
-            "test_mmd": self.test_mmd,
-            "balance_summary": self.balance_summary,
-            "resolved_sigma": self.resolved_sigma,
-        }
-        if include_timing:
-            d["timing"] = self.timing
+        d = asdict(self)
+        if not include_timing:
+            del d["timing"]
         return d
 
     def to_json(self, include_timing: bool = True) -> str:
@@ -175,10 +165,8 @@ def build_dataset(config: ExperimentConfig) -> dict:
     if source == "synthetic":
         spec = data_mod.SyntheticSpec(**src)
         series = data_mod.generate(spec)
-    elif source == "csv":
-        series = data_mod.load_csv(src["path"], date_column=src.get("date_column", True))
     else:
-        raise ConfigError(f"unknown data source {source!r}")
+        series = data_mod.load_csv(src["path"], date_column=src.get("date_column", True))
     h, t = config.history_len, config.horizon
     ranges = data_mod.split_ranges(series.shape[0], config.split, h, t)
     stats = None
@@ -190,20 +178,21 @@ def build_dataset(config: ExperimentConfig) -> dict:
         "windows": {
             name: data_mod.window(series, h, t, rng) for name, rng in ranges.items()
         },
+        # Read-only (histories, labels) views of the same windows.
+        "stacks": {
+            name: data_mod.window_stacks(series, h, t, rng) for name, rng in ranges.items()
+        },
     }
 
 
-def _kernel_from_dict(kd: dict, train_joints=None) -> tuple[KernelSpec, float | None]:
+def _kernel_from_dict(kd: dict, train_joints) -> tuple[KernelSpec, float | None]:
     """Build a KernelSpec from config keys, resolving sigma="median"."""
     kd = dict(kd)
     sigma = kd.get("sigma", "median")
     resolved = None
     family = kd.get("family", "exponential")
     if family in ("exponential", "gaussian") and (sigma in (None, "median")):
-        if train_joints is None:
-            raise ConfigError("median bandwidth requires training data")
-        resolved = median_bandwidth(train_joints)
-        sigma = resolved
+        sigma = resolved = median_bandwidth(train_joints)
     elif sigma is not None and not isinstance(sigma, str):
         sigma = float(sigma)
     spec = KernelSpec(
@@ -216,7 +205,7 @@ def _kernel_from_dict(kd: dict, train_joints=None) -> tuple[KernelSpec, float | 
     return spec, resolved
 
 
-def _resolve_objective(config: ExperimentConfig, train_windows):
+def _resolve_objective(config: ExperimentConfig, histories, labels):
     """Instantiate the objective; returns (objective, resolved_sigma)."""
     od = dict(config.objective)
     kind = od.pop("kind", "mse")
@@ -225,8 +214,8 @@ def _resolve_objective(config: ExperimentConfig, train_windows):
     if kind == "freq_l1":
         return make_objective("freq_l1", beta=od.get("beta", 0.5)), None
     if kind == "kmb_df":
-        first = train_windows[: max(2, config.batch_size)]
-        joints = [np.concatenate([w.history, w.label], axis=0) for w in first]
+        b = max(2, config.batch_size)
+        joints = np.concatenate([histories[:b], labels[:b]], axis=1)
         kernel, resolved = _kernel_from_dict(od.get("kernel", {}), joints)
         cfg = BalanceConfig(
             alpha=float(od.get("alpha", 0.3)),
@@ -251,16 +240,15 @@ def evaluate(model: LinearForecaster, windows) -> tuple[float, float]:
     return float(np.mean(err * err)), float(np.mean(np.abs(err)))
 
 
-def _test_mmd(model, windows, max_samples: int) -> float | None:
-    if not windows:
-        return None
-    idx = np.linspace(0, len(windows) - 1, min(max_samples, len(windows))).astype(int)
-    idx = np.unique(idx)
-    sub = [windows[i] for i in idx]
-    xs = np.stack([w.history for w in sub])
-    preds = forward_batch(model, xs)
-    reals = [np.concatenate([w.history, w.label], axis=0) for w in sub]
-    fcs = [np.concatenate([w.history, preds[i]], axis=0) for i, w in enumerate(sub)]
+def _test_mmd(model, histories, labels, max_samples: int) -> float:
+    """MMD^2 between the real and forecast joints of up to `max_samples`
+    evenly spaced test windows, built as two (n, H+T, D) stacks."""
+    n = len(histories)
+    idx = np.unique(np.linspace(0, n - 1, min(max_samples, n)).astype(int))
+    hist = histories[idx]
+    reals = np.concatenate([hist, labels[idx]], axis=1)
+    fcs = np.concatenate([hist, forward_batch(model, hist)], axis=1)
+    del hist
     sigma = median_bandwidth(reals)
     kernel = KernelSpec(family="exponential", sigma=sigma)
     return float(mmd_squared(kernel, reals, fcs).value)
@@ -269,20 +257,21 @@ def _test_mmd(model, windows, max_samples: int) -> float | None:
 def train(config: ExperimentConfig) -> TrainReport:
     """Mini-batch Adam training with early stopping on validation MSE."""
     dataset = build_dataset(config)
-    train_w = dataset["windows"]["train"]
     val_w = dataset["windows"]["val"]
     test_w = dataset["windows"]["test"]
-    objective, resolved_sigma = _resolve_objective(config, train_w)
+    if config.compute_mmd and len(test_w) < 2:
+        raise ConfigError(f"test MMD^2 needs at least 2 test windows, got {len(test_w)}")
+    # Batches are gathered from read-only window views: no whole-split copy.
+    xs, ys = dataset["stacks"]["train"]
+    objective, resolved_sigma = _resolve_objective(config, xs, ys)
 
-    d = train_w[0].history.shape[1]
+    d = xs.shape[2]
     model = init_forecaster(config.history_len, config.horizon, d, seed=config.seed)
     params = model.params()
     state = adam_init(params, lr=config.lr)
     rng = np.random.default_rng(config.seed)
 
-    xs_all = np.stack([w.history for w in train_w])
-    ys_all = np.stack([w.label for w in train_w])
-    n = len(train_w)
+    n = len(xs)
 
     epochs = []
     trace = []
@@ -296,7 +285,7 @@ def train(config: ExperimentConfig) -> TrainReport:
         epoch_loss = 0.0
         for lo in range(0, n, config.batch_size):
             idx = perm[lo : lo + config.batch_size]
-            xb, yb = xs_all[idx], ys_all[idx]
+            xb, yb = xs[idx], ys[idx]
             t0 = time.perf_counter()
             preds = forward_batch(model, xb)
             loss, grads, diag = objective.loss_and_grad(xb, yb, preds)
@@ -331,9 +320,9 @@ def train(config: ExperimentConfig) -> TrainReport:
     if best_params is not None:
         model.set_params(best_params)
     test_mse, test_mae = evaluate(model, test_w)
-    test_mmd = (
-        _test_mmd(model, test_w, config.mmd_max_samples) if config.compute_mmd else None
-    )
+    test_mmd = None
+    if config.compute_mmd:
+        test_mmd = _test_mmd(model, *dataset["stacks"]["test"], config.mmd_max_samples)
     report = TrainReport(
         config=config.to_dict(),
         seed=config.seed,
@@ -433,11 +422,11 @@ def timing_probe(
     reps: int = 100,
     seed: int = 0,
 ):
-    """Median forward/backward milliseconds of the balancing objective.
-
-    One random batch per horizon; the objective is evaluated `reps` times and
-    medians are reported.  Absolute numbers are machine-dependent; only the
-    trend across horizons is meaningful.
+    """Median milliseconds of the balancing objective: `forward_ms` times
+    `kmb_df_loss`, `backward_ms` times `kmb_df_grad`, which re-runs the
+    forward pass.  One random batch per horizon, evaluated `reps` times.
+    Absolute numbers are machine-dependent; only the trend across horizons
+    is meaningful.
     """
     results = []
     for t in horizons:

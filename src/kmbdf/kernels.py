@@ -141,8 +141,7 @@ def eval_kernel(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> float:
 NEAR_PAIR_RATIO = 1e-3
 # Near pairs recomputed per chunk.  A Gram of one sample against a copy of
 # itself recomputes its whole diagonal, so the chunk's (chunk, L*D)
-# temporaries are kept small: at 256 pairs they set the process's peak
-# memory in the test MMD^2.
+# temporaries are kept small.
 _NEAR_PAIR_CHUNK = 32
 
 
@@ -249,45 +248,50 @@ def joint_stats(spec: KernelSpec, hist, labels, forecasts, forecast_anchor: bool
     return real, cross
 
 
-def as_stack(batch) -> np.ndarray:
+def as_stack(batch, copy: bool = False) -> np.ndarray:
     """A batch as one float array; a list of same-shaped arrays is stacked.
 
-    A float ndarray passes through without a copy.
+    A float ndarray passes through without a copy unless `copy` is set; a
+    copy is C-contiguous.
     """
     if len(batch) == 0:
         raise ShapeError("empty batch")
     try:
+        if copy:
+            return np.array(batch, dtype=float, order="C")
         return np.asarray(batch, dtype=float)
     except ValueError as exc:
         raise ShapeError(f"batch samples differ in shape: {exc}") from exc
 
 
-def _stack(mats, shape=None) -> np.ndarray:
-    """(N, L*D) float stack of same-shaped finite matrices."""
-    mats = [np.asarray(m, dtype=float) for m in mats]
-    shape = mats[0].shape if shape is None else shape
-    for m in mats:
-        if m.shape != shape:
-            raise ShapeError(f"kernel inputs differ in shape: {shape} vs {m.shape}")
-    flat = np.stack([m.ravel() for m in mats])
-    if not np.isfinite(flat).all():
+def _working_copy(mats, shape=None) -> np.ndarray:
+    """(N, L*D) float copy of a stack or a list of same-shaped finite
+    matrices, each of `shape` if given, for `_pairwise` to centre in place."""
+    stack = as_stack(mats, copy=True)
+    if shape is not None and stack.shape[1:] != shape:
+        raise ShapeError(f"kernel inputs differ in shape: {shape} vs {stack.shape[1:]}")
+    if not np.isfinite(stack).all():
         raise DomainError("kernel inputs must be finite")
-    return flat
+    return stack.reshape(len(stack), -1)
 
 
 def gram_matrix(spec: KernelSpec, rows, cols) -> np.ndarray:
     """Entry (i, j) = K(rows[i], cols[j]), through one `_pairwise` product.
 
-    Rows and columns are stacked into fresh arrays, so the in-place centring
-    never touches the caller's data.  Against the sequential double loop over
-    `eval_kernel` the entries agree to rtol 1e-12 in the tests, including
-    near-duplicate points and points at a large common offset; see
-    `_pairwise` for the bound.  Identical inputs give bit-identical results.
+    Rows and columns are lists or (N, L, D) stacks; each distinct input is
+    copied once, so the in-place centring never touches the caller's data.
+    `gram_matrix(spec, z, z)` (the same object twice) is one symmetric
+    product on one copy: the result is exactly symmetric, and for the
+    distance families its diagonal is exactly K(z_i, z_i) = 1.  Against the
+    sequential double loop over `eval_kernel` the entries agree to rtol
+    1e-12 in the tests, including near-duplicate points and points at a
+    large common offset; see `_pairwise` for the bound.  Identical inputs
+    give bit-identical results.
     """
     if len(rows) == 0 or len(cols) == 0:
-        raise ShapeError("gram_matrix requires nonempty row/col lists")
-    rf = _stack(rows)
-    cf = _stack(cols, shape=np.shape(rows[0]))
+        raise ShapeError("gram_matrix requires nonempty rows and columns")
+    rf = _working_copy(rows)
+    cf = rf if cols is rows else _working_copy(cols, shape=np.shape(rows[0]))
     return kernel_from_stat(spec, _pairwise(rf, cf, spec.is_distance), rf.shape[1])
 
 
@@ -319,13 +323,14 @@ def grad_b_sum(spec: KernelSpec, stat, a: np.ndarray, b: np.ndarray, size: int) 
 
 
 def median_bandwidth(joints) -> float:
-    """Median heuristic: sigma^2 = median pairwise ||Z_i - Z_j|| over a batch.
+    """Median heuristic: sigma^2 = median pairwise ||Z_i - Z_j|| over a batch
+    (a list or an (N, L, D) stack), from one symmetric product.
 
     Falls back to 1.0 if the median distance is zero (all points coincide).
     """
     if len(joints) < 2:
         raise ConfigError("median bandwidth needs at least 2 joint sequences")
-    flats = _stack(joints)
+    flats = _working_copy(joints)
     sq = _pairwise(flats, flats, distance=True)
     med = float(np.median(np.sqrt(sq[np.triu_indices(len(flats), k=1)])))
     if med <= 0.0:

@@ -10,7 +10,6 @@ from kmbdf.balancing import (
     kmb_df_grad,
     kmb_df_loss,
     kmb_df_loss_and_grad,
-    kmb_df_loss_with_selection,
     mmd_squared,
     select_top_k,
 )
@@ -261,8 +260,8 @@ def fd_grads(cfg, hist, labels, fcs, selected, eps=1e-6):
             hi[i][idx] += eps
             lo = [np.array(x) for x in fcs]
             lo[i][idx] -= eps
-            fh, _ = kmb_df_loss_with_selection(cfg, hist, labels, hi, selected)
-            fl, _ = kmb_df_loss_with_selection(cfg, hist, labels, lo, selected)
+            fh, _ = kmb_df_loss(cfg, hist, labels, hi, selected)
+            fl, _ = kmb_df_loss(cfg, hist, labels, lo, selected)
             g[idx] = (fh - fl) / (2 * eps)
             it.iternext()
         grads.append(g)
@@ -340,11 +339,28 @@ class TestKmbDfGrad:
 
 class TestMmdSquared:
     def test_identical_samples(self):
-        rng = np.random.default_rng(15)
-        sample = [rng.normal(size=(3, 2)) for _ in range(8)]
-        result = mmd_squared(EXP, sample, list(sample))
-        assert abs(result.value) < 1e-12
-        assert not result.biased
+        # Exactly 0 in every family, and at the paper_t96 test MMD^2 shape,
+        # although the within-sample Grams are symmetric products and the
+        # cross Gram is not: computed through the Grams, some of these
+        # cases come out near 1e-17, the distance families included.
+        def check(kernel, stack):
+            sample = list(stack)
+            for p, q in ((stack, stack.copy()), (sample, [z.copy() for z in sample])):
+                result = mmd_squared(kernel, p, q)
+                assert result.value == 0.0, (stack.shape, kernel.family)
+                assert not result.biased
+
+        for seed in range(32):
+            rng = np.random.default_rng(seed)
+            for shape, offset in (((8, 3, 2), 0.0), ((32, 12, 4), 0.0), ((32, 12, 4), 1e3)):
+                stack = offset + rng.normal(size=shape)
+                for kernel in ALL_KERNELS + [
+                    KernelSpec(family=f, sigma=median_bandwidth(stack))
+                    for f in ("exponential", "gaussian")
+                ]:
+                    check(kernel, stack)
+        stack = np.random.default_rng(15).normal(size=(509, 192, 21))
+        check(KernelSpec(family="exponential", sigma=median_bandwidth(stack)), stack)
 
     def test_separated_clusters(self):
         near = [np.array([[0.0]]) + 1e-3 * i for i in range(10)]

@@ -118,6 +118,27 @@ class TestTrainCommand:
         assert needle in err["message"]
 
 
+    def test_test_split_too_small_for_mmd(self, config_path, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(harness, "forward_batch", forbidden)
+        with open(config_path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        raw["data"]["length"] = 100
+        raw.update(split={"train": 0.6, "val": 0.28, "test": 0.12},
+                   history_len=24, horizon=12)
+        with open(config_path, "w", encoding="utf-8") as fh:
+            json.dump(raw, fh)
+        rc = main(["train", "--config", config_path])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError"
+        assert "test windows" in err["message"]
+
+
 class TestEvaluateCommand:
     def test_round_trip_with_checkpoint(self, config_path, capsys, tmp_path):
         out = tmp_path / "run"

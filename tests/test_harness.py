@@ -109,6 +109,22 @@ class TestBuildDataset:
         assert w.label.shape == (4, 1)
         assert ds["stats"] is not None
 
+    def test_stacks_index_like_stacked_windows(self):
+        cfg = small_config(data={"source": "synthetic", "kind": "ar", "length": 400,
+                                 "channels": 3, "seed": 3, "coeffs": (0.8,)})
+        ds = build_dataset(cfg)
+        for name, windows in ds["windows"].items():
+            idx = np.random.default_rng(0).permutation(len(windows))[:16]
+            hist, labels = ds["stacks"][name]
+            for view, ref in ((hist, np.stack([w.history for w in windows])),
+                              (labels, np.stack([w.label for w in windows]))):
+                batch = view[idx]
+                assert batch.flags.c_contiguous
+                assert batch.shape == ref[idx].shape
+                assert batch.tobytes() == ref[idx].tobytes()
+                with pytest.raises(ValueError):
+                    view[0, 0, 0] = 1.0
+
     def test_standardize_off(self):
         cfg = small_config(split={"standardize": False})
         ds = build_dataset(cfg)
@@ -176,6 +192,22 @@ class TestTrain:
         assert rep.resolved_sigma is not None and rep.resolved_sigma > 0.0
         assert rep.balance_summary is not None
         assert len(rep.balance_summary["selected"]) == 3
+
+    def test_test_split_too_small_for_mmd_fails_before_training(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(harness, "forward_batch", forbidden)
+        # 25 / 17 / 1 windows: one test window has no pair for MMD^2.
+        cfg = small_config(
+            data={"source": "synthetic", "kind": "ar", "length": 100, "channels": 1,
+                  "seed": 3, "coeffs": (0.8,)},
+            split={"train": 0.6, "val": 0.28, "test": 0.12},
+            history_len=24, horizon=12,
+        )
+        assert len(build_dataset(cfg)["windows"]["test"]) == 1
+        with pytest.raises(ConfigError, match="test windows"):
+            train(cfg)
 
     def test_deterministic(self):
         a = train(small_config()).to_json(include_timing=False)

@@ -118,9 +118,20 @@ class TestGramMatrix:
     def test_matches_double_loop(self, spec):
         rng = np.random.default_rng(4)
         pts = [rng.normal(size=(3, 2)) for _ in range(5)]
-        np.testing.assert_allclose(
-            gram_matrix(spec, pts, pts), double_loop(spec, pts, pts), rtol=1e-12, atol=0
-        )
+        stack = np.asarray(pts)
+        expected = double_loop(spec, pts, pts)
+        # Lists and (N, L, D) stacks, as two objects or as one object twice.
+        for rows, cols in ((pts, list(pts)), (stack, stack.copy()), (pts, stack),
+                           (pts, pts), (stack, stack)):
+            np.testing.assert_allclose(
+                gram_matrix(spec, rows, cols), expected, rtol=1e-12, atol=0
+            )
+        # One object twice is one symmetric product: exactly symmetric, and
+        # the distance families' diagonal is exactly K(z, z) = 1.
+        g = gram_matrix(spec, stack, stack)
+        np.testing.assert_array_equal(g, g.T)
+        if spec.is_distance:
+            np.testing.assert_array_equal(np.diag(g), 1.0)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family.value)
     def test_near_duplicates(self, spec):
@@ -149,9 +160,33 @@ class TestGramMatrix:
     def test_inputs_not_modified(self):
         rng = np.random.default_rng(11)
         pts = np.asarray([rng.normal(size=(3, 2)) for _ in range(4)])
-        before = pts.copy()
-        gram_matrix(KernelSpec(family="gaussian", sigma=1.0), pts, pts)
+        other = pts + 1.0
+        before, other_before = pts.copy(), other.copy()
+        spec = KernelSpec(family="gaussian", sigma=1.0)
+        gram_matrix(spec, pts, pts)
+        gram_matrix(spec, pts, other)
+        median_bandwidth(pts)
         np.testing.assert_array_equal(pts, before)
+        np.testing.assert_array_equal(other, other_before)
+
+    def test_ragged_and_non_finite_rejected(self):
+        spec = KernelSpec(family="gaussian", sigma=1.0)
+        ragged = [np.zeros((3, 2)), np.zeros((4, 2))]
+        with pytest.raises(ShapeError):
+            gram_matrix(spec, ragged, ragged)
+        with pytest.raises(ShapeError):
+            median_bandwidth(ragged)
+        with pytest.raises(ShapeError):
+            gram_matrix(spec, np.zeros((4, 3, 2)), np.zeros((4, 2, 3)))
+        for bad in (np.nan, np.inf):
+            z = np.zeros((4, 3, 2))
+            z[2, 1, 0] = bad
+            with pytest.raises(DomainError):
+                gram_matrix(spec, z, z)
+            with pytest.raises(DomainError):
+                gram_matrix(spec, np.ones((4, 3, 2)), z)
+            with pytest.raises(DomainError):
+                median_bandwidth(z)
 
     @pytest.mark.parametrize("family", ["exponential", "gaussian"])
     def test_psd(self, family):
@@ -232,6 +267,9 @@ class TestMedianBandwidth:
         ]
         sigma = median_bandwidth(joints)
         np.testing.assert_allclose(sigma**2, np.median(dists), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            median_bandwidth(np.asarray(joints)), sigma, rtol=1e-12, atol=0
+        )
 
     def test_degenerate_batch_falls_back(self):
         # Coincident rows whose centred values and norms round still give

@@ -264,9 +264,12 @@ def kmb_df_loss_and_grad(cfg: BalanceConfig, histories, labels, forecasts):
     return diag.total, grads, diag
 
 
-def mmd_squared(kernel: KernelSpec, sample_p, sample_q) -> MmdResult:
+def mmd_squared(kernel: KernelSpec, sample_p, sample_q, shared=None) -> MmdResult:
     """Two-sample MMD^2 estimate between samples of joint sequences, each a
-    list or an (N, L, D) stack.
+    list or an (N, L, D) stack.  With `shared` (N, N), the squared distances
+    of a block that p_i and q_i share (distance kernels and paired samples
+    only; see `kernels.gram_matrix`), the samples are the joints
+    (block_i, p_i) and (block_i, q_i).
 
     Unbiased U-statistic when both samples have >= 2 points; for equal-size
     samples the paired form excluding diagonal cross terms is used.  Falls
@@ -279,9 +282,9 @@ def mmd_squared(kernel: KernelSpec, sample_p, sample_q) -> MmdResult:
     if m == 0 or n == 0:
         raise ShapeError("mmd_squared requires nonempty samples")
     p, q = as_stack(sample_p), as_stack(sample_q)
-    g_pp = gram_matrix(kernel, p, p)
-    g_qq = gram_matrix(kernel, q, q)
-    g_pq = gram_matrix(kernel, p, q)
+    g_pp = gram_matrix(kernel, p, p, shared)
+    g_qq = gram_matrix(kernel, q, q, shared)
+    g_pq = gram_matrix(kernel, p, q, shared)
     # After the Grams, which reject non-finite samples.
     if p.shape == q.shape and np.array_equal(p, q):
         return MmdResult(0.0, biased=m == 1)

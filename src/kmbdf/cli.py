@@ -69,8 +69,7 @@ def _cmd_evaluate(args) -> int:
     config = _load_config(args.config, args.set, args.seed, None)
     model = load_forecaster(args.checkpoint)
     dataset = build_dataset(config)
-    windows = dataset["windows"][args.split]
-    mse, mae = evaluate(model, windows)
+    mse, mae = evaluate(model, dataset["stacks"][args.split])
     print(json.dumps({"split": args.split, "mse": mse, "mae": mae}))
     return 0
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 import os
 import statistics
 import time
@@ -13,8 +15,8 @@ import numpy as np
 
 from . import data as data_mod
 from .balancing import BalanceConfig, kmb_df_grad, kmb_df_loss, mmd_squared
-from .errors import ConfigError, DomainError, KmbdfError
-from .kernels import KernelSpec, median_bandwidth
+from .errors import ConfigError, DomainError, KmbdfError, ShapeError
+from .kernels import KernelSpec, median_bandwidth, pair_sq_dists
 from .models import (
     LinearForecaster,
     adam_init,
@@ -66,8 +68,15 @@ class ExperimentConfig:
     mmd_max_samples: int = 512
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
+        for name in (f.name for f in fields(self) if f.type == "int"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        lr = self.lr
+        if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not 0 < lr < math.inf:
+            raise ConfigError(f"lr must be a finite number > 0, got {lr!r}")
+        if not isinstance(self.compute_mmd, bool):
+            raise ConfigError(f"compute_mmd must be true or false, got {self.compute_mmd!r}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.batch_size < 1:
@@ -230,37 +239,44 @@ def _resolve_objective(config: ExperimentConfig, histories, labels):
 
 
 def evaluate(model: LinearForecaster, windows) -> tuple[float, float]:
-    """Per-element mean squared / absolute error over all windows."""
-    if not windows:
+    """Per-element mean squared / absolute error over all windows: a list of
+    `WindowPair`s, or a (histories, labels) pair of (n, H, D) and (n, T, D)
+    stacks such as `build_dataset`'s read-only views."""
+    if len(windows) == 0 or not isinstance(windows[0], np.ndarray):
+        windows = np.array([w.history for w in windows]), np.array([w.label for w in windows])
+    xs, ys = windows
+    if len(xs) == 0:
         raise ConfigError("evaluate requires at least one window")
-    xs = np.stack([w.history for w in windows])
-    ys = np.stack([w.label for w in windows])
     preds = forward_batch(model, xs)
+    if preds.shape != np.shape(ys):
+        raise ShapeError(f"labels {np.shape(ys)} do not match forecasts {preds.shape}")
     err = preds - ys
     return float(np.mean(err * err)), float(np.mean(np.abs(err)))
 
 
 def _test_mmd(model, histories, labels, max_samples: int) -> float:
     """MMD^2 between the real and forecast joints of up to `max_samples`
-    evenly spaced test windows, built as two (n, H+T, D) stacks."""
+    evenly spaced test windows.  Both joints share their history block, so
+    its squared distances are computed once and added to those of the
+    label and forecast blocks; no joint is concatenated."""
     n = len(histories)
     idx = np.unique(np.linspace(0, n - 1, min(max_samples, n)).astype(int))
     hist = histories[idx]
-    reals = np.concatenate([hist, labels[idx]], axis=1)
-    fcs = np.concatenate([hist, forward_batch(model, hist)], axis=1)
+    fcs = forward_batch(model, hist)
+    shared = pair_sq_dists(hist)
     del hist
-    sigma = median_bandwidth(reals)
-    kernel = KernelSpec(family="exponential", sigma=sigma)
-    return float(mmd_squared(kernel, reals, fcs).value)
+    lab = labels[idx]
+    kernel = KernelSpec(family="exponential", sigma=median_bandwidth(lab, shared))
+    return float(mmd_squared(kernel, lab, fcs, shared).value)
 
 
 def train(config: ExperimentConfig) -> TrainReport:
     """Mini-batch Adam training with early stopping on validation MSE."""
     dataset = build_dataset(config)
-    val_w = dataset["windows"]["val"]
-    test_w = dataset["windows"]["test"]
-    if config.compute_mmd and len(test_w) < 2:
-        raise ConfigError(f"test MMD^2 needs at least 2 test windows, got {len(test_w)}")
+    val_w = dataset["stacks"]["val"]
+    test_w = dataset["stacks"]["test"]
+    if config.compute_mmd and len(test_w[0]) < 2:
+        raise ConfigError(f"test MMD^2 needs at least 2 test windows, got {len(test_w[0])}")
     # Batches are gathered from read-only window views: no whole-split copy.
     xs, ys = dataset["stacks"]["train"]
     objective, resolved_sigma = _resolve_objective(config, xs, ys)
@@ -322,7 +338,7 @@ def train(config: ExperimentConfig) -> TrainReport:
     test_mse, test_mae = evaluate(model, test_w)
     test_mmd = None
     if config.compute_mmd:
-        test_mmd = _test_mmd(model, *dataset["stacks"]["test"], config.mmd_max_samples)
+        test_mmd = _test_mmd(model, *test_w, config.mmd_max_samples)
     report = TrainReport(
         config=config.to_dict(),
         seed=config.seed,

@@ -275,7 +275,22 @@ def _working_copy(mats, shape=None) -> np.ndarray:
     return stack.reshape(len(stack), -1)
 
 
-def gram_matrix(spec: KernelSpec, rows, cols) -> np.ndarray:
+def _add_shared(stat: np.ndarray, shared, spec: KernelSpec | None = None) -> np.ndarray:
+    """`stat` plus `shared`, the squared distances of a block that every
+    input shares; `spec`, if given, must be a distance kernel."""
+    if shared is None:
+        return stat
+    if spec is not None and not spec.is_distance:
+        # The inner-product families' default scale is 1/len of the whole
+        # joint, which a label block alone does not know.
+        raise ConfigError(f"a shared block needs a distance kernel, got {spec.family.value}")
+    if np.shape(shared) != stat.shape:
+        raise ShapeError(f"shared statistic {np.shape(shared)} does not match {stat.shape}")
+    stat += shared
+    return stat
+
+
+def gram_matrix(spec: KernelSpec, rows, cols, shared=None) -> np.ndarray:
     """Entry (i, j) = K(rows[i], cols[j]), through one `_pairwise` product.
 
     Rows and columns are lists or (N, L, D) stacks; each distinct input is
@@ -287,12 +302,19 @@ def gram_matrix(spec: KernelSpec, rows, cols) -> np.ndarray:
     1e-12 in the tests, including near-duplicate points and points at a
     large common offset; see `_pairwise` for the bound.  Identical inputs
     give bit-identical results.
+
+    `shared` (R, C), for the distance families only, holds the squared
+    distances of a block that rows and columns share, such as
+    `pair_sq_dists` of a common history: the Gram is then that of the
+    joints (shared block, rows[i]) against (shared block, cols[j]), and each
+    block keeps its own `_pairwise` bound.
     """
     if len(rows) == 0 or len(cols) == 0:
         raise ShapeError("gram_matrix requires nonempty rows and columns")
     rf = _working_copy(rows)
     cf = rf if cols is rows else _working_copy(cols, shape=np.shape(rows[0]))
-    return kernel_from_stat(spec, _pairwise(rf, cf, spec.is_distance), rf.shape[1])
+    stat = _add_shared(_pairwise(rf, cf, spec.is_distance), shared, spec)
+    return kernel_from_stat(spec, stat, rf.shape[1])
 
 
 def kernel_grad_b(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -322,17 +344,26 @@ def grad_b_sum(spec: KernelSpec, stat, a: np.ndarray, b: np.ndarray, size: int) 
     return c @ (a - b) if spec.is_distance else c @ a
 
 
-def median_bandwidth(joints) -> float:
+def pair_sq_dists(stack) -> np.ndarray:
+    """(N, N) squared distances within a list or (N, L, D) stack, from one
+    symmetric `_pairwise` product: exactly symmetric, with an exactly-zero
+    diagonal.  The input is left unmodified."""
+    flats = _working_copy(stack)
+    return _pairwise(flats, flats, distance=True)
+
+
+def median_bandwidth(joints, shared=None) -> float:
     """Median heuristic: sigma^2 = median pairwise ||Z_i - Z_j|| over a batch
-    (a list or an (N, L, D) stack), from one symmetric product.
+    (a list or an (N, L, D) stack), from one symmetric product.  With
+    `shared` (N, N), the squared distances of a block every Z_i shares (see
+    `gram_matrix`), the distances are those of the joints (block, Z_i).
 
     Falls back to 1.0 if the median distance is zero (all points coincide).
     """
     if len(joints) < 2:
         raise ConfigError("median bandwidth needs at least 2 joint sequences")
-    flats = _working_copy(joints)
-    sq = _pairwise(flats, flats, distance=True)
-    med = float(np.median(np.sqrt(sq[np.triu_indices(len(flats), k=1)])))
+    sq = _add_shared(pair_sq_dists(joints), shared)
+    med = float(np.median(np.sqrt(sq[np.triu_indices(len(sq), k=1)])))
     if med <= 0.0:
         return 1.0
     return float(np.sqrt(med))

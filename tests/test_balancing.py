@@ -14,7 +14,13 @@ from kmbdf.balancing import (
     select_top_k,
 )
 from kmbdf.errors import ConfigError, DomainError, ShapeError
-from kmbdf.kernels import KernelSpec, eval_kernel, kernel_grad_b, median_bandwidth
+from kmbdf.kernels import (
+    KernelSpec,
+    eval_kernel,
+    kernel_grad_b,
+    median_bandwidth,
+    pair_sq_dists,
+)
 from kmbdf.objectives import mse_grad, mse_loss
 
 EXP = KernelSpec(family="exponential", sigma=1.0)
@@ -389,6 +395,35 @@ class TestMmdSquared:
     def test_empty_sample(self):
         with pytest.raises(ShapeError):
             mmd_squared(EXP, [], [np.zeros((1, 1))])
+
+    @pytest.mark.parametrize("family", ["exponential", "gaussian"])
+    def test_shared_block_matches_concatenated_joints(self, family):
+        # Random rows; the same with each odd row within 1e-9 of the even
+        # row before it, in every block; and rows at +1e3 with spread 1e-3.
+        rng = np.random.default_rng(41)
+        hist = rng.normal(size=(12, 6, 3))
+        lab, fc = rng.normal(size=(2, 12, 4, 3))
+        near = [z.copy() for z in (hist, lab, fc)]
+        for z in near:
+            z[1::2] = z[::2] + 1e-9
+        far = 1e3 + 1e-3 * rng.normal(size=(10, 40, 20))
+        far = far, *(1e3 + 1e-3 * rng.normal(size=(2, 10, 40, 20)))
+        for hist, lab, fc in ((hist, lab, fc), near, far):
+            reals = np.concatenate([hist, lab], axis=1)
+            kernel = KernelSpec(family=family, sigma=median_bandwidth(reals))
+            shared = pair_sq_dists(hist)
+            expected = mmd_squared(kernel, reals, np.concatenate([hist, fc], axis=1))
+            result = mmd_squared(kernel, lab, fc, shared)
+            np.testing.assert_allclose(result.value, expected.value, rtol=1e-10, atol=0)
+            assert mmd_squared(kernel, lab, lab.copy(), shared).value == 0.0
+
+    def test_shared_block_needs_paired_distance_samples(self):
+        z = np.random.default_rng(42).normal(size=(5, 3, 2))
+        shared = pair_sq_dists(z)
+        with pytest.raises(ShapeError):
+            mmd_squared(EXP, z, z[:4], shared)
+        with pytest.raises(ConfigError):
+            mmd_squared(KernelSpec(family="linear"), z, z + 1.0, shared)
 
 
 class TestBalanceConfig:

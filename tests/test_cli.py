@@ -118,6 +118,32 @@ class TestTrainCommand:
         assert needle in err["message"]
 
 
+    @pytest.mark.parametrize("override", [
+        "lr=abc",
+        "batch_size=32.5",
+        "max_epochs=2.5",
+        'history_len="24"',
+        'seed="x"',
+        'compute_mmd="no"',
+    ])
+    def test_mistyped_scalar_fails_before_data(self, config_path, capsys, monkeypatch,
+                                               override):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("data built for an invalid config")
+
+        monkeypatch.setattr(harness, "build_dataset", forbidden)
+        rc = main(["train", "--config", config_path, "--set", override])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError"
+        assert override.split("=")[0] in err["message"]
+
+    def test_integer_lr_accepted(self, config_path, capsys):
+        assert main(["train", "--config", config_path, "--set", "lr=1"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["lr"] == 1
+
     def test_test_split_too_small_for_mmd(self, config_path, capsys, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("a training step ran")

@@ -9,7 +9,8 @@ from types import SimpleNamespace
 from kmbdf import data as data_mod
 from kmbdf import harness
 from kmbdf.data import SplitSpec, WindowPair
-from kmbdf.errors import ConfigError, DomainError
+from kmbdf.balancing import mmd_squared
+from kmbdf.errors import ConfigError, DomainError, ShapeError
 from kmbdf.harness import (
     EarlyStopper,
     ExperimentConfig,
@@ -19,7 +20,8 @@ from kmbdf.harness import (
     timing_probe,
     train,
 )
-from kmbdf.models import LinearForecaster
+from kmbdf.kernels import KernelSpec, median_bandwidth
+from kmbdf.models import LinearForecaster, forward_batch, init_forecaster
 
 
 def small_config(**overrides):
@@ -60,6 +62,45 @@ class TestEvaluate:
         model = LinearForecaster(np.zeros((1, 1)), np.zeros(1), 1, 1, 1)
         with pytest.raises(ConfigError):
             evaluate(model, [])
+        with pytest.raises(ConfigError):
+            evaluate(model, (np.zeros((0, 1, 1)), np.zeros((0, 1, 1))))
+
+    def test_stacks_equal_lists_exactly(self):
+        cfg = small_config(data={"source": "synthetic", "kind": "ar", "length": 400,
+                                 "channels": 3, "seed": 3, "coeffs": (0.8,)})
+        dataset = build_dataset(cfg)
+        model = init_forecaster(cfg.history_len, cfg.horizon, 3, seed=5)
+        for split in ("train", "val", "test"):
+            assert evaluate(model, dataset["stacks"][split]) == evaluate(
+                model, dataset["windows"][split]
+            )
+
+    def test_mismatched_labels_rejected(self):
+        model = LinearForecaster(np.zeros((2, 3)), np.zeros(2), 3, 2, 1)
+        with pytest.raises(ShapeError):
+            evaluate(model, (np.zeros((4, 3, 1)), np.zeros((4, 1, 1))))
+
+
+class TestTestMmd:
+    def test_matches_concatenated_joints(self):
+        # Reference: the real and forecast joints concatenated, with the
+        # bandwidth and MMD^2 computed on them.
+        rng = np.random.default_rng(31)
+        for n, h, t, d, offset in ((40, 8, 4, 3, 0.0), (60, 12, 6, 2, 1e3), (9, 5, 3, 1, 0.0)):
+            hist = offset + rng.normal(size=(n, h, d))
+            labels = offset + rng.normal(size=(n, t, d))
+            model = init_forecaster(h, t, d, seed=n)
+            for max_samples in (n, n // 2):
+                idx = np.unique(np.linspace(0, n - 1, min(max_samples, n)).astype(int))
+                x = hist[idx]
+                reals = np.concatenate([x, labels[idx]], axis=1)
+                fcs = np.concatenate([x, forward_batch(model, x)], axis=1)
+                kernel = KernelSpec(family="exponential", sigma=median_bandwidth(reals))
+                expected = mmd_squared(kernel, reals, fcs).value
+                np.testing.assert_allclose(
+                    harness._test_mmd(model, hist, labels, max_samples), expected,
+                    rtol=1e-10, atol=0,
+                )
 
 
 class TestEarlyStopper:
@@ -150,6 +191,17 @@ class TestBuildDataset:
         {"data": {"source": "csv"}},
         {"mmd_max_samples": 1},
         {"compute_mmd": True, "mmd_max_samples": 0},
+        {"lr": "abc"},
+        {"lr": float("nan")},
+        {"lr": float("inf")},
+        {"lr": True},
+        {"batch_size": 32.5},
+        {"max_epochs": 2.5},
+        {"history_len": "24"},
+        {"seed": "x"},
+        {"patience": True},
+        {"compute_mmd": "no"},
+        {"compute_mmd": 1},
     ])
     def test_rejected_at_parse(self, monkeypatch, overrides):
         def forbidden(*args, **kwargs):
@@ -159,6 +211,11 @@ class TestBuildDataset:
         monkeypatch.setattr(data_mod, "load_csv", forbidden)
         with pytest.raises(ConfigError):
             small_config(**overrides)
+
+
+    def test_integer_lr_and_numpy_integers_accepted(self):
+        cfg = small_config(lr=1, seed=np.int64(4), compute_mmd=False)
+        assert cfg.lr == 1 and cfg.seed == 4
 
 
 class TestTrain:

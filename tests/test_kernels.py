@@ -8,6 +8,7 @@ from kmbdf.kernels import (
     gram_matrix,
     kernel_grad_b,
     median_bandwidth,
+    pair_sq_dists,
 )
 
 ALL_SPECS = [
@@ -281,3 +282,63 @@ class TestMedianBandwidth:
     def test_needs_two_points(self):
         with pytest.raises(ConfigError):
             median_bandwidth([np.ones((2, 2))])
+
+
+def shared_block_cases():
+    """(history, labels, forecasts) stacks whose joints share the history:
+    random rows, forecasts within 1e-9 of their labels (near-duplicate
+    joints), and rows at +1e3 with spread 1e-3."""
+    rng = np.random.default_rng(21)
+    hist, lab = rng.normal(size=(9, 7, 3)), rng.normal(size=(9, 5, 3))
+    yield hist, lab, rng.normal(size=(9, 5, 3))
+    yield hist, lab, lab + 1e-9
+    hist, lab = 1e3 + 1e-3 * rng.normal(size=(2, 8, 40, 20))
+    yield hist, lab, 1e3 + 1e-3 * rng.normal(size=(8, 40, 20))
+
+
+class TestSharedBlock:
+    @pytest.mark.parametrize("spec", ALL_SPECS[:2], ids=lambda s: s.family.value)
+    def test_matches_concatenated_joints(self, spec):
+        for hist, lab, fc in shared_block_cases():
+            shared = pair_sq_dists(hist)
+            reals = np.concatenate([hist, lab], axis=1)
+            fcs = np.concatenate([hist, fc], axis=1)
+            for rows, cols, jr, jc in ((lab, fc, reals, fcs), (lab, lab, reals, reals)):
+                np.testing.assert_allclose(
+                    gram_matrix(spec, rows, cols, shared), gram_matrix(spec, jr, jc),
+                    rtol=1e-12, atol=0,
+                )
+            np.testing.assert_allclose(
+                median_bandwidth(lab, shared), median_bandwidth(reals), rtol=1e-12, atol=0
+            )
+
+    def test_pair_sq_dists(self):
+        rng = np.random.default_rng(22)
+        stack = rng.normal(size=(6, 4, 3))
+        before = stack.copy()
+        sq = pair_sq_dists(stack)
+        expected = [[np.sum((a - b) ** 2) for b in stack] for a in stack]
+        np.testing.assert_allclose(sq, expected, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(sq, sq.T)
+        np.testing.assert_array_equal(np.diag(sq), 0.0)
+        np.testing.assert_array_equal(stack, before)
+        np.testing.assert_array_equal(pair_sq_dists(list(stack)), sq)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS[2:], ids=lambda s: s.family.value)
+    def test_inner_product_families_rejected(self, spec):
+        # Their default scale is 1/len of the whole joint, which the label
+        # block alone does not give.
+        z = np.random.default_rng(23).normal(size=(4, 3, 2))
+        with pytest.raises(ConfigError):
+            gram_matrix(spec, z, z, np.zeros((4, 4)))
+
+    def test_misshaped_shared_rejected(self):
+        z = np.random.default_rng(24).normal(size=(4, 3, 2))
+        for spec in ALL_SPECS[:2]:
+            for bad in (np.zeros((4, 3)), np.zeros((3, 3)), np.zeros(16)):
+                with pytest.raises(ShapeError):
+                    gram_matrix(spec, z, z, bad)
+        with pytest.raises(ShapeError):
+            gram_matrix(ALL_SPECS[0], z, z[:3], np.zeros((4, 4)))
+        with pytest.raises(ShapeError):
+            median_bandwidth(z, np.zeros((3, 3)))

@@ -19,7 +19,6 @@ from .kernels import (
     KernelSpec,
     eval_kernel,
     gram_matrix,
-    kernel_grad_b,
     median_bandwidth,
 )
 from .models import (
@@ -27,8 +26,6 @@ from .models import (
     LinearForecaster,
     adam_init,
     adam_step,
-    backward,
-    forward,
     init_forecaster,
     load_forecaster,
     save_forecaster,

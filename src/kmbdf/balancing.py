@@ -149,34 +149,28 @@ def select_top_k(deltas: np.ndarray, k: int) -> np.ndarray:
     deltas = np.asarray(deltas, dtype=float)
     if k > deltas.size:
         raise ConfigError(f"top_k={k} exceeds batch size {deltas.size}")
-    order = np.lexsort((np.arange(deltas.size), -np.abs(deltas)))
-    return order[:k]
+    return np.argsort(-np.abs(deltas), kind="stable")[:k]
 
 
-def hinge_slack(delta: float, c: float, mode: str = "canonical") -> float:
-    """Soft-margin slack for one informativeness score."""
+def hinge_slack(delta: float | np.ndarray, c: float, mode: str = "canonical"):
+    """Soft-margin slack of informativeness scores, elementwise: a float for
+    a scalar delta, an array for an array of them."""
     if c < 0.0:
         raise ConfigError(f"margin must be >= 0, got {c}")
+    d = np.asarray(delta, dtype=float)
     if mode == "canonical":
-        return max(0.0, abs(delta) - c)
-    if mode == "paper_literal":
-        return max(0.0, -c - delta) + max(0.0, delta + c)
-    raise ConfigError(f"unknown hinge mode {mode!r}")
+        xi = np.maximum(0.0, np.abs(d) - c)
+    elif mode == "paper_literal":
+        xi = np.maximum(0.0, -c - d) + np.maximum(0.0, d + c)
+    else:
+        raise ConfigError(f"unknown hinge mode {mode!r}")
+    return float(xi) if xi.ndim == 0 else xi
 
 
-def _hinge_subgradient(delta: float, c: float, mode: str) -> float:
-    """d xi / d delta; 0 at kinks (minimal-norm subgradient)."""
-    if mode == "canonical":
-        if delta > c:
-            return 1.0
-        if delta < -c:
-            return -1.0
-        return 0.0
-    if delta > -c:
-        return 1.0
-    if delta < -c:
-        return -1.0
-    return 0.0
+def _hinge_subgradient(deltas: np.ndarray, c: float, mode: str) -> np.ndarray:
+    """d xi / d delta, elementwise; 0 at kinks (minimal-norm subgradient)."""
+    lo = c if mode == "canonical" else -c
+    return (deltas > lo).astype(float) - (deltas < -c)
 
 
 def _evaluate(cfg, x, y, f, selected=None):
@@ -186,7 +180,7 @@ def _evaluate(cfg, x, y, f, selected=None):
     if cfg.top_k > n:
         raise ConfigError(f"top_k={cfg.top_k} exceeds batch size {n}")
     err = f - y
-    mse = float(np.sum(err * err))
+    mse = float((err * err).sum())
     if cfg.alpha == 0.0:
         # The penalty carries no weight: no scores, no anchors, no kernel work.
         if not np.isfinite(mse):
@@ -199,20 +193,10 @@ def _evaluate(cfg, x, y, f, selected=None):
         selected = select_top_k(deltas, cfg.top_k)
     else:
         selected = np.asarray(selected, dtype=int)
-    slacks = np.array(
-        [hinge_slack(float(deltas[i]), cfg.margin_c, cfg.hinge_mode) for i in selected]
-    )
-    penalty = float(np.sum(slacks))
+    slacks = hinge_slack(deltas[selected], cfg.margin_c, cfg.hinge_mode)
+    penalty = float(slacks.sum())
     total = cfg.alpha * penalty + (1.0 - cfg.alpha) * mse
-    diag = BalanceDiagnostics(
-        deltas=deltas,
-        selected=selected,
-        slacks=slacks,
-        penalty_term=penalty,
-        mse_term=mse,
-        total=total,
-    )
-    return diag, err, scores
+    return BalanceDiagnostics(deltas, selected, slacks, penalty, mse, total), err, scores
 
 
 def kmb_df_loss(cfg: BalanceConfig, histories, labels, forecasts, selected=None):
@@ -227,34 +211,36 @@ def kmb_df_grad(cfg: BalanceConfig, histories, labels, forecasts):
     """d total / d forecast for every sample; top-K selection held constant.
 
     Returns (grads, BalanceDiagnostics) where grads is an (N, T, D) array.
-    The penalty gradient touches only the label block of each joint: its
-    kernel coefficients come from the scores' pair statistic.
+    The penalty gradient touches only the label block of each joint: the
+    kernel factors of the anchors whose hinge is active come from the
+    scores' pair statistic as one (N, K) array, contracted with the label
+    differences in one `grad_b_sum` call.
     """
     x, y, f = _as_stacks(histories, labels, forecasts)
     diag, err, scores = _evaluate(cfg, x, y, f)
     grads = 2.0 * (1.0 - cfg.alpha) * err
     if scores is None:
         return grads, diag
+    w = cfg.alpha * _hinge_subgradient(diag.deltas[diag.selected], cfg.margin_c, cfg.hinge_mode)
+    active = w != 0.0
+    if not active.any():
+        return grads, diag
+    sel = diag.selected[active]
     n = len(y)
-    spec = cfg.kernel
     yf, ff, gf = y.reshape(n, -1), f.reshape(n, -1), grads.reshape(n, -1)
     size = x[0].size + yf.shape[1]
-    for i in diag.selected:
-        w = cfg.alpha * _hinge_subgradient(float(diag.deltas[i]), cfg.margin_c, cfg.hinge_mode)
-        if w == 0.0:
-            continue
-        stat = scores.cross[:, i]
-        if cfg.anchor_mode == "forecast":
-            # delta_k depends on forecast k only: d delta_k / d Zhat_k =
-            # -sum_n dK(Z_n, Zhat_k)/d Zhat_k.
-            gf[i] -= w * grad_b_sum(spec, stat, yf, ff[i], size)
-        else:
-            # delta_k = sum_n K(Z_n, Z_k) - sum_n K(Zhat_n, Z_k): every
-            # forecast appears once per selected anchor.  All families are
-            # symmetric, so d K(Zhat_n, Z_k) / d Zhat_n = c_n (Z_k - Zhat_n)
-            # or c_n Z_k, restricted to the label block.
-            c = w * grad_coeffs(spec, stat, size)
-            gf -= c[:, None] * (yf[i] - ff if spec.is_distance else yf[i])
+    # Column k: the factors of anchor sel[k]'s second kernel sum, weighted
+    # by the anchor's hinge subgradient.
+    coeffs = grad_coeffs(cfg.kernel, scores.cross[:, sel], size) * w[active]
+    if cfg.anchor_mode == "forecast":
+        # delta_k depends on forecast k only: d delta_k / d Zhat_k =
+        # -sum_n dK(Z_n, Zhat_k)/d Zhat_k.
+        gf[sel] -= grad_b_sum(cfg.kernel, coeffs, yf, ff[sel])
+    else:
+        # delta_k = sum_n K(Z_n, Z_k) - sum_n K(Zhat_n, Z_k): every forecast
+        # appears once per selected anchor.  All families are symmetric, so
+        # d K(Zhat_n, Z_k) / d Zhat_n = d K(Z_k, Zhat_n) / d Zhat_n.
+        gf -= grad_b_sum(cfg.kernel, coeffs.T, yf[sel], ff)
     return grads, diag
 
 

@@ -18,7 +18,7 @@ from .data import SyntheticSpec, generate
 from .errors import KmbdfError
 from .harness import ExperimentConfig, evaluate, run_sweep, timing_probe, train
 from .kernels import KernelSpec, median_bandwidth
-from .models import forward_batch, load_forecaster
+from .models import load_forecaster
 
 
 def _load_config(path: str, overrides, seed=None, out=None) -> ExperimentConfig:
@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", action="append", metavar="KEY.PATH=VALUE")
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("timing", help="objective forward/backward timing probe")
+    p = sub.add_parser("timing", help="median ms of one objective loss-and-gradient call")
     p.add_argument("--horizons", default="32,96,192,336,720")
     p.add_argument("--batch", type=int, default=128)
     p.add_argument("--channels", type=int, default=21)

@@ -136,18 +136,28 @@ def standardize(series: np.ndarray, train_rows: int):
     """Per-channel (x - mean) / std using the first `train_rows` rows only.
 
     Channels with zero training std are passed through mean-shifted (std
-    forced to 1) and flagged in the returned Standardization.
+    forced to 1) and flagged in the returned Standardization.  A channel
+    whose training mean or std overflows, or whose standardized values are
+    not finite, raises `DataError`.
     """
     series = np.asarray(series, dtype=float)
     if train_rows < 2:
         raise ConfigError(f"need >= 2 training rows, got {train_rows}")
     train = series[:train_rows]
-    mean = train.mean(axis=0)
-    std = train.std(axis=0)
-    constant = [int(d) for d in np.nonzero(std == 0.0)[0]]
-    std = np.where(std == 0.0, 1.0, std)
-    stats = Standardization(mean=mean, std=std, constant_channels=constant)
-    return stats.apply(series), stats
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = train.mean(axis=0), train.std(axis=0)
+        constant = [int(d) for d in np.nonzero(std == 0.0)[0]]
+        std = np.where(std == 0.0, 1.0, std)
+        stats = Standardization(mean=mean, std=std, constant_channels=constant)
+        out = stats.apply(series)
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std) & np.isfinite(out).all(axis=0)))
+    if bad.size:
+        d = bad[0]
+        raise DataError(
+            f"channel {d} cannot be standardized: values too large for float64 "
+            f"(training mean {mean[d]:g}, std {std[d]:g})"
+        )
+    return out, stats
 
 
 def window_stacks(series: np.ndarray, history_len: int, horizon: int, rows_range=None):

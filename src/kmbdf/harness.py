@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import data as data_mod
-from .balancing import BalanceConfig, kmb_df_grad, kmb_df_loss, mmd_squared
+from .balancing import BalanceConfig, kmb_df_loss_and_grad, mmd_squared
 from .errors import ConfigError, DomainError, KmbdfError, ShapeError
 from .kernels import KernelSpec, median_bandwidth, pair_sq_dists
 from .models import (
@@ -218,24 +218,20 @@ def _resolve_objective(config: ExperimentConfig, histories, labels):
     """Instantiate the objective; returns (objective, resolved_sigma)."""
     od = dict(config.objective)
     kind = od.pop("kind", "mse")
-    if kind == "mse":
-        return make_objective("mse"), None
-    if kind == "freq_l1":
-        return make_objective("freq_l1", beta=od.get("beta", 0.5)), None
-    if kind == "kmb_df":
-        b = max(2, config.batch_size)
-        joints = np.concatenate([histories[:b], labels[:b]], axis=1)
-        kernel, resolved = _kernel_from_dict(od.get("kernel", {}), joints)
-        cfg = BalanceConfig(
-            alpha=float(od.get("alpha", 0.3)),
-            top_k=int(od.get("top_k", 3)),
-            margin_c=float(od.get("margin_c", 0.001)),
-            kernel=kernel,
-            anchor_mode=od.get("anchor_mode", "forecast"),
-            hinge_mode=od.get("hinge_mode", "canonical"),
-        )
-        return make_objective("kmb_df", balance=cfg), resolved
-    raise ConfigError(f"unknown objective kind {kind!r}")
+    if kind != "kmb_df":
+        return make_objective(kind, **od), None
+    b = max(2, config.batch_size)
+    joints = np.concatenate([histories[:b], labels[:b]], axis=1)
+    kernel, resolved = _kernel_from_dict(od.get("kernel", {}), joints)
+    cfg = BalanceConfig(
+        alpha=float(od.get("alpha", 0.3)),
+        top_k=int(od.get("top_k", 3)),
+        margin_c=float(od.get("margin_c", 0.001)),
+        kernel=kernel,
+        anchor_mode=od.get("anchor_mode", "forecast"),
+        hinge_mode=od.get("hinge_mode", "canonical"),
+    )
+    return make_objective("kmb_df", balance=cfg), resolved
 
 
 def evaluate(model: LinearForecaster, windows) -> tuple[float, float]:
@@ -305,7 +301,7 @@ def train(config: ExperimentConfig) -> TrainReport:
             t0 = time.perf_counter()
             preds = forward_batch(model, xb)
             loss, grads, diag = objective.loss_and_grad(xb, yb, preds)
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 raise DomainError(
                     f"non-finite loss at epoch {epoch}, step {step}: {loss!r}"
                 )
@@ -438,13 +434,14 @@ def timing_probe(
     reps: int = 100,
     seed: int = 0,
 ):
-    """Median milliseconds of the balancing objective: `forward_ms` times
-    `kmb_df_loss`, `backward_ms` times `kmb_df_grad`, which re-runs the
-    forward pass.  One random batch per horizon, evaluated `reps` times.
-    Absolute numbers are machine-dependent; only the trend across horizons
-    is meaningful.
+    """Median milliseconds of one `kmb_df_loss_and_grad` call, the training
+    loop's objective call, as `loss_and_grad_ms` and `total_ms`.  One random
+    batch per horizon, evaluated `reps` times.  The reps go round the
+    horizons, so a change in the host's speed during the probe shifts every
+    horizon alike.  Absolute numbers are machine-dependent; only the trend
+    across horizons is meaningful.
     """
-    results = []
+    batches = []
     for t in horizons:
         rng = np.random.default_rng(seed)
         hist = rng.normal(size=(n, history_len, channels))
@@ -452,24 +449,16 @@ def timing_probe(
         fcs = rng.normal(size=(n, t, channels))
         joints = np.concatenate([hist, labels], axis=1)
         kernel = KernelSpec(family="exponential", sigma=median_bandwidth(joints))
-        cfg = BalanceConfig(
-            alpha=alpha, top_k=top_k, margin_c=margin_c, kernel=kernel
-        )
-        fwd, bwd = [], []
-        for _ in range(reps):
+        cfg = BalanceConfig(alpha=alpha, top_k=top_k, margin_c=margin_c, kernel=kernel)
+        batches.append((cfg, hist, labels, fcs))
+    times = [[] for _ in batches]
+    for _ in range(reps):
+        for batch, out in zip(batches, times):
             t0 = time.perf_counter()
-            kmb_df_loss(cfg, hist, labels, fcs)
-            t1 = time.perf_counter()
-            kmb_df_grad(cfg, hist, labels, fcs)
-            t2 = time.perf_counter()
-            fwd.append(1e3 * (t1 - t0))
-            bwd.append(1e3 * (t2 - t1))
-        results.append(
-            {
-                "horizon": int(t),
-                "forward_ms": statistics.median(fwd),
-                "backward_ms": statistics.median(bwd),
-                "total_ms": statistics.median(f + b for f, b in zip(fwd, bwd)),
-            }
-        )
-    return results
+            kmb_df_loss_and_grad(*batch)
+            out.append(1e3 * (time.perf_counter() - t0))
+    medians = [statistics.median(ts) for ts in times]
+    return [
+        {"horizon": int(t), "loss_and_grad_ms": ms, "total_ms": ms}
+        for t, ms in zip(horizons, medians)
+    ]

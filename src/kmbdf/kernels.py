@@ -164,9 +164,12 @@ def _sq_dists(rf, cf, r_sq, c_sq, rows=None, cols=None) -> np.ndarray:
     norms *= NEAR_PAIR_RATIO
     near = sq <= norms
     if rows is cols:
-        # Each row against itself: exactly 0, nothing to recompute.
-        np.fill_diagonal(near, False)
-        np.fill_diagonal(sq, 0.0)
+        # Each row against itself: exactly 0, nothing to recompute.  Both
+        # are new C-contiguous arrays, so ravel() is a view.
+        near.ravel()[:: len(near) + 1] = False
+        sq.ravel()[:: len(sq) + 1] = 0.0
+    if not near.any():
+        return sq
     ii, jj = np.nonzero(near)
     for lo in range(0, ii.size, _NEAR_PAIR_CHUNK):
         i, j = ii[lo : lo + _NEAR_PAIR_CHUNK], jj[lo : lo + _NEAR_PAIR_CHUNK]
@@ -228,7 +231,7 @@ def joint_stats(spec: KernelSpec, hist, labels, forecasts, forecast_anchor: bool
     to `real`.
     """
     if spec.is_distance:
-        hc = hist - hist.mean(axis=0)
+        hc = hist - hist.sum(axis=0) / len(hist)
         h_sq = _row_sq(hc)
         shared = _sq_dists(hc, hc, h_sq, h_sq, hist, hist)
         mean = (labels.sum(axis=0) + forecasts.sum(axis=0)) / (2 * len(labels))
@@ -317,31 +320,35 @@ def gram_matrix(spec: KernelSpec, rows, cols, shared=None) -> np.ndarray:
     return kernel_from_stat(spec, stat, rf.shape[1])
 
 
-def kernel_grad_b(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Analytic gradient dK(a, b) / db, shaped like b."""
-    a, b = _check_pair(a, b)
-    if spec.is_distance:
-        d = a - b
-        return grad_coeffs(spec, np.sum(d * d), a.size) * d
-    return grad_coeffs(spec, np.sum(a * b), a.size) * a
+# Differences per `grad_b_sum` product (2 MB) unless one row is larger.  A
+# temporary several times the batch's own arrays is mapped and page-faulted
+# afresh per call (glibc): at N=128, T=96, D=21, K=3 it cost 1.4x.
+_DIFF_ELEMENTS = 1 << 18
 
 
-def grad_b_sum(spec: KernelSpec, stat, a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
-    """sum_n dK(A_n, B)/dB on one block of flattened joints, shaped like b.
+def grad_b_sum(spec: KernelSpec, coeffs, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_m dK(A_m, B_j)/dB_j on one block of flattened joints, for every j.
 
-    `stat` (N,) holds s(A_n, B) of the whole joints (see `joint_stats`),
-    `a` (N, P) is the block of each A_n, `b` (P,) the same block of B and
-    `size` the joint length.  The sum is sum_n c_n (a_n - b) for the
-    distance families and sum_n c_n a_n otherwise, with c = `grad_coeffs`.
-    The differences are formed explicitly, so a near-coincident pair keeps
-    its accuracy.
+    `coeffs` (M, J) holds the factors c[m, j] of the pairs (A_m, B_j) (see
+    `grad_coeffs`), `a` (M, P) the block of each A_m and `b` (J, P) the same
+    block of each B_j.  Row j of the (J, P) result is sum_m c[m, j] (a_m - b_j)
+    for the distance families and sum_m c[m, j] a_m otherwise.  The
+    differences are formed explicitly, so a near-coincident pair keeps its
+    accuracy, as (J, M, P) arrays of up to `_DIFF_ELEMENTS` contracted by
+    one batched product each; a row rounds the same in any chunk.
 
-    Error bound: c carries the relative error of `stat` (see `joint_stats`),
-    scaled by the kernel's sensitivity to it; the block sum then adds only
-    the rounding of one matrix-vector product over N terms.
+    Error bound: c carries the relative error of its pair statistic (see
+    `joint_stats`), scaled by the kernel's sensitivity to it; each row then
+    adds only the rounding of one vector-matrix product over M terms.
     """
-    c = grad_coeffs(spec, stat, size)
-    return c @ (a - b) if spec.is_distance else c @ a
+    if not spec.is_distance:
+        return coeffs.T @ a
+    c = coeffs.T[:, None, :]
+    step = max(1, _DIFF_ELEMENTS // a.size)
+    return np.concatenate([
+        np.matmul(c[lo : lo + step], a - b[lo : lo + step, None, :])[:, 0, :]
+        for lo in range(0, len(b), step)
+    ])
 
 
 def pair_sq_dists(stack) -> np.ndarray:

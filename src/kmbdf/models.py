@@ -1,8 +1,9 @@
 """Direct multi-step linear forecaster and Adam optimizer.
 
 The forecaster applies one shared T x H map plus bias to every channel
-(channel-independent, DLinear-style).  Gradients are analytic; Adam follows
-the standard bias-corrected update.
+(channel-independent, DLinear-style).  Its parameters live in one flat
+vector, of which `weight` and `bias` are views.  Gradients are analytic;
+Adam follows the standard bias-corrected update, fused over all parameters.
 """
 
 from __future__ import annotations
@@ -24,25 +25,31 @@ class LinearForecaster:
     history_len: int
     horizon: int
     channels: int
+    flat: np.ndarray = field(init=False, repr=False)  # weight, then bias
 
     def __post_init__(self):
-        self.weight = np.asarray(self.weight, dtype=float)
-        self.bias = np.asarray(self.bias, dtype=float)
-        if self.weight.shape != (self.horizon, self.history_len):
-            raise ShapeError(
-                f"weight shape {self.weight.shape} != ({self.horizon}, {self.history_len})"
-            )
-        if self.bias.shape != (self.horizon,):
-            raise ShapeError(f"bias shape {self.bias.shape} != ({self.horizon},)")
-        if not (np.isfinite(self.weight).all() and np.isfinite(self.bias).all()):
+        weight = np.asarray(self.weight, dtype=float)
+        bias = np.asarray(self.bias, dtype=float)
+        if weight.shape != (self.horizon, self.history_len):
+            raise ShapeError(f"weight shape {weight.shape} != ({self.horizon}, {self.history_len})")
+        if bias.shape != (self.horizon,):
+            raise ShapeError(f"bias shape {bias.shape} != ({self.horizon},)")
+        if not (np.isfinite(weight).all() and np.isfinite(bias).all()):
             raise ConfigError("model parameters must be finite")
+        self.flat = np.concatenate([weight.ravel(), bias])
+        self.weight = self.flat[: weight.size].reshape(weight.shape)
+        self.bias = self.flat[weight.size :]
 
     def params(self) -> dict[str, np.ndarray]:
         return {"weight": self.weight, "bias": self.bias}
 
     def set_params(self, params: dict[str, np.ndarray]) -> None:
-        self.weight = np.asarray(params["weight"], dtype=float)
-        self.bias = np.asarray(params["bias"], dtype=float)
+        """Copy `params` into the parameter vector; no reference to them is kept."""
+        for name, view in self.params().items():
+            value = np.asarray(params[name], dtype=float)
+            if value.shape != view.shape:
+                raise ShapeError(f"{name} shape {value.shape} != {view.shape}")
+            view[...] = value
 
 
 def init_forecaster(history_len: int, horizon: int, channels: int, seed: int = 0) -> LinearForecaster:
@@ -59,18 +66,8 @@ def init_forecaster(history_len: int, horizon: int, channels: int, seed: int = 0
     )
 
 
-def forward(model: LinearForecaster, x: np.ndarray) -> np.ndarray:
-    """Forecast one history matrix: Yhat[:, d] = W @ X[:, d] + bias."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.history_len, model.channels):
-        raise ShapeError(
-            f"input shape {x.shape} != ({model.history_len}, {model.channels})"
-        )
-    return model.weight @ x + model.bias[:, None]
-
-
 def forward_batch(model: LinearForecaster, xs: np.ndarray) -> np.ndarray:
-    """Vectorized forward over a (N, H, D) stack; returns (N, T, D)."""
+    """Forecast a (N, H, D) stack: Yhat_n[:, d] = W @ X_n[:, d] + bias; returns (N, T, D)."""
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 3 or xs.shape[1:] != (model.history_len, model.channels):
         raise ShapeError(
@@ -79,64 +76,75 @@ def forward_batch(model: LinearForecaster, xs: np.ndarray) -> np.ndarray:
     return np.matmul(model.weight, xs) + model.bias[None, :, None]
 
 
-def backward(model: LinearForecaster, x: np.ndarray, grad_out: np.ndarray):
-    """Parameter gradients for one sample given d loss / d forecast."""
-    x = np.asarray(x, dtype=float)
-    grad_out = np.asarray(grad_out, dtype=float)
-    if grad_out.shape != (model.horizon, model.channels):
-        raise ShapeError(
-            f"grad_out shape {grad_out.shape} != ({model.horizon}, {model.channels})"
-        )
-    grad_w = grad_out @ x.T
-    grad_b = grad_out.sum(axis=1)
-    return grad_w, grad_b
-
-
 def backward_batch(model: LinearForecaster, xs: np.ndarray, grad_outs: np.ndarray):
-    """Summed parameter gradients over a batch of samples."""
+    """Parameter gradients summed over a batch, given d loss / d forecast as
+    a (N, T, D) stack: one product over the (sample, channel) pairs."""
     xs = np.asarray(xs, dtype=float)
     grad_outs = np.asarray(grad_outs, dtype=float)
-    if xs.shape[0] != grad_outs.shape[0]:
-        raise ShapeError("batch sizes differ between inputs and output gradients")
-    grad_w = np.tensordot(grad_outs, xs, axes=([0, 2], [0, 2]))
-    grad_b = grad_outs.sum(axis=(0, 2))
-    return grad_w, grad_b
+    if xs.ndim != 3 or grad_outs.ndim != 3 or xs.shape[::2] != grad_outs.shape[::2]:
+        raise ShapeError(
+            f"input batch {xs.shape} and output gradients {grad_outs.shape} differ "
+            "in batch size or channels"
+        )
+    g = grad_outs.transpose(1, 0, 2).reshape(grad_outs.shape[1], -1)
+    x = xs.transpose(0, 2, 1).reshape(-1, xs.shape[1])
+    return g @ x, grad_outs.sum(axis=(0, 2))
 
 
 @dataclass
 class AdamState:
+    """Adam moments of all parameters, each flattened into one vector in the
+    order of `layout`: every parameter's name, shape and [lo, hi) slice."""
+
     lr: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    layout: tuple = ()
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 def adam_init(params: dict[str, np.ndarray], lr: float) -> AdamState:
     if lr <= 0:
         raise ConfigError(f"lr must be > 0, got {lr}")
-    state = AdamState(lr=lr)
-    state.m = {k: np.zeros_like(p) for k, p in params.items()}
-    state.v = {k: np.zeros_like(p) for k, p in params.items()}
-    return state
+    layout, size = [], 0
+    for k, p in params.items():
+        layout.append((k, np.shape(p), size, size + np.size(p)))
+        size += np.size(p)
+    return AdamState(lr=lr, layout=tuple(layout), m=np.zeros(size), v=np.zeros(size))
+
+
+def _flatten(layout, arrays: dict) -> np.ndarray:
+    parts = []
+    for k, shape, _, _ in layout:
+        a = np.asarray(arrays[k], dtype=float)
+        if a.shape != shape:
+            raise ShapeError(f"{k!r} has shape {a.shape}, its parameter {shape}")
+        parts.append(a.ravel())
+    return np.concatenate(parts)
 
 
 def adam_step(state: AdamState, params: dict, grads: dict) -> dict:
-    """One bias-corrected Adam update; mutates state, returns new params."""
+    """One bias-corrected Adam update; mutates state, returns new params.
+
+    All parameters are updated as one flat vector, with the per-element
+    operations of a per-parameter update in the same order, so the result
+    is bit-identical to it.  The new params are views of one new vector.
+    """
+    p = _flatten(state.layout, params)
+    g = _flatten(state.layout, grads)
     state.t += 1
-    out = {}
-    for k, p in params.items():
-        g = np.asarray(grads[k], dtype=float)
-        if g.shape != p.shape:
-            raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        state.m[k] = state.beta1 * state.m[k] + (1.0 - state.beta1) * g
-        state.v[k] = state.beta2 * state.v[k] + (1.0 - state.beta2) * g * g
-        m_hat = state.m[k] / (1.0 - state.beta1**state.t)
-        v_hat = state.v[k] / (1.0 - state.beta2**state.t)
-        out[k] = p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return out
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * g * g
+    m_hat = m / (1.0 - state.beta1**state.t)
+    v_hat = v / (1.0 - state.beta2**state.t)
+    new = p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    return {k: new[lo:hi].reshape(shape) for k, shape, lo, hi in state.layout}
 
 
 def save_forecaster(model: LinearForecaster, path) -> None:

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kmbdf import balancing
 from kmbdf.balancing import (
+    HINGE_MODES,
     BalanceConfig,
     hinge_slack,
     informativeness_scores,
@@ -17,11 +20,11 @@ from kmbdf.errors import ConfigError, DomainError, ShapeError
 from kmbdf.kernels import (
     KernelSpec,
     eval_kernel,
-    kernel_grad_b,
+    grad_coeffs,
     median_bandwidth,
     pair_sq_dists,
 )
-from kmbdf.objectives import mse_grad, mse_loss
+from kmbdf.objectives import make_objective, mse_grad, mse_loss
 
 EXP = KernelSpec(family="exponential", sigma=1.0)
 
@@ -153,6 +156,20 @@ class TestSelectTopK:
         assert min(abs(deltas[i]) for i in sel) >= max(abs(deltas[j]) for j in rest)
 
 
+def scalar_slack(delta, c, mode):
+    """The hinge slack of one score, by definition."""
+    if mode == "canonical":
+        return max(0.0, abs(delta) - c)
+    return max(0.0, -c - delta) + max(0.0, delta + c)
+
+
+def scalar_subgradient(delta, c, mode):
+    """d xi / d delta of one score, 0 at the kinks."""
+    if mode == "canonical":
+        return 1.0 if delta > c else -1.0 if delta < -c else 0.0
+    return 1.0 if delta > -c else -1.0 if delta < -c else 0.0
+
+
 class TestHingeSlack:
     def test_examples(self):
         assert hinge_slack(0.05, 0.01, "canonical") == pytest.approx(0.04)
@@ -188,6 +205,24 @@ class TestHingeSlack:
     def test_negative_margin_rejected(self):
         with pytest.raises(ConfigError):
             hinge_slack(0.1, -1.0)
+        with pytest.raises(ConfigError):
+            hinge_slack(np.zeros(3), -1.0)
+
+    @given(
+        st.lists(st.floats(-10, 10, allow_nan=False), max_size=12),
+        st.floats(0, 5, allow_nan=False),
+        st.sampled_from(HINGE_MODES),
+    )
+    def test_array_equals_scalar_definitions(self, deltas, c, mode):
+        d = np.array(deltas + [c, -c, 0.0, -0.0])
+        slacks = hinge_slack(d, c, mode)
+        subgrads = balancing._hinge_subgradient(d, c, mode)
+        assert slacks.shape == subgrads.shape == d.shape
+        for i, delta in enumerate(d.tolist()):
+            assert slacks[i] == scalar_slack(delta, c, mode)
+            assert subgrads[i] == scalar_subgradient(delta, c, mode)
+            one = hinge_slack(delta, c, mode)
+            assert type(one) is float and one == slacks[i]
 
 
 class TestKmbDfLoss:
@@ -442,6 +477,16 @@ class TestBalanceConfig:
             BalanceConfig(hinge_mode="bogus", kernel=EXP)
 
 
+def kernel_grad_b(spec, a, b):
+    """Per-pair reference gradient dK(a, b) / db, shaped like b, from the
+    library's kernel factor `grad_coeffs`."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if spec.is_distance:
+        d = a - b
+        return grad_coeffs(spec, np.sum(d * d), a.size) * d
+    return grad_coeffs(spec, np.sum(a * b), a.size) * a
+
+
 def per_pair_grads(cfg, hist, labels, fcs, diag):
     """Penalty gradient oracle: one `kernel_grad_b` call per joint pair."""
     h = hist[0].shape[0]
@@ -457,6 +502,78 @@ def per_pair_grads(cfg, hist, labels, fcs, diag):
             for n, zhat in enumerate(fc_joints):
                 grads[n] = grads[n] - w * kernel_grad_b(cfg.kernel, reals[k], zhat)[h:]
     return np.stack(grads)
+
+
+def per_anchor_grads(cfg, hist, labels, fcs):
+    """Reference gradient: one pass of a Python loop per selected anchor,
+    with the scalar hinge subgradient, one coefficient vector and one set of
+    explicit label differences per anchor.  Returns (total, grads, selected)."""
+    x, y, f = (np.asarray(b, dtype=float) for b in (hist, labels, fcs))
+    scores = informativeness_scores(cfg, x, y, f)
+    selected = select_top_k(scores.deltas, cfg.top_k)
+    slacks = [scalar_slack(float(scores.deltas[i]), cfg.margin_c, cfg.hinge_mode) for i in selected]
+    err = f - y
+    total = cfg.alpha * float(np.sum(slacks)) + (1.0 - cfg.alpha) * float(np.sum(err * err))
+    grads = 2.0 * (1.0 - cfg.alpha) * err
+    n = len(y)
+    spec = cfg.kernel
+    yf, ff, gf = y.reshape(n, -1), f.reshape(n, -1), grads.reshape(n, -1)
+    size = x[0].size + yf.shape[1]
+    for i in selected:
+        w = cfg.alpha * scalar_subgradient(float(scores.deltas[i]), cfg.margin_c, cfg.hinge_mode)
+        if w == 0.0:
+            continue
+        c = grad_coeffs(spec, scores.cross[:, i], size)
+        if cfg.anchor_mode == "forecast":
+            gf[i] -= w * (c @ (yf - ff[i]) if spec.is_distance else c @ yf)
+        else:
+            c = w * c
+            gf -= c[:, None] * (yf[i] - ff if spec.is_distance else yf[i])
+    return total, grads, selected
+
+
+class TestVectorisedStep:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 9),
+        st.integers(0, 4),
+        st.integers(1, 4),
+        st.integers(1, 3),
+        st.integers(1, 11),
+        st.sampled_from(ALL_KERNELS),
+        st.sampled_from(["forecast", "real"]),
+        st.sampled_from(HINGE_MODES),
+        st.sampled_from([None, "plus", "minus"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_anchor_loop(self, n, h, t, d, k, kernel, anchor, hinge, kink, seed):
+        # H=0 gives history-free joints; top_k > n is a trailing batch, which
+        # the objective clamps; `kink` puts one selected delta exactly at +C
+        # or -C.
+        rng = np.random.default_rng(seed)
+        hist, labels, fcs = (rng.normal(size=(n, m, d)) for m in (h, t, t))
+        cfg = BalanceConfig(
+            alpha=0.6, top_k=k, margin_c=0.01, kernel=kernel,
+            anchor_mode=anchor, hinge_mode=hinge,
+        )
+        clamped = replace(cfg, top_k=min(k, n))
+        if kink is not None:
+            deltas = informativeness_scores(cfg, hist, labels, fcs).deltas
+            picked = deltas[select_top_k(deltas, clamped.top_k)]
+            picked = picked[picked > 0] if kink == "plus" else picked[picked < 0]
+            if picked.size:
+                cfg = replace(cfg, margin_c=abs(float(picked[0])))
+                clamped = replace(clamped, margin_c=cfg.margin_c)
+        total, grads, diag = make_objective("kmb_df", balance=cfg).loss_and_grad(
+            hist, labels, fcs
+        )
+        want_total, want, want_sel = per_anchor_grads(clamped, hist, labels, fcs)
+        assert [int(i) for i in diag.selected] == [int(i) for i in want_sel]
+        assert grads.shape == want.shape == (n, t, d)
+        np.testing.assert_allclose(total, want_total, rtol=1e-12)
+        np.testing.assert_allclose(
+            grads, want, rtol=1e-12, atol=1e-12 * max(float(np.abs(want).max()), 1e-300)
+        )
 
 
 class TestPenaltyGradient:

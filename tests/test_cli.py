@@ -65,6 +65,26 @@ class TestTrainCommand:
         err = json.loads(capsys.readouterr().err)
         assert "message" in err and "error" in err
 
+    @pytest.mark.parametrize("kind", ["mse", "kmb_df"])
+    def test_overflowing_csv_channel_errors(self, tmp_path, capsys, kind):
+        rows = [f"2020-01-01,{i}.0,{v}" for i, v in enumerate([0.5] * 80)]
+        rows[3] = "2020-01-01,3.0,1e308"
+        rows[4] = "2020-01-01,4.0,-1e308"
+        (tmp_path / "big.csv").write_text("date,a,b\n" + "\n".join(rows) + "\n")
+        cfg = {
+            "data": {"source": "csv", "path": str(tmp_path / "big.csv")},
+            "history_len": 4, "horizon": 2, "batch_size": 8, "max_epochs": 1,
+            "objective": {"kind": kind},
+        }
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        rc = main(["train", "--config", str(tmp_path / "config.json")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "DataError"
+        assert "channel 1" in err["message"]
+
     def test_bad_config_value_errors(self, config_path, capsys):
         rc = main(["train", "--config", config_path, "--set", "lr=-1.0"])
         assert rc == 2

@@ -151,6 +151,22 @@ class TestStandardize:
         with pytest.raises(ConfigError):
             standardize(np.zeros((10, 1)), train_rows=1)
 
+    @pytest.mark.parametrize("column", [
+        # One row at +1e308 and one at -1e308: the std overflows to inf and
+        # would scale the channel to all zeros.
+        [1.0, 1e308, -1e308] + [0.5] * 17,
+        # Every row at +-1e308: the mean overflows too.
+        [1e308] * 20,
+        [1e308, 1e308, -1e308, 1e308] * 5,
+        # Finite statistics, but a later row scales past the float range.
+        [0.001 * i for i in range(19)] + [1e308],
+    ], ids=["std", "mean", "mixed-signs", "scaled"])
+    def test_overflowing_channel_rejected(self, column):
+        # Any RuntimeWarning fails the suite, so none may escape either.
+        series = np.column_stack([np.arange(20.0), column])
+        with pytest.raises(DataError, match="channel 1"):
+            standardize(series, train_rows=15)
+
 
 class TestWindow:
     def test_exact_fit_single_window(self):

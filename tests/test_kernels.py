@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from kmbdf import kernels
 from kmbdf.errors import ConfigError, DomainError, ShapeError
 from kmbdf.kernels import (
     KernelSpec,
     eval_kernel,
+    grad_b_sum,
+    grad_coeffs,
     gram_matrix,
-    kernel_grad_b,
     median_bandwidth,
     pair_sq_dists,
 )
@@ -18,6 +20,16 @@ ALL_SPECS = [
     KernelSpec(family="polynomial", degree=3),
     KernelSpec(family="sigmoid"),
 ]
+
+
+def kernel_grad_b(spec, a, b):
+    """Per-pair reference gradient dK(a, b) / db, shaped like b, from the
+    library's kernel factor `grad_coeffs`."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if spec.is_distance:
+        d = a - b
+        return grad_coeffs(spec, np.sum(d * d), a.size) * d
+    return grad_coeffs(spec, np.sum(a * b), a.size) * a
 
 
 def fd_grad_b(spec, a, b, eps=1e-5):
@@ -230,6 +242,29 @@ class TestKernelGrad:
             numeric = fd_grad_b(spec, a, b)
             denom = max(np.linalg.norm(numeric), 1e-12)
             assert np.linalg.norm(analytic - numeric) / denom < 1e-6
+
+
+class TestGradBSum:
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family.value)
+    def test_matches_row_loop(self, spec):
+        rng = np.random.default_rng(8)
+        a, b = rng.normal(size=(6, 5)), rng.normal(size=(4, 5))
+        coeffs = rng.normal(size=(6, 4))
+        want = np.stack([
+            coeffs[:, j] @ (a - b[j] if spec.is_distance else a) for j in range(4)
+        ])
+        np.testing.assert_allclose(grad_b_sum(spec, coeffs, a, b), want, rtol=1e-13)
+
+    @pytest.mark.parametrize("budget", [1, 60, 1000])
+    def test_chunks_round_alike(self, monkeypatch, budget):
+        # One row (30 differences) per product, two rows, and all five rows.
+        spec = ALL_SPECS[0]
+        rng = np.random.default_rng(9)
+        a, b = rng.normal(size=(6, 5)), rng.normal(size=(5, 5))
+        coeffs = rng.normal(size=(6, 5))
+        whole = grad_b_sum(spec, coeffs, a, b)
+        monkeypatch.setattr(kernels, "_DIFF_ELEMENTS", budget)
+        np.testing.assert_array_equal(grad_b_sum(spec, coeffs, a, b), whole)
 
 
 class TestKernelSpec:

@@ -6,9 +6,7 @@ from kmbdf.models import (
     LinearForecaster,
     adam_init,
     adam_step,
-    backward,
     backward_batch,
-    forward,
     forward_batch,
     init_forecaster,
     load_forecaster,
@@ -17,15 +15,44 @@ from kmbdf.models import (
 from kmbdf.objectives import mse_grad, mse_loss
 
 
+def forward(model, x):
+    """Reference forecast of one history matrix: Yhat[:, d] = W @ X[:, d] + bias."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (model.history_len, model.channels):
+        raise ShapeError(f"input shape {x.shape} != ({model.history_len}, {model.channels})")
+    return model.weight @ x + model.bias[:, None]
+
+
+def backward(model, x, grad_out):
+    """Reference parameter gradients of one sample given d loss / d forecast."""
+    grad_out = np.asarray(grad_out, dtype=float)
+    return grad_out @ np.asarray(x, dtype=float).T, grad_out.sum(axis=1)
+
+
+def per_key_adam(state, params, grads):
+    """Reference Adam: one bias-corrected update per parameter array, with
+    its moments kept per key in `state` (a dict with lr, betas, eps, t)."""
+    state["t"] += 1
+    out = {}
+    for k, p in params.items():
+        g = grads[k]
+        state["m"][k] = state["beta1"] * state["m"][k] + (1.0 - state["beta1"]) * g
+        state["v"][k] = state["beta2"] * state["v"][k] + (1.0 - state["beta2"]) * g * g
+        m_hat = state["m"][k] / (1.0 - state["beta1"] ** state["t"])
+        v_hat = state["v"][k] / (1.0 - state["beta2"] ** state["t"])
+        out[k] = p - state["lr"] * m_hat / (np.sqrt(v_hat) + state["eps"])
+    return out
+
+
 class TestForward:
     def test_zero_model(self):
         m = LinearForecaster(np.zeros((2, 3)), np.zeros(2), 3, 2, 1)
-        np.testing.assert_array_equal(forward(m, np.ones((3, 1))), np.zeros((2, 1)))
+        np.testing.assert_array_equal(forward_batch(m, np.ones((1, 3, 1)))[0], np.zeros((2, 1)))
 
     def test_persistence(self):
         m = LinearForecaster(np.eye(3), np.zeros(3), 3, 3, 2)
         x = np.arange(6.0).reshape(3, 2)
-        np.testing.assert_array_equal(forward(m, x), x)
+        np.testing.assert_array_equal(forward_batch(m, x[None])[0], x)
 
     def test_matches_hand_matmul(self):
         rng = np.random.default_rng(0)
@@ -37,15 +64,15 @@ class TestForward:
         for t in range(2):
             for d in range(2):
                 expected[t, d] = sum(w[t, h] * x[h, d] for h in range(2)) + b[t]
-        np.testing.assert_allclose(forward(m, x), expected)
+        np.testing.assert_allclose(forward_batch(m, x[None])[0], expected)
 
     def test_linearity_without_bias(self):
         rng = np.random.default_rng(1)
         m = LinearForecaster(rng.normal(size=(3, 4)), np.zeros(3), 4, 3, 2)
         x1 = rng.normal(size=(4, 2))
         x2 = rng.normal(size=(4, 2))
-        lhs = forward(m, 2.0 * x1 + 3.0 * x2)
-        rhs = 2.0 * forward(m, x1) + 3.0 * forward(m, x2)
+        lhs = forward_batch(m, (2.0 * x1 + 3.0 * x2)[None])
+        rhs = 2.0 * forward_batch(m, x1[None]) + 3.0 * forward_batch(m, x2[None])
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
     def test_batch_matches_single(self):
@@ -59,19 +86,19 @@ class TestForward:
     def test_shape_mismatch(self):
         m = init_forecaster(4, 3, 2, seed=0)
         with pytest.raises(ShapeError):
-            forward(m, np.zeros((5, 2)))
+            forward_batch(m, np.zeros((1, 5, 2)))
 
 
 class TestBackward:
     def test_zero_grad_out(self):
         m = init_forecaster(3, 2, 1, seed=0)
-        gw, gb = backward(m, np.ones((3, 1)), np.zeros((2, 1)))
+        gw, gb = backward_batch(m, np.ones((1, 3, 1)), np.zeros((1, 2, 1)))
         np.testing.assert_array_equal(gw, np.zeros((2, 3)))
         np.testing.assert_array_equal(gb, np.zeros(2))
 
     def test_scalar_chain_rule(self):
         m = LinearForecaster(np.zeros((1, 1)), np.zeros(1), 1, 1, 1)
-        gw, gb = backward(m, np.array([[2.0]]), np.array([[3.0]]))
+        gw, gb = backward_batch(m, np.array([[[2.0]]]), np.array([[[3.0]]]))
         assert gw[0, 0] == 6.0
         assert gb[0] == 3.0
 
@@ -85,6 +112,13 @@ class TestBackward:
         gb_ref = sum(backward(m, xs[i], gouts[i])[1] for i in range(4))
         np.testing.assert_allclose(gw, gw_ref, rtol=1e-12)
         np.testing.assert_allclose(gb, gb_ref, rtol=1e-12)
+
+    def test_mismatched_batches_raise(self):
+        m = init_forecaster(3, 2, 2, seed=1)
+        with pytest.raises(ShapeError):
+            backward_batch(m, np.zeros((4, 3, 2)), np.zeros((3, 2, 2)))
+        with pytest.raises(ShapeError):
+            backward_batch(m, np.zeros((4, 3, 2)), np.zeros((4, 2, 1)))
 
     def test_end_to_end_finite_difference(self):
         rng = np.random.default_rng(4)
@@ -158,6 +192,63 @@ class TestAdam:
         state = adam_init(params, lr=0.1)
         with pytest.raises(ShapeError):
             adam_step(state, params, {"w": np.zeros(3)})
+
+    def test_fused_matches_per_key_bitwise(self):
+        rng = np.random.default_rng(7)
+        params = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=5), "c": np.array(0.5)}
+        state = adam_init(params, lr=3e-3)
+        ref_state = {
+            "lr": 3e-3, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "t": 0,
+            "m": {k: np.zeros_like(p) for k, p in params.items()},
+            "v": {k: np.zeros_like(p) for k, p in params.items()},
+        }
+        ref = params
+        for step in range(200):
+            # Mixed scales and exact zeros exercise every rounding path.
+            grads = {
+                k: rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 3)
+                for k, p in params.items()
+            }
+            grads["b"][step % 5] = 0.0
+            params = adam_step(state, params, grads)
+            ref = per_key_adam(ref_state, ref, grads)
+            for k in params:
+                assert params[k].shape == ref[k].shape
+                assert params[k].tobytes() == ref[k].tobytes(), (step, k)
+        assert state.t == ref_state["t"] == 200
+
+    def test_model_params_are_views_of_one_vector(self):
+        m = init_forecaster(4, 3, 2, seed=3)
+        for p in m.params().values():
+            assert np.shares_memory(p, m.flat)
+        np.testing.assert_array_equal(m.flat, np.concatenate([m.weight.ravel(), m.bias]))
+
+    def test_set_params_does_not_alias(self):
+        rng = np.random.default_rng(8)
+        m = init_forecaster(4, 3, 2, seed=4)
+        params = m.params()
+        state = adam_init(params, lr=1e-2)
+        best = {k: v.copy() for k, v in params.items()}
+        m.set_params(best)
+        before = {k: v.copy() for k, v in best.items()}
+        for _ in range(3):
+            grads = {"weight": rng.normal(size=(3, 4)), "bias": rng.normal(size=3)}
+            params = adam_step(state, params, grads)
+            m.set_params(params)
+            for k, p in m.params().items():
+                assert not np.shares_memory(p, best[k])
+                assert not np.shares_memory(p, params[k])
+        for k in best:
+            np.testing.assert_array_equal(best[k], before[k])
+        m.set_params(best)
+        np.testing.assert_array_equal(m.weight, before["weight"])
+        best["weight"][0, 0] += 1.0
+        assert m.weight[0, 0] == before["weight"][0, 0]
+
+    def test_set_params_shape_checked(self):
+        m = init_forecaster(4, 3, 2, seed=5)
+        with pytest.raises(ShapeError):
+            m.set_params({"weight": np.zeros((3, 4)), "bias": np.zeros(())})
 
 
 class TestCheckpoint:

@@ -180,7 +180,7 @@ def _evaluate(cfg, x, y, f, selected=None):
     if cfg.top_k > n:
         raise ConfigError(f"top_k={cfg.top_k} exceeds batch size {n}")
     err = f - y
-    mse = float((err * err).sum())
+    mse = float(np.sum(err * err))
     if cfg.alpha == 0.0:
         # The penalty carries no weight: no scores, no anchors, no kernel work.
         if not np.isfinite(mse):
@@ -194,9 +194,17 @@ def _evaluate(cfg, x, y, f, selected=None):
     else:
         selected = np.asarray(selected, dtype=int)
     slacks = hinge_slack(deltas[selected], cfg.margin_c, cfg.hinge_mode)
-    penalty = float(slacks.sum())
+    penalty = float(np.sum(slacks))
     total = cfg.alpha * penalty + (1.0 - cfg.alpha) * mse
-    return BalanceDiagnostics(deltas, selected, slacks, penalty, mse, total), err, scores
+    diag = BalanceDiagnostics(
+        deltas=deltas,
+        selected=selected,
+        slacks=slacks,
+        penalty_term=penalty,
+        mse_term=mse,
+        total=total,
+    )
+    return diag, err, scores
 
 
 def kmb_df_loss(cfg: BalanceConfig, histories, labels, forecasts, selected=None):
@@ -218,7 +226,8 @@ def kmb_df_grad(cfg: BalanceConfig, histories, labels, forecasts):
     """
     x, y, f = _as_stacks(histories, labels, forecasts)
     diag, err, scores = _evaluate(cfg, x, y, f)
-    grads = 2.0 * (1.0 - cfg.alpha) * err
+    grads = err  # `_evaluate`'s own array: scaled in place
+    grads *= 2.0 * (1.0 - cfg.alpha)
     if scores is None:
         return grads, diag
     w = cfg.alpha * _hinge_subgradient(diag.deltas[diag.selected], cfg.margin_c, cfg.hinge_mode)

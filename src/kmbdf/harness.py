@@ -218,20 +218,24 @@ def _resolve_objective(config: ExperimentConfig, histories, labels):
     """Instantiate the objective; returns (objective, resolved_sigma)."""
     od = dict(config.objective)
     kind = od.pop("kind", "mse")
-    if kind != "kmb_df":
-        return make_objective(kind, **od), None
-    b = max(2, config.batch_size)
-    joints = np.concatenate([histories[:b], labels[:b]], axis=1)
-    kernel, resolved = _kernel_from_dict(od.get("kernel", {}), joints)
-    cfg = BalanceConfig(
-        alpha=float(od.get("alpha", 0.3)),
-        top_k=int(od.get("top_k", 3)),
-        margin_c=float(od.get("margin_c", 0.001)),
-        kernel=kernel,
-        anchor_mode=od.get("anchor_mode", "forecast"),
-        hinge_mode=od.get("hinge_mode", "canonical"),
-    )
-    return make_objective("kmb_df", balance=cfg), resolved
+    if kind == "mse":
+        return make_objective("mse"), None
+    if kind == "freq_l1":
+        return make_objective("freq_l1", beta=od.get("beta", 0.5)), None
+    if kind == "kmb_df":
+        b = max(2, config.batch_size)
+        joints = np.concatenate([histories[:b], labels[:b]], axis=1)
+        kernel, resolved = _kernel_from_dict(od.get("kernel", {}), joints)
+        cfg = BalanceConfig(
+            alpha=float(od.get("alpha", 0.3)),
+            top_k=int(od.get("top_k", 3)),
+            margin_c=float(od.get("margin_c", 0.001)),
+            kernel=kernel,
+            anchor_mode=od.get("anchor_mode", "forecast"),
+            hinge_mode=od.get("hinge_mode", "canonical"),
+        )
+        return make_objective("kmb_df", balance=cfg), resolved
+    raise ConfigError(f"unknown objective kind {kind!r}")
 
 
 def evaluate(model: LinearForecaster, windows) -> tuple[float, float]:
@@ -436,12 +440,11 @@ def timing_probe(
 ):
     """Median milliseconds of one `kmb_df_loss_and_grad` call, the training
     loop's objective call, as `loss_and_grad_ms` and `total_ms`.  One random
-    batch per horizon, evaluated `reps` times.  The reps go round the
-    horizons, so a change in the host's speed during the probe shifts every
-    horizon alike.  Absolute numbers are machine-dependent; only the trend
-    across horizons is meaningful.
+    batch per horizon, evaluated once untimed and then `reps` times, one
+    horizon after the other.  Absolute numbers are machine-dependent; only
+    the trend across horizons is meaningful.
     """
-    batches = []
+    results = []
     for t in horizons:
         rng = np.random.default_rng(seed)
         hist = rng.normal(size=(n, history_len, channels))
@@ -450,15 +453,12 @@ def timing_probe(
         joints = np.concatenate([hist, labels], axis=1)
         kernel = KernelSpec(family="exponential", sigma=median_bandwidth(joints))
         cfg = BalanceConfig(alpha=alpha, top_k=top_k, margin_c=margin_c, kernel=kernel)
-        batches.append((cfg, hist, labels, fcs))
-    times = [[] for _ in batches]
-    for _ in range(reps):
-        for batch, out in zip(batches, times):
+        kmb_df_loss_and_grad(cfg, hist, labels, fcs)
+        times = []
+        for _ in range(reps):
             t0 = time.perf_counter()
-            kmb_df_loss_and_grad(*batch)
-            out.append(1e3 * (time.perf_counter() - t0))
-    medians = [statistics.median(ts) for ts in times]
-    return [
-        {"horizon": int(t), "loss_and_grad_ms": ms, "total_ms": ms}
-        for t, ms in zip(horizons, medians)
-    ]
+            kmb_df_loss_and_grad(cfg, hist, labels, fcs)
+            times.append(1e3 * (time.perf_counter() - t0))
+        ms = statistics.median(times)
+        results.append({"horizon": int(t), "loss_and_grad_ms": ms, "total_ms": ms})
+    return results

@@ -1,9 +1,8 @@
 """Direct multi-step linear forecaster and Adam optimizer.
 
 The forecaster applies one shared T x H map plus bias to every channel
-(channel-independent, DLinear-style).  Its parameters live in one flat
-vector, of which `weight` and `bias` are views.  Gradients are analytic;
-Adam follows the standard bias-corrected update, fused over all parameters.
+(channel-independent, DLinear-style).  Gradients are analytic; Adam follows
+the standard bias-corrected update, fused over all parameters.
 """
 
 from __future__ import annotations
@@ -25,31 +24,25 @@ class LinearForecaster:
     history_len: int
     horizon: int
     channels: int
-    flat: np.ndarray = field(init=False, repr=False)  # weight, then bias
 
     def __post_init__(self):
-        weight = np.asarray(self.weight, dtype=float)
-        bias = np.asarray(self.bias, dtype=float)
-        if weight.shape != (self.horizon, self.history_len):
-            raise ShapeError(f"weight shape {weight.shape} != ({self.horizon}, {self.history_len})")
-        if bias.shape != (self.horizon,):
-            raise ShapeError(f"bias shape {bias.shape} != ({self.horizon},)")
-        if not (np.isfinite(weight).all() and np.isfinite(bias).all()):
+        self.weight = np.asarray(self.weight, dtype=float)
+        self.bias = np.asarray(self.bias, dtype=float)
+        if self.weight.shape != (self.horizon, self.history_len):
+            raise ShapeError(
+                f"weight shape {self.weight.shape} != ({self.horizon}, {self.history_len})"
+            )
+        if self.bias.shape != (self.horizon,):
+            raise ShapeError(f"bias shape {self.bias.shape} != ({self.horizon},)")
+        if not (np.isfinite(self.weight).all() and np.isfinite(self.bias).all()):
             raise ConfigError("model parameters must be finite")
-        self.flat = np.concatenate([weight.ravel(), bias])
-        self.weight = self.flat[: weight.size].reshape(weight.shape)
-        self.bias = self.flat[weight.size :]
 
     def params(self) -> dict[str, np.ndarray]:
         return {"weight": self.weight, "bias": self.bias}
 
     def set_params(self, params: dict[str, np.ndarray]) -> None:
-        """Copy `params` into the parameter vector; no reference to them is kept."""
-        for name, view in self.params().items():
-            value = np.asarray(params[name], dtype=float)
-            if value.shape != view.shape:
-                raise ShapeError(f"{name} shape {value.shape} != {view.shape}")
-            view[...] = value
+        self.weight = np.asarray(params["weight"], dtype=float)
+        self.bias = np.asarray(params["bias"], dtype=float)
 
 
 def init_forecaster(history_len: int, horizon: int, channels: int, seed: int = 0) -> LinearForecaster:

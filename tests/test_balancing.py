@@ -26,6 +26,8 @@ from kmbdf.kernels import (
 )
 from kmbdf.objectives import make_objective, mse_grad, mse_loss
 
+from kernel_reference import kernel_grad_b
+
 EXP = KernelSpec(family="exponential", sigma=1.0)
 
 ALL_KERNELS = [
@@ -475,16 +477,6 @@ class TestBalanceConfig:
             BalanceConfig(anchor_mode="bogus", kernel=EXP)
         with pytest.raises(ConfigError):
             BalanceConfig(hinge_mode="bogus", kernel=EXP)
-
-
-def kernel_grad_b(spec, a, b):
-    """Per-pair reference gradient dK(a, b) / db, shaped like b, from the
-    library's kernel factor `grad_coeffs`."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if spec.is_distance:
-        d = a - b
-        return grad_coeffs(spec, np.sum(d * d), a.size) * d
-    return grad_coeffs(spec, np.sum(a * b), a.size) * a
 
 
 def per_pair_grads(cfg, hist, labels, fcs, diag):

@@ -7,11 +7,12 @@ from kmbdf.kernels import (
     KernelSpec,
     eval_kernel,
     grad_b_sum,
-    grad_coeffs,
     gram_matrix,
     median_bandwidth,
     pair_sq_dists,
 )
+
+from kernel_reference import kernel_grad_b
 
 ALL_SPECS = [
     KernelSpec(family="exponential", sigma=1.0),
@@ -20,16 +21,6 @@ ALL_SPECS = [
     KernelSpec(family="polynomial", degree=3),
     KernelSpec(family="sigmoid"),
 ]
-
-
-def kernel_grad_b(spec, a, b):
-    """Per-pair reference gradient dK(a, b) / db, shaped like b, from the
-    library's kernel factor `grad_coeffs`."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if spec.is_distance:
-        d = a - b
-        return grad_coeffs(spec, np.sum(d * d), a.size) * d
-    return grad_coeffs(spec, np.sum(a * b), a.size) * a
 
 
 def fd_grad_b(spec, a, b, eps=1e-5):

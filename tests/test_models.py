@@ -217,38 +217,29 @@ class TestAdam:
                 assert params[k].tobytes() == ref[k].tobytes(), (step, k)
         assert state.t == ref_state["t"] == 200
 
-    def test_model_params_are_views_of_one_vector(self):
-        m = init_forecaster(4, 3, 2, seed=3)
-        for p in m.params().values():
-            assert np.shares_memory(p, m.flat)
-        np.testing.assert_array_equal(m.flat, np.concatenate([m.weight.ravel(), m.bias]))
-
     def test_set_params_does_not_alias(self):
+        # The training loop keeps copies of the best parameters and restores
+        # them with set_params: no later update may write into them.
         rng = np.random.default_rng(8)
         m = init_forecaster(4, 3, 2, seed=4)
         params = m.params()
         state = adam_init(params, lr=1e-2)
         best = {k: v.copy() for k, v in params.items()}
-        m.set_params(best)
         before = {k: v.copy() for k, v in best.items()}
-        for _ in range(3):
+        for step in range(4):
+            if step == 2:
+                m.set_params(best)
+                params = m.params()
             grads = {"weight": rng.normal(size=(3, 4)), "bias": rng.normal(size=3)}
-            params = adam_step(state, params, grads)
+            new = adam_step(state, params, grads)
+            for k, p in new.items():
+                for other in (params[k], best[k], state.m, state.v):
+                    assert not np.shares_memory(p, other)
+            params = new
             m.set_params(params)
-            for k, p in m.params().items():
-                assert not np.shares_memory(p, best[k])
-                assert not np.shares_memory(p, params[k])
         for k in best:
             np.testing.assert_array_equal(best[k], before[k])
-        m.set_params(best)
-        np.testing.assert_array_equal(m.weight, before["weight"])
-        best["weight"][0, 0] += 1.0
-        assert m.weight[0, 0] == before["weight"][0, 0]
-
-    def test_set_params_shape_checked(self):
-        m = init_forecaster(4, 3, 2, seed=5)
-        with pytest.raises(ShapeError):
-            m.set_params({"weight": np.zeros((3, 4)), "bias": np.zeros(())})
+        assert not np.array_equal(m.weight, before["weight"])
 
 
 class TestCheckpoint:

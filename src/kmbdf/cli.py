@@ -101,8 +101,8 @@ def _cmd_mmd_test(args) -> int:
     a = generate(spec_a)
     b = generate(spec_b)
     width = args.window
-    sample_p = [a[i : i + width] for i in range(0, len(a) - width, width)]
-    sample_q = [b[i : i + width] for i in range(0, len(b) - width, width)]
+    sample_p = [a[i : i + width] for i in range(0, len(a) - width + 1, width)]
+    sample_q = [b[i : i + width] for i in range(0, len(b) - width + 1, width)]
     kernel = KernelSpec(family="exponential", sigma=median_bandwidth(sample_p))
     result = mmd_squared(kernel, sample_p, sample_q)
     print(json.dumps({"mmd_squared": result.value, "biased": result.biased}))

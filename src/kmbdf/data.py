@@ -160,22 +160,23 @@ def standardize(series: np.ndarray, train_rows: int):
     return out, stats
 
 
-def window_stacks(series: np.ndarray, history_len: int, horizon: int, rows_range=None):
-    """Stride-1 windows of `rows_range` = (start, stop) as (n, H, D)
-    histories and (n, T, D) labels.
-
-    Both are read-only views of the series, so they copy nothing; indexing
-    one with an index array gives a C-contiguous copy of those windows.
-    """
+def joint_windows(series: np.ndarray, length: int, rows_range=None) -> np.ndarray:
+    """Stride-1 windows of `length` rows of `rows_range` = (start, stop), as
+    a read-only (n, length, D) view of the series: it copies nothing, and
+    indexing it with an index array gives a C-contiguous copy."""
     series = np.asarray(series, dtype=float)
     start, stop = (0, series.shape[0]) if rows_range is None else rows_range
-    if stop - start < history_len + horizon:
-        raise ShapeError(
-            f"range of {stop - start} rows too short for H={history_len}, T={horizon}"
-        )
-    hist = sliding_window_view(series[start : stop - horizon], history_len, axis=0)
-    labels = sliding_window_view(series[start + history_len : stop], horizon, axis=0)
-    return np.moveaxis(hist, -1, 1), np.moveaxis(labels, -1, 1)
+    if stop - start < length:
+        raise ShapeError(f"range of {stop - start} rows too short for windows of {length}")
+    return np.moveaxis(sliding_window_view(series[start:stop], length, axis=0), -1, 1)
+
+
+def window_stacks(series: np.ndarray, history_len: int, horizon: int, rows_range=None):
+    """Stride-1 windows of `rows_range` = (start, stop) as (n, H, D)
+    histories and (n, T, D) labels: the two blocks of `joint_windows`, so
+    both are read-only views of the series."""
+    joints = joint_windows(series, history_len + horizon, rows_range)
+    return joints[:, :history_len], joints[:, history_len:]
 
 
 def window(series: np.ndarray, history_len: int, horizon: int, rows_range=None):

@@ -181,16 +181,17 @@ def build_dataset(config: ExperimentConfig) -> dict:
     stats = None
     if config.split.standardize:
         series, stats = data_mod.standardize(series, train_rows=ranges["train"][1])
+    joints = {name: data_mod.joint_windows(series, h + t, rng) for name, rng in ranges.items()}
     return {
         "series": series,
         "stats": stats,
         "windows": {
             name: data_mod.window(series, h, t, rng) for name, rng in ranges.items()
         },
-        # Read-only (histories, labels) views of the same windows.
-        "stacks": {
-            name: data_mod.window_stacks(series, h, t, rng) for name, rng in ranges.items()
-        },
+        # Read-only (n, H+T, D) views of the same windows, and their
+        # (histories, labels) blocks.
+        "joints": joints,
+        "stacks": {name: (j[:, :h], j[:, h:]) for name, j in joints.items()},
     }
 
 
@@ -214,8 +215,9 @@ def _kernel_from_dict(kd: dict, train_joints) -> tuple[KernelSpec, float | None]
     return spec, resolved
 
 
-def _resolve_objective(config: ExperimentConfig, histories, labels):
-    """Instantiate the objective; returns (objective, resolved_sigma)."""
+def _resolve_objective(config: ExperimentConfig, joints):
+    """Instantiate the objective; returns (objective, resolved_sigma).  A
+    median bandwidth is taken over the first `batch_size` training joints."""
     od = dict(config.objective)
     kind = od.pop("kind", "mse")
     if kind == "mse":
@@ -223,9 +225,9 @@ def _resolve_objective(config: ExperimentConfig, histories, labels):
     if kind == "freq_l1":
         return make_objective("freq_l1", beta=od.get("beta", 0.5)), None
     if kind == "kmb_df":
-        b = max(2, config.batch_size)
-        joints = np.concatenate([histories[:b], labels[:b]], axis=1)
-        kernel, resolved = _kernel_from_dict(od.get("kernel", {}), joints)
+        kernel, resolved = _kernel_from_dict(
+            od.get("kernel", {}), joints[: max(2, config.batch_size)]
+        )
         cfg = BalanceConfig(
             alpha=float(od.get("alpha", 0.3)),
             top_k=int(od.get("top_k", 3)),
@@ -258,14 +260,19 @@ def _test_mmd(model, histories, labels, max_samples: int) -> float:
     """MMD^2 between the real and forecast joints of up to `max_samples`
     evenly spaced test windows.  Both joints share their history block, so
     its squared distances are computed once and added to those of the
-    label and forecast blocks; no joint is concatenated."""
+    label and forecast blocks; no joint is concatenated.  With every window
+    in use (n <= max_samples) the stacks are not copied, so window views
+    take `pair_sq_dists`' sliding path for the history block, the bandwidth
+    and g_pp; the evenly spaced picks of n > max_samples are copies."""
     n = len(histories)
-    idx = np.unique(np.linspace(0, n - 1, min(max_samples, n)).astype(int))
-    hist = histories[idx]
+    picks = slice(None)
+    if n > max_samples:
+        picks = np.unique(np.linspace(0, n - 1, max_samples).astype(int))
+    hist = histories[picks]
     fcs = forward_batch(model, hist)
     shared = pair_sq_dists(hist)
     del hist
-    lab = labels[idx]
+    lab = labels[picks]
     kernel = KernelSpec(family="exponential", sigma=median_bandwidth(lab, shared))
     return float(mmd_squared(kernel, lab, fcs, shared).value)
 
@@ -279,7 +286,7 @@ def train(config: ExperimentConfig) -> TrainReport:
         raise ConfigError(f"test MMD^2 needs at least 2 test windows, got {len(test_w[0])}")
     # Batches are gathered from read-only window views: no whole-split copy.
     xs, ys = dataset["stacks"]["train"]
-    objective, resolved_sigma = _resolve_objective(config, xs, ys)
+    objective, resolved_sigma = _resolve_objective(config, dataset["joints"]["train"])
 
     d = xs.shape[2]
     model = init_forecaster(config.history_len, config.horizon, d, seed=config.seed)

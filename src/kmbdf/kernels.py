@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, DomainError, ShapeError
 
@@ -139,26 +140,27 @@ def eval_kernel(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> float:
 # Squared distances at most this share of ||a||^2 + ||b||^2 are recomputed
 # from the difference: there the expansion loses its relative accuracy.
 NEAR_PAIR_RATIO = 1e-3
-# Near pairs recomputed per chunk.  A Gram of one sample against a copy of
-# itself recomputes its whole diagonal, so the chunk's (chunk, L*D)
-# temporaries are kept small.
-_NEAR_PAIR_CHUNK = 32
+# Elements of the differences formed per chunk of recomputed near pairs (32
+# rows at paper scale).  A Gram of one sample against a copy of itself
+# recomputes its whole diagonal, so the chunk's temporaries are kept small.
+_NEAR_PAIR_ELEMENTS = 1 << 16
 
 
 def _row_sq(a: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, a)
 
 
-def _sq_dists(rf, cf, r_sq, c_sq, rows=None, cols=None) -> np.ndarray:
+def _sq_dists(rf, cf, r_sq, c_sq, rows=None, cols=None, out=None) -> np.ndarray:
     """Squared distances between the rows of two centred stacks, given their
     squared row norms; see `_pairwise`.  Near pairs are recomputed from
     `rows` and `cols`, the uncentred stacks, when the caller still has them
     (the centred ones otherwise): then a near pair loses nothing to the
-    rounding of the centring."""
+    rounding of the centring.  `out`, if given, is a C-contiguous (R, C)
+    array that receives the result."""
     rows = rf if rows is None else rows
     cols = cf if cols is None else cols
     norms = r_sq[:, None] + c_sq[None, :]
-    sq = rf @ cf.T
+    sq = np.matmul(rf, cf.T, out=out)
     sq *= -2.0
     sq += norms
     norms *= NEAR_PAIR_RATIO
@@ -171,10 +173,10 @@ def _sq_dists(rf, cf, r_sq, c_sq, rows=None, cols=None) -> np.ndarray:
     if not near.any():
         return sq
     ii, jj = np.nonzero(near)
-    for lo in range(0, ii.size, _NEAR_PAIR_CHUNK):
-        i, j = ii[lo : lo + _NEAR_PAIR_CHUNK], jj[lo : lo + _NEAR_PAIR_CHUNK]
-        d = rows[i] - cols[j]
-        sq[i, j] = _row_sq(d)
+    step = max(1, _NEAR_PAIR_ELEMENTS // (rows.shape[1] or 1))
+    for lo in range(0, ii.size, step):
+        i, j = ii[lo : lo + step], jj[lo : lo + step]
+        sq[i, j] = _row_sq(rows[i] - cols[j])
     return sq
 
 
@@ -294,13 +296,16 @@ def _add_shared(stat: np.ndarray, shared, spec: KernelSpec | None = None) -> np.
 
 
 def gram_matrix(spec: KernelSpec, rows, cols, shared=None) -> np.ndarray:
-    """Entry (i, j) = K(rows[i], cols[j]), through one `_pairwise` product.
+    """Entry (i, j) = K(rows[i], cols[j]), from one pair statistic.
 
     Rows and columns are lists or (N, L, D) stacks; each distinct input is
-    copied once, so the in-place centring never touches the caller's data.
-    `gram_matrix(spec, z, z)` (the same object twice) is one symmetric
-    product on one copy: the result is exactly symmetric, and for the
-    distance families its diagonal is exactly K(z_i, z_i) = 1.  Against the
+    copied once for one `_pairwise` product, so the in-place centring never
+    touches the caller's data.  `gram_matrix(spec, z, z)` (the same object
+    twice) is one symmetric product on one copy; for the distance families
+    it takes its squared distances from `pair_sq_dists(z)`, so a stride-1
+    window stack takes the sliding path instead.  Either way the result is
+    exactly symmetric, and for the distance families its diagonal is
+    exactly K(z_i, z_i) = 1.  Against the
     sequential double loop over `eval_kernel` the entries agree to rtol
     1e-12 in the tests, including near-duplicate points and points at a
     large common offset; see `_pairwise` for the bound.  Identical inputs
@@ -314,10 +319,13 @@ def gram_matrix(spec: KernelSpec, rows, cols, shared=None) -> np.ndarray:
     """
     if len(rows) == 0 or len(cols) == 0:
         raise ShapeError("gram_matrix requires nonempty rows and columns")
-    rf = _working_copy(rows)
-    cf = rf if cols is rows else _working_copy(cols, shape=np.shape(rows[0]))
-    stat = _add_shared(_pairwise(rf, cf, spec.is_distance), shared, spec)
-    return kernel_from_stat(spec, stat, rf.shape[1])
+    if spec.is_distance and cols is rows:
+        stat = pair_sq_dists(rows)
+    else:
+        rf = _working_copy(rows)
+        cf = rf if cols is rows else _working_copy(cols, shape=np.shape(rows[0]))
+        stat = _pairwise(rf, cf, spec.is_distance)
+    return kernel_from_stat(spec, _add_shared(stat, shared, spec), np.size(rows[0]))
 
 
 # Differences per `grad_b_sum` product (2 MB) unless one row is larger.  A
@@ -351,17 +359,101 @@ def grad_b_sum(spec: KernelSpec, coeffs, a: np.ndarray, b: np.ndarray) -> np.nda
     ])
 
 
+def _window_rows(stack):
+    """The (N+L-1, D) rows of a stride-1 window stack, or None.
+
+    A stride-1 window stack is a nonempty (N, L, D) float64 ndarray whose
+    first two strides are equal and nonzero, such as `data.window_stacks`
+    returns: window i is rows i..i+L-1 of one series, and the rows are a
+    read-only view of the stack's own elements.
+    """
+    if not isinstance(stack, np.ndarray) or stack.ndim != 3 or stack.size == 0:
+        return None
+    step, _, channel = stack.strides
+    if stack.dtype != np.float64 or step != stack.strides[1] or step == 0:
+        return None
+    n, length, d = stack.shape
+    return as_strided(stack, (n + length - 1, d), (step, channel), writeable=False)
+
+
+def _sliding_sq_dists(rows, n: int, length: int) -> np.ndarray:
+    """(n, n) squared distances between the windows rows[i : i+length].
+
+    d(i, j) = sum_{t<length} E(i+t, j+t), where E is the matrix of squared
+    distances between the m = n+length-1 rows, from `_sq_dists` (centred
+    expansion, near pairs recomputed): O(m^2 D) work instead of the
+    product's O(n^2 length D).  Each diagonal of E is summed in blocks of
+    `length` rows: a window starting at offset o > 0 of block b is the
+    suffix of block b from o plus the prefix of block b+1 up to o-1, and a
+    window at o = 0 is block b's full prefix.  Both are running sums of
+    non-negative terms, so no difference of prefix sums is taken and no
+    entry loses accuracy to cancellation.
+
+    Error bound: an entry of E kept from the expansion is within a relative
+    2e3 D u of its row distance (see `_pairwise`), a recomputed one within
+    D u.  A difference of prefix sums S_b - S_a would lose about u C / d for
+    the prefix C = S_a it subtracts; here the suffix, the prefix and their
+    sum add `length` - 1 roundings of non-negative partial sums, so d(i, j)
+    is within a relative (2e3 D + length - 1) u <= 2e3 L D u, `_pairwise`'s
+    bound, and no entry needs recomputing.  The result is exactly
+    symmetric with an exactly-zero diagonal, and coincident windows give
+    exactly 0: their terms of E are recomputed zeros.
+    """
+    m = len(rows)
+    blocks = -(-m // length)
+    step = m + 1  # flat offset from E(r, r+k) to E(r+1, r+1+k)
+    # E is the head of `buf`; the zero tail keeps the diagonal view below,
+    # which wraps into E's lower triangle past row m-1-k, inside the buffer.
+    buf = np.empty(blocks * length * step + n)
+    buf[m * m :] = 0.0
+    centred = rows - rows.sum(axis=0) / m
+    r_sq = _row_sq(centred)
+    _sq_dists(centred, centred, r_sq, r_sq, rows, rows, out=buf[: m * m].reshape(m, m))
+    it = buf.itemsize
+    # diag[b, o, k] = E(b*length + o, b*length + o + k).
+    diag = as_strided(buf, (blocks, length, n), (length * step * it, step * it, it))
+    head = -(-n // length)
+    sums = np.empty((head, length, n))
+    np.cumsum(diag[:head, ::-1], axis=1, out=sums[:, ::-1])
+    sums[:, 0] = 0.0
+    np.cumsum(diag, axis=1, out=diag)
+    # Window pair (i, i+k): the suffix at row i plus the prefix at row
+    # i+length-1 of diagonal k.
+    sums = sums.reshape(-1, n)[:n]
+    sums += as_strided(buf[(length - 1) * step :], (n, n), (step * it, it))
+    del buf, diag
+    out = np.empty(n * n + n)
+    # out[i, i+k] = sums[i, k]; past the last column this wraps into the
+    # lower triangle, which is then overwritten.
+    as_strided(out, (n, n), ((n + 1) * it, it))[...] = sums
+    del sums
+    sq = out[: n * n].reshape(n, n)
+    strict = np.triu(sq, 1)
+    return np.add(strict, strict.T, out=sq)
+
+
 def pair_sq_dists(stack) -> np.ndarray:
-    """(N, N) squared distances within a list or (N, L, D) stack, from one
-    symmetric `_pairwise` product: exactly symmetric, with an exactly-zero
-    diagonal.  The input is left unmodified."""
-    flats = _working_copy(stack)
-    return _pairwise(flats, flats, distance=True)
+    """(N, N) squared distances within a list or (N, L, D) stack: exactly
+    symmetric, with an exactly-zero diagonal.  The input is left unmodified.
+
+    A stride-1 window stack (see `_window_rows`), such as a view from
+    `data.window_stacks` or a contiguous slice of one, takes the sliding
+    path, `_sliding_sq_dists`.  Any other input, such as a list, a gathered
+    copy, `view[::2]` or a float32 stack, takes one symmetric `_pairwise`
+    product.  Both keep `_pairwise`'s bound.
+    """
+    rows = _window_rows(stack)
+    if rows is None:
+        flats = _working_copy(stack)
+        return _pairwise(flats, flats, distance=True)
+    if not np.isfinite(rows).all():
+        raise DomainError("kernel inputs must be finite")
+    return _sliding_sq_dists(rows, *stack.shape[:2])
 
 
 def median_bandwidth(joints, shared=None) -> float:
     """Median heuristic: sigma^2 = median pairwise ||Z_i - Z_j|| over a batch
-    (a list or an (N, L, D) stack), from one symmetric product.  With
+    (a list or an (N, L, D) stack), from `pair_sq_dists`.  With
     `shared` (N, N), the squared distances of a block every Z_i shares (see
     `gram_matrix`), the distances are those of the joints (block, Z_i).
 

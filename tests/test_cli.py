@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from kmbdf import harness
+from kmbdf import cli, harness
+from kmbdf.balancing import mmd_squared
 from kmbdf.cli import main
 
 
@@ -253,3 +254,14 @@ class TestMmdTestCommand:
               "--samples", "800", "--window", "8"])
         near = json.loads(capsys.readouterr().out)["mmd_squared"]
         assert far > near
+
+    def test_last_full_window_used(self, capsys, monkeypatch):
+        sizes = []
+
+        def record(kernel, p, q):
+            sizes.append((len(p), len(q)))
+            return mmd_squared(kernel, p, q)
+
+        monkeypatch.setattr(cli, "mmd_squared", record)
+        assert main(["mmd-test", "--samples", "64", "--window", "16"]) == 0
+        assert sizes == [(4, 4)]

@@ -7,7 +7,7 @@ import pytest
 from types import SimpleNamespace
 
 from kmbdf import data as data_mod
-from kmbdf import harness
+from kmbdf import harness, kernels
 from kmbdf.data import SplitSpec, WindowPair
 from kmbdf.balancing import mmd_squared
 from kmbdf.errors import ConfigError, DomainError, ShapeError
@@ -102,6 +102,42 @@ class TestTestMmd:
                     rtol=1e-10, atol=0,
                 )
 
+    def test_window_views_match_concatenated_joints(self, monkeypatch):
+        # The views of `data.window_stacks`: every window takes the sliding
+        # path of `pair_sq_dists` (two `_pairwise` products, for g_qq and
+        # g_pq); over the cap the gathered copies take five products.
+        rng = np.random.default_rng(32)
+        x = np.zeros((120, 3))
+        for i in range(1, len(x)):
+            x[i] = 0.9 * x[i - 1] + rng.normal(size=3)
+        repeated = x.copy()
+        repeated[80:110] = repeated[20:50]
+        products = []
+        pairwise = kernels._pairwise
+
+        def counted(*args, **kwargs):
+            products.append(args[0].shape)
+            return pairwise(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "_pairwise", counted)
+        for series in (x, 1e3 + x, repeated):
+            hist, labels = data_mod.window_stacks(series, 10, 5)
+            model = init_forecaster(10, 5, 3, seed=7)
+            n = len(hist)
+            for max_samples, expected_products in ((n, 2), (n + 5, 2), (n // 3, 5)):
+                idx = np.unique(np.linspace(0, n - 1, min(max_samples, n)).astype(int))
+                x_idx = hist[idx]
+                reals = np.concatenate([x_idx, labels[idx]], axis=1)
+                fcs = np.concatenate([x_idx, forward_batch(model, x_idx)], axis=1)
+                kernel = KernelSpec(family="exponential", sigma=median_bandwidth(reals))
+                expected = mmd_squared(kernel, reals, fcs).value
+                products.clear()
+                np.testing.assert_allclose(
+                    harness._test_mmd(model, hist, labels, max_samples), expected,
+                    rtol=1e-10, atol=0,
+                )
+                assert len(products) == expected_products
+
 
 class TestEarlyStopper:
     def test_improving_curve_never_stops(self):
@@ -157,6 +193,9 @@ class TestBuildDataset:
         for name, windows in ds["windows"].items():
             idx = np.random.default_rng(0).permutation(len(windows))[:16]
             hist, labels = ds["stacks"][name]
+            np.testing.assert_array_equal(
+                ds["joints"][name], np.concatenate([hist, labels], axis=1)
+            )
             for view, ref in ((hist, np.stack([w.history for w in windows])),
                               (labels, np.stack([w.label for w in windows]))):
                 batch = view[idx]
@@ -241,12 +280,20 @@ class TestTrain:
         assert kmb.test_mse == pytest.approx(mse.test_mse, rel=1e-12)
         assert kmb.test_mae == pytest.approx(mse.test_mae, rel=1e-12)
 
-    def test_kmb_df_records_sigma_and_balance(self):
-        rep = train(small_config(objective={
+    @pytest.mark.parametrize("batch_size", [16, 300])
+    def test_kmb_df_records_sigma_and_balance(self, batch_size):
+        # The bandwidth is the median heuristic over the first batch_size
+        # training joints (all 269 of them when batch_size is larger).
+        cfg = small_config(batch_size=batch_size, objective={
             "kind": "kmb_df", "alpha": 0.3, "top_k": 3, "margin_c": 0.001,
             "kernel": {"family": "exponential", "sigma": "median"},
-        }))
-        assert rep.resolved_sigma is not None and rep.resolved_sigma > 0.0
+        })
+        rep = train(cfg)
+        xs, ys = build_dataset(cfg)["stacks"]["train"]
+        joints = np.concatenate([xs[:batch_size], ys[:batch_size]], axis=1)
+        np.testing.assert_allclose(
+            rep.resolved_sigma, median_bandwidth(joints), rtol=1e-12, atol=0
+        )
         assert rep.balance_summary is not None
         assert len(rep.balance_summary["selected"]) == 3
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
-from kmbdf import kernels
+from kmbdf import data, kernels
 from kmbdf.errors import ConfigError, DomainError, ShapeError
 from kmbdf.kernels import (
     KernelSpec,
@@ -368,3 +369,113 @@ class TestSharedBlock:
             gram_matrix(ALL_SPECS[0], z, z[:3], np.zeros((4, 4)))
         with pytest.raises(ShapeError):
             median_bandwidth(z, np.zeros((3, 3)))
+
+
+def ar1_series(rows, channels, seed, phi=0.9):
+    rng = np.random.default_rng(seed)
+    x = np.zeros((rows, channels))
+    for t in range(1, rows):
+        x[t] = phi * x[t - 1] + rng.normal(size=channels)
+    return x
+
+
+def loop_sq_dists(stack):
+    return np.array([[np.sum((a - b) ** 2) for b in stack] for a in stack])
+
+
+def sliding_cases():
+    """(name, stride-1 window stack) pairs, all read-only views."""
+    x = ar1_series(80, 3, seed=41)
+    yield "ar1", data.joint_windows(x, 12)
+    yield "ar1 labels", data.window_stacks(x, 9, 5)[1]
+    yield "ar1 slice", data.joint_windows(x, 7)[5:40]
+    yield "offset", data.joint_windows(1e3 + 1e-3 * x, 10)
+    rep = x.copy()
+    rep[50:70] = rep[10:30]
+    yield "repeated segment", data.joint_windows(rep, 8)
+    flat = x.copy()
+    flat[20:45] = flat[20]
+    yield "flat segment", data.joint_windows(flat, 6)
+    yield "L=2", data.joint_windows(x[:, :1], 2)
+    yield "N=2", data.joint_windows(x, 79)
+    yield "D=1", data.joint_windows(x[:, 1:2], 5)
+    yield "negative stride", data.joint_windows(x[::-1], 11)
+
+
+class TestSlidingPath:
+    @pytest.mark.parametrize("stack", [s for _, s in sliding_cases()],
+                             ids=[name for name, _ in sliding_cases()])
+    def test_matches_product_and_loop(self, stack):
+        assert kernels._window_rows(stack) is not None
+        before = stack.copy()
+        sq = pair_sq_dists(stack)
+        np.testing.assert_array_equal(stack, before)
+        np.testing.assert_array_equal(sq, sq.T)
+        np.testing.assert_array_equal(np.diag(sq), 0.0)
+        assert (sq >= 0).all()
+        np.testing.assert_allclose(sq, pair_sq_dists(stack.copy()), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(sq, loop_sq_dists(stack), rtol=1e-12, atol=0)
+
+    def test_coincident_windows_exactly_zero(self):
+        cases = dict(sliding_cases())
+        rep = cases["repeated segment"]  # rows 50..69 repeat rows 10..29
+        sq = pair_sq_dists(rep)
+        for i in range(10, 30 - 8 + 1):
+            assert sq[i, i + 40] == 0.0 and sq[i + 40, i] == 0.0
+        flat = pair_sq_dists(cases["flat segment"])  # rows 20..44 equal
+        np.testing.assert_array_equal(flat[20:40, 20:40], 0.0)
+
+    def test_near_coincident_windows_keep_relative_accuracy(self):
+        # Windows 1e-9 apart next to windows at unit distance: a difference
+        # of prefix sums over the far rows would lose them.
+        x = ar1_series(60, 2, seed=42)
+        x[40:55] = x[5:20] + 1e-9 * ar1_series(15, 2, seed=43)
+        stack = data.joint_windows(x, 6)
+        np.testing.assert_allclose(
+            pair_sq_dists(stack), loop_sq_dists(stack), rtol=1e-12, atol=0
+        )
+
+    def test_non_finite_rejected(self):
+        x = ar1_series(30, 2, seed=44)
+        x[17, 1] = np.nan
+        with pytest.raises(DomainError):
+            pair_sq_dists(data.joint_windows(x, 5))
+
+    def test_other_inputs_take_the_product_path(self, monkeypatch):
+        x = ar1_series(50, 3, seed=45)
+        stack = data.joint_windows(x, 8)
+        sliding = pair_sq_dists(stack)
+        single = np.moveaxis(sliding_window_view(x.astype(np.float32), 8, axis=0), -1, 1)
+
+        def forbidden(*args):
+            raise AssertionError("sliding path taken")
+
+        monkeypatch.setattr(kernels, "_sliding_sq_dists", forbidden)
+        for other, ref in (
+            (stack[np.arange(len(stack))], sliding),
+            (list(stack), sliding),
+            (stack[::2], sliding[::2, ::2]),
+            (single, loop_sq_dists(single.astype(float))),
+        ):
+            assert kernels._window_rows(other) is None
+            np.testing.assert_allclose(pair_sq_dists(other), ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS[:2], ids=lambda s: s.family.value)
+    def test_gram_and_bandwidth_take_it(self, spec, monkeypatch):
+        stack = data.joint_windows(ar1_series(70, 2, seed=46), 9)
+        copy = stack.copy()
+        calls = []
+        sliding = kernels._sliding_sq_dists
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return sliding(*args)
+
+        monkeypatch.setattr(kernels, "_sliding_sq_dists", counted)
+        np.testing.assert_allclose(
+            gram_matrix(spec, stack, stack), gram_matrix(spec, copy, copy), rtol=1e-12, atol=0
+        )
+        np.testing.assert_allclose(
+            median_bandwidth(stack), median_bandwidth(copy), rtol=1e-12, atol=0
+        )
+        assert calls == [70, 70]

@@ -360,17 +360,13 @@ def grad_b_sum(spec: KernelSpec, coeffs, a: np.ndarray, b: np.ndarray) -> np.nda
 
 
 def _window_rows(stack):
-    """The (N+L-1, D) rows of a stride-1 window stack, or None.
-
-    A stride-1 window stack is a nonempty (N, L, D) float64 ndarray whose
-    first two strides are equal and nonzero, such as `data.window_stacks`
-    returns: window i is rows i..i+L-1 of one series, and the rows are a
-    read-only view of the stack's own elements.
-    """
+    """A read-only (N+L-1, D) view of the rows of a stride-1 window stack,
+    a nonempty (N, L, D) float64 ndarray whose first two strides are equal
+    and nonzero (window i is rows i..i+L-1); None for any other input."""
     if not isinstance(stack, np.ndarray) or stack.ndim != 3 or stack.size == 0:
         return None
-    step, _, channel = stack.strides
-    if stack.dtype != np.float64 or step != stack.strides[1] or step == 0:
+    step, inner, channel = stack.strides
+    if stack.dtype != np.float64 or step != inner or step == 0:
         return None
     n, length, d = stack.shape
     return as_strided(stack, (n + length - 1, d), (step, channel), writeable=False)
@@ -435,13 +431,10 @@ def _sliding_sq_dists(rows, n: int, length: int) -> np.ndarray:
 def pair_sq_dists(stack) -> np.ndarray:
     """(N, N) squared distances within a list or (N, L, D) stack: exactly
     symmetric, with an exactly-zero diagonal.  The input is left unmodified.
-
     A stride-1 window stack (see `_window_rows`), such as a view from
     `data.window_stacks` or a contiguous slice of one, takes the sliding
-    path, `_sliding_sq_dists`.  Any other input, such as a list, a gathered
-    copy, `view[::2]` or a float32 stack, takes one symmetric `_pairwise`
-    product.  Both keep `_pairwise`'s bound.
-    """
+    path; any other input (a list, a gathered copy, `view[::2]`, float32)
+    one symmetric `_pairwise` product.  Both keep `_pairwise`'s bound."""
     rows = _window_rows(stack)
     if rows is None:
         flats = _working_copy(stack)

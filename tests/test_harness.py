@@ -280,22 +280,22 @@ class TestTrain:
         assert kmb.test_mse == pytest.approx(mse.test_mse, rel=1e-12)
         assert kmb.test_mae == pytest.approx(mse.test_mae, rel=1e-12)
 
-    @pytest.mark.parametrize("batch_size", [16, 300])
-    def test_kmb_df_records_sigma_and_balance(self, batch_size):
+    def test_kmb_df_records_sigma_and_balance(self):
         # The bandwidth is the median heuristic over the first batch_size
         # training joints (all 269 of them when batch_size is larger).
-        cfg = small_config(batch_size=batch_size, objective={
-            "kind": "kmb_df", "alpha": 0.3, "top_k": 3, "margin_c": 0.001,
-            "kernel": {"family": "exponential", "sigma": "median"},
-        })
-        rep = train(cfg)
-        xs, ys = build_dataset(cfg)["stacks"]["train"]
-        joints = np.concatenate([xs[:batch_size], ys[:batch_size]], axis=1)
-        np.testing.assert_allclose(
-            rep.resolved_sigma, median_bandwidth(joints), rtol=1e-12, atol=0
-        )
-        assert rep.balance_summary is not None
-        assert len(rep.balance_summary["selected"]) == 3
+        for batch_size in (16, 300):
+            cfg = small_config(batch_size=batch_size, objective={
+                "kind": "kmb_df", "alpha": 0.3, "top_k": 3, "margin_c": 0.001,
+                "kernel": {"family": "exponential", "sigma": "median"},
+            })
+            rep = train(cfg)
+            xs, ys = build_dataset(cfg)["stacks"]["train"]
+            joints = np.concatenate([xs[:batch_size], ys[:batch_size]], axis=1)
+            np.testing.assert_allclose(
+                rep.resolved_sigma, median_bandwidth(joints), rtol=1e-12, atol=0
+            )
+            assert rep.balance_summary is not None
+            assert len(rep.balance_summary["selected"]) == 3
 
     def test_test_split_too_small_for_mmd_fails_before_training(self, monkeypatch):
         def forbidden(*args, **kwargs):

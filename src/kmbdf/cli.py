@@ -15,37 +15,43 @@ import sys
 from .balancing import mmd_squared
 from .checks import run_gradcheck
 from .data import SyntheticSpec, generate
-from .errors import KmbdfError
-from .harness import ExperimentConfig, evaluate, run_sweep, timing_probe, train
+from .errors import ConfigError, KmbdfError
+from .harness import ExperimentConfig, build_dataset, evaluate, run_sweep, timing_probe, train
 from .kernels import KernelSpec, median_bandwidth
 from .models import load_forecaster
 
 
+def _json_or_str(value: str):
+    try:
+        return json.loads(value)
+    except json.JSONDecodeError:
+        return value
+
+
 def _load_config(path: str, overrides, seed=None, out=None) -> ExperimentConfig:
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:  # malformed JSON or not UTF-8
+            raise ConfigError(f"{path} is not a JSON file: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path} must hold a JSON object, got {type(raw).__name__}")
     for item in overrides or []:
-        key, _, value = item.partition("=")
-        if not _:
-            raise KmbdfError(f"--set expects key.path=value, got {item!r}")
+        key, sep, value = item.partition("=")
+        if not sep:
+            raise ConfigError(f"--set expects key.path=value, got {item!r}")
+        *parents, leaf = key.split(".")
         node = raw
-        parts = key.split(".")
-        for p in parts[:-1]:
+        for p in parents:
             node = node.setdefault(p, {})
-        node[parts[-1]] = json.loads(value) if _looks_jsonish(value) else value
+            if not isinstance(node, dict):
+                raise ConfigError(f"--set {key}: {p} is not an object")
+        node[leaf] = _json_or_str(value)
     if seed is not None:
         raw["seed"] = seed
     if out is not None:
         raw["out"] = out
     return ExperimentConfig.from_dict(raw)
-
-
-def _looks_jsonish(value: str) -> bool:
-    try:
-        json.loads(value)
-    except json.JSONDecodeError:
-        return False
-    return True
 
 
 def _cmd_train(args) -> int:
@@ -57,15 +63,13 @@ def _cmd_train(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args.config, args.set, args.seed, None)
-    values = [json.loads(v) for v in args.values.split(",")]
+    values = [_json_or_str(v) for v in args.values.split(",")]
     rows, _ = run_sweep(config, args.param, values, out_dir=args.out)
     print(json.dumps({"rows": rows}))
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    from .harness import build_dataset
-
     config = _load_config(args.config, args.set, args.seed, None)
     model = load_forecaster(args.checkpoint)
     dataset = build_dataset(config)
@@ -161,15 +165,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except KmbdfError as exc:
-        json.dump(
-            {"error": type(exc).__name__, "message": str(exc)},
-            sys.stderr,
-        )
-        sys.stderr.write("\n")
-        return 2
-    except OSError as exc:
-        json.dump({"error": "OSError", "message": str(exc)}, sys.stderr)
+    except (KmbdfError, OSError) as exc:
+        name = "OSError" if isinstance(exc, OSError) else type(exc).__name__
+        json.dump({"error": name, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 2
 

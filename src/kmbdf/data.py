@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -23,11 +23,12 @@ class WindowPair(NamedTuple):
 class SyntheticSpec:
     """Seeded synthetic series: AR(p) or seasonal trend, per channel."""
 
+    source: ClassVar[str] = "synthetic"
     kind: str = "ar"  # "ar" | "seasonal_trend"
     length: int = 1000
     channels: int = 1
     seed: int = 0
-    coeffs: tuple = (0.8,)  # AR only
+    coeffs: tuple[float, ...] = (0.8,)  # AR only
     noise_std: float = 1.0
     period: int = 24  # seasonal_trend only
     amplitude: float = 1.0
@@ -38,12 +39,23 @@ class SyntheticSpec:
             raise ConfigError(f"unknown synthetic kind {self.kind!r}")
         if self.length < 1 or self.channels < 1:
             raise ConfigError("length and channels must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.noise_std < 0:
             raise ConfigError("noise_std must be >= 0")
         if self.kind == "ar" and len(self.coeffs) > 0:
             _check_stationary(self.coeffs)
         if self.kind == "seasonal_trend" and self.period < 1:
             raise ConfigError("period must be >= 1")
+
+
+@dataclass(frozen=True)
+class CsvSpec:
+    """An ETT-style CSV file for `load_csv`, read when the dataset is built."""
+
+    source: ClassVar[str] = "csv"
+    path: str
+    date_column: bool = True  # skip a leading date column
 
 
 def _check_stationary(coeffs) -> None:

@@ -9,7 +9,10 @@ import numbers
 import os
 import statistics
 import time
-from dataclasses import asdict, dataclass, field, fields
+import types
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from enum import Enum
 
 import numpy as np
 
@@ -26,38 +29,117 @@ from .models import (
     init_forecaster,
     save_forecaster,
 )
-from .objectives import make_objective
+from .objectives import FrequencyL1Objective, KmbDfObjective, MseObjective
 
 LR_GRID = (5e-3, 2e-3, 1e-3, 5e-4, 2e-4, 1e-4, 5e-5)
 ALPHA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 C_GRID = (0.0005, 0.001, 0.005, 0.01, 0.05)
 K_GRID = (1, 2, 3, 4, 5)
 
-_DATA_KEYS = {
-    "synthetic": {"source"} | {f.name for f in fields(data_mod.SyntheticSpec)},
-    "csv": {"source", "path", "date_column"},
-}
-_OBJECTIVE_KEYS = {
-    "mse": {"kind"},
-    "freq_l1": {"kind", "beta"},
-    "kmb_df": {"kind", "alpha", "top_k", "margin_c", "kernel", "anchor_mode", "hinge_mode"},
-}
-_KERNEL_KEYS = {"family", "sigma", "degree", "scale", "offset"}
+_NO = object()
+_FLOAT_MAX = float(np.finfo(float).max)  # compared with: float() of a huge int overflows
 
 
-def _reject_unknown(what: str, given, allowed) -> None:
-    unknown = set(given) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+def _members(tp) -> tuple:
+    """The alternatives of a union annotation; (tp,) for any other."""
+    union = typing.get_origin(tp) in (typing.Union, types.UnionType)
+    return typing.get_args(tp) if union else (tp,)
 
 
-@dataclass
+def _typed(tp, value):
+    """`value` as the non-union annotation `tp`, or _NO.  Integers pass for
+    floats, booleans for no number, a list for a tuple; floats are finite."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is typing.Literal:
+        return value if isinstance(value, str) and value in args else _NO
+    if origin is tuple:
+        items = [_typed(args[0], v) for v in value] if isinstance(value, (list, tuple)) else [_NO]
+        return _NO if _NO in items else tuple(items)
+    if tp in (int, float):
+        number = numbers.Integral if tp is int else numbers.Real
+        ok = isinstance(value, number) and not isinstance(value, bool)
+        return tp(value) if ok and (tp is int or abs(value) <= _FLOAT_MAX) else _NO
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return next((m for m in tp if value in (m, m.value)), _NO)
+    return value if isinstance(value, tp) else _NO
+
+
+def _node(tp, value, path: str, tag: str | None = None):
+    """The config node of annotation `tp`, a frozen dataclass or a union of
+    them told apart by the key `tag` (a missing key picks the first), from
+    the dict `value`, every field checked against its annotation.  A missing
+    node is built from its own defaults; a "flatten" field reads its keys
+    from this dict.  Anything amiss raises ConfigError naming `path`."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path} must be an object, got {value!r}")
+    value, cls, where = dict(value), _members(tp)[0], path or "config"
+    if tag is not None:
+        name = value.pop(tag, getattr(cls, tag))
+        cls = next((c for c in _members(tp) if getattr(c, tag) == name), None)
+        if cls is None:
+            raise ConfigError(f"unknown {path} {tag} {name!r}")
+    hints, kwargs = typing.get_type_hints(cls), {}
+    for f in fields(cls):
+        sub, ftp = f"{path}.{f.name}".lstrip("."), hints[f.name]
+        if f.metadata.get("flatten"):
+            own = {g.name: value.pop(g.name) for g in fields(ftp) if g.name in value}
+            kwargs[f.name] = _node(ftp, own, path)
+        elif all(is_dataclass(m) for m in _members(ftp)):
+            kwargs[f.name] = _node(ftp, value.pop(f.name, {}), sub, f.metadata.get("tag"))
+        elif f.name in value:
+            raw = value.pop(f.name)
+            typed = (_typed(m, raw) for m in _members(ftp))
+            kwargs[f.name] = next((t for t in typed if t is not _NO), _NO)
+            if kwargs[f.name] is _NO:
+                raise ConfigError(f"{sub} must be {f.type}, got {raw!r}")
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{where} requires {f.name!r}")
+    if value:
+        raise ConfigError(f"unknown {where} keys: {sorted(value, key=str)}")
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}" if path else str(exc)) from None
+
+
+def _plain(node, tag: str | None = None) -> dict:
+    """The dict form of a config node that `_node` reads, every field
+    explicit: a union member gains its `tag` key, a "flatten" field's keys
+    join this dict."""
+    out = {tag: getattr(node, tag)} if tag else {}
+    for f in fields(node):
+        value = getattr(node, f.name)
+        if is_dataclass(value):
+            sub = _plain(value, f.metadata.get("tag"))
+            out.update(sub if f.metadata.get("flatten") else {f.name: sub})
+        else:
+            out[f.name] = value.value if isinstance(value, Enum) else value
+    return out
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    data: dict = field(default_factory=dict)
+    """One experiment as a frozen tree of config nodes.
+
+    `data` is a `SyntheticSpec` or a `CsvSpec`, chosen by the key `source`
+    ("synthetic" if omitted); `objective` an `MseObjective` (if omitted), a
+    `FrequencyL1Objective` or a `KmbDfObjective`, chosen by `kind`, with its
+    `BalanceConfig` keys beside `kind` (kernel: exponential, sigma "median").
+    `from_dict` checks every type (`_node`) and each node its ranges; this
+    one also checks top_k <= batch_size and, for a synthetic source, that
+    every split of `length` rows holds a window.  `to_dict` is the
+    normalised tree: `from_dict(to_dict(c)) == c`.
+    """
+
+    data: data_mod.SyntheticSpec | data_mod.CsvSpec = field(
+        default_factory=data_mod.SyntheticSpec, metadata={"tag": "source"}
+    )
     split: data_mod.SplitSpec = field(default_factory=data_mod.SplitSpec)
     history_len: int = 24
     horizon: int = 12
-    objective: dict = field(default_factory=lambda: {"kind": "mse"})
+    objective: MseObjective | FrequencyL1Objective | KmbDfObjective = field(
+        default_factory=MseObjective, metadata={"tag": "kind"}
+    )
     lr: float = 1e-3
     batch_size: int = 32
     max_epochs: int = 50
@@ -68,57 +150,26 @@ class ExperimentConfig:
     mmd_max_samples: int = 512
 
     def __post_init__(self):
-        for name in (f.name for f in fields(self) if f.type == "int"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        lr = self.lr
-        if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not 0 < lr < math.inf:
-            raise ConfigError(f"lr must be a finite number > 0, got {lr!r}")
-        if not isinstance(self.compute_mmd, bool):
-            raise ConfigError(f"compute_mmd must be true or false, got {self.compute_mmd!r}")
-        if self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.max_epochs < 1:
-            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.history_len < 1 or self.horizon < 1:
-            raise ConfigError("history_len and horizon must be positive")
-        source = self.data.get("source", "synthetic")
-        if source not in _DATA_KEYS:
-            raise ConfigError(f"unknown data source {source!r}")
-        _reject_unknown("data", self.data, _DATA_KEYS[source])
-        if source == "csv" and "path" not in self.data:
-            raise ConfigError("csv data source requires a path")
+        for name in ("history_len", "horizon", "batch_size", "max_epochs", "patience"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0 or self.lr <= 0:
+            raise ConfigError(f"seed must be >= 0 and lr > 0, got seed={self.seed}, lr={self.lr}")
         if self.compute_mmd and self.mmd_max_samples < 2:
-            raise ConfigError(
-                f"test MMD^2 needs mmd_max_samples >= 2, got {self.mmd_max_samples}"
-            )
-        kind = self.objective.get("kind", "mse")
-        if kind not in _OBJECTIVE_KEYS:
-            raise ConfigError(f"unknown objective kind {kind!r}")
-        _reject_unknown("objective", self.objective, _OBJECTIVE_KEYS[kind])
-        if kind == "kmb_df":
-            _reject_unknown("objective.kernel", self.objective.get("kernel", {}), _KERNEL_KEYS)
-            k = int(self.objective.get("top_k", 3))
+            raise ConfigError(f"test MMD^2 needs mmd_max_samples >= 2, got {self.mmd_max_samples}")
+        if isinstance(self.objective, KmbDfObjective):
+            k = self.objective.config.top_k
             if self.batch_size < k:
-                raise ConfigError(
-                    f"batch_size {self.batch_size} smaller than top_k {k}"
-                )
+                raise ConfigError(f"batch_size {self.batch_size} smaller than top_k {k}")
+        if isinstance(self.data, data_mod.SyntheticSpec):
+            data_mod.split_ranges(self.data.length, self.split, self.history_len, self.horizon)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        split = d.pop("split", {})
-        if not isinstance(split, data_mod.SplitSpec):
-            _reject_unknown("split", split, data_mod.SplitSpec.__dataclass_fields__)
-            split = data_mod.SplitSpec(**split)
-        _reject_unknown("config", d, cls.__dataclass_fields__)
-        return cls(split=split, **d)
+        return _node(cls, d, "")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _plain(self)
 
 
 @dataclass
@@ -169,13 +220,11 @@ class EarlyStopper:
 
 def build_dataset(config: ExperimentConfig) -> dict:
     """Materialize series, splits, and window pairs for one experiment."""
-    src = dict(config.data)
-    source = src.pop("source", "synthetic")
-    if source == "synthetic":
-        spec = data_mod.SyntheticSpec(**src)
-        series = data_mod.generate(spec)
+    spec = config.data
+    if isinstance(spec, data_mod.CsvSpec):
+        series = data_mod.load_csv(spec.path, date_column=spec.date_column)
     else:
-        series = data_mod.load_csv(src["path"], date_column=src.get("date_column", True))
+        series = data_mod.generate(spec)
     h, t = config.history_len, config.horizon
     ranges = data_mod.split_ranges(series.shape[0], config.split, h, t)
     stats = None
@@ -195,49 +244,17 @@ def build_dataset(config: ExperimentConfig) -> dict:
     }
 
 
-def _kernel_from_dict(kd: dict, train_joints) -> tuple[KernelSpec, float | None]:
-    """Build a KernelSpec from config keys, resolving sigma="median"."""
-    kd = dict(kd)
-    sigma = kd.get("sigma", "median")
-    resolved = None
-    family = kd.get("family", "exponential")
-    if family in ("exponential", "gaussian") and (sigma in (None, "median")):
-        sigma = resolved = median_bandwidth(train_joints)
-    elif sigma is not None and not isinstance(sigma, str):
-        sigma = float(sigma)
-    spec = KernelSpec(
-        family=family,
-        sigma=sigma if not isinstance(sigma, str) else None,
-        degree=kd.get("degree"),
-        scale=kd.get("scale"),
-        offset=kd.get("offset"),
-    )
-    return spec, resolved
-
-
 def _resolve_objective(config: ExperimentConfig, joints):
-    """Instantiate the objective; returns (objective, resolved_sigma).  A
-    median bandwidth is taken over the first `batch_size` training joints."""
-    od = dict(config.objective)
-    kind = od.pop("kind", "mse")
-    if kind == "mse":
-        return make_objective("mse"), None
-    if kind == "freq_l1":
-        return make_objective("freq_l1", beta=od.get("beta", 0.5)), None
-    if kind == "kmb_df":
-        kernel, resolved = _kernel_from_dict(
-            od.get("kernel", {}), joints[: max(2, config.batch_size)]
-        )
-        cfg = BalanceConfig(
-            alpha=float(od.get("alpha", 0.3)),
-            top_k=int(od.get("top_k", 3)),
-            margin_c=float(od.get("margin_c", 0.001)),
-            kernel=kernel,
-            anchor_mode=od.get("anchor_mode", "forecast"),
-            hinge_mode=od.get("hinge_mode", "canonical"),
-        )
-        return make_objective("kmb_df", balance=cfg), resolved
-    raise ConfigError(f"unknown objective kind {kind!r}")
+    """The objective with a distance kernel's sigma="median" set to the
+    median bandwidth of the first `batch_size` training joints; returns
+    (objective, resolved_sigma)."""
+    objective = config.objective
+    kernel = objective.config.kernel if isinstance(objective, KmbDfObjective) else None
+    if kernel is None or not kernel.is_distance or kernel.sigma != "median":
+        return objective, None
+    sigma = median_bandwidth(joints[: max(2, config.batch_size)])
+    balance = replace(objective.config, kernel=replace(kernel, sigma=sigma))
+    return replace(objective, config=balance), sigma
 
 
 def evaluate(model: LinearForecaster, windows) -> tuple[float, float]:
@@ -389,14 +406,13 @@ def run_sweep(base_config: ExperimentConfig, param: str, values, out_dir=None):
     values = list(values)
     if not values:
         raise ConfigError("sweep grid is empty")
-    if base_config.objective.get("kind") != "kmb_df":
+    objective = base_config.objective
+    if not isinstance(objective, KmbDfObjective):
         raise ConfigError("sweeps operate on the kmb_df objective")
 
     def variant(**overrides) -> ExperimentConfig:
-        cd = base_config.to_dict()
-        cd["objective"] = {**cd["objective"], **overrides}
-        cd["out"] = None
-        return ExperimentConfig.from_dict(cd)
+        balance = _node(BalanceConfig, {**_plain(objective.config), **overrides}, "objective")
+        return replace(base_config, objective=replace(objective, config=balance), out=None)
 
     reports = {}
     rows = []

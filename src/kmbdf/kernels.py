@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Literal
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -43,23 +44,25 @@ class KernelFamily(str, Enum):
 class KernelSpec:
     """A kernel family plus the parameters that family reads.
 
-    Parameters irrelevant to `family` are ignored.  `scale` / `offset` may be
-    left as None to use the size-dependent defaults described in the module
-    docstring.
+    Parameters irrelevant to `family` are ignored.  `sigma` is a finite
+    bandwidth > 0 or "median", unresolved: a distance kernel evaluated with
+    it raises ConfigError, so set it from `median_bandwidth` first.  `scale`
+    / `offset` may be left as None to use the size-dependent defaults
+    described in the module docstring.
     """
 
     family: KernelFamily = KernelFamily.EXPONENTIAL
-    sigma: float | None = None
+    sigma: float | Literal["median"] | None = "median"
     degree: int | None = None
     scale: float | None = None
     offset: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "family", KernelFamily(self.family))
-        if self.is_distance:
+        if self.is_distance and self.sigma != "median":
             if self.sigma is None or not np.isfinite(self.sigma) or self.sigma <= 0:
                 raise ConfigError(
-                    f"{self.family.value} kernel requires sigma > 0, got {self.sigma}"
+                    f"{self.family.value} kernel requires sigma 'median' or > 0, got {self.sigma}"
                 )
         if self.family is KernelFamily.POLYNOMIAL:
             if self.degree is None or int(self.degree) < 1:
@@ -94,6 +97,8 @@ def kernel_from_stat(spec: KernelSpec, stat, size: int):
     """K from the pair statistic: the squared distance for the distance
     families, the inner product otherwise; `size` is the flattened length."""
     if spec.is_distance:
+        if spec.sigma == "median":
+            raise ConfigError("sigma 'median' must be resolved by median_bandwidth first")
         if spec.family is KernelFamily.EXPONENTIAL:
             return np.exp(-np.sqrt(stat) / (2.0 * spec.sigma**2))
         return np.exp(-stat / (2.0 * spec.sigma**2))
@@ -150,15 +155,19 @@ def _row_sq(a: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, a)
 
 
-def _sq_dists(rf, cf, r_sq, c_sq, rows=None, cols=None, out=None) -> np.ndarray:
+def _take(mats, idx) -> np.ndarray:
+    """Rows `idx` of a list or stack as a (len(idx), P) float array; only
+    those rows are copied."""
+    sub = mats[idx] if isinstance(mats, np.ndarray) else [mats[k] for k in idx]
+    return np.asarray(sub, dtype=float).reshape(len(idx), -1)
+
+
+def _sq_dists(rf, cf, r_sq, c_sq, rows, cols, out=None) -> np.ndarray:
     """Squared distances between the rows of two centred stacks, given their
     squared row norms; see `_pairwise`.  Near pairs are recomputed from
-    `rows` and `cols`, the uncentred stacks, when the caller still has them
-    (the centred ones otherwise): then a near pair loses nothing to the
-    rounding of the centring.  `out`, if given, is a C-contiguous (R, C)
-    array that receives the result."""
-    rows = rf if rows is None else rows
-    cols = cf if cols is None else cols
+    `rows` and `cols`, the caller's uncentred lists or stacks, so a near
+    pair loses nothing to the rounding of the centring.  `out`, if given,
+    is a C-contiguous (R, C) array that receives the result."""
     norms = r_sq[:, None] + c_sq[None, :]
     sq = np.matmul(rf, cf.T, out=out)
     sq *= -2.0
@@ -173,23 +182,25 @@ def _sq_dists(rf, cf, r_sq, c_sq, rows=None, cols=None, out=None) -> np.ndarray:
     if not near.any():
         return sq
     ii, jj = np.nonzero(near)
-    step = max(1, _NEAR_PAIR_ELEMENTS // (rows.shape[1] or 1))
+    step = max(1, _NEAR_PAIR_ELEMENTS // (rf.shape[1] or 1))
     for lo in range(0, ii.size, step):
         i, j = ii[lo : lo + step], jj[lo : lo + step]
-        sq[i, j] = _row_sq(rows[i] - cols[j])
+        sq[i, j] = _row_sq(_take(rows, i) - _take(cols, j))
     return sq
 
 
-def _pairwise(rf: np.ndarray, cf: np.ndarray, distance: bool) -> np.ndarray:
+def _pairwise(rf: np.ndarray, cf: np.ndarray, distance: bool, rows, cols) -> np.ndarray:
     """Squared distances or inner products between the rows of two stacks.
 
-    `rf` (R, P) and `cf` (C, P) are float stacks the caller owns; for
-    distances they are centred in place on their shared mean (pass the same
-    array twice for distances within one stack).  Inner products are
-    `rf @ cf.T`.  Squared distances are ||a||^2 + ||b||^2 - 2 <a, b> on the
-    centred rows, one matrix product for all entries; an entry whose result
-    is at most NEAR_PAIR_RATIO * (||a||^2 + ||b||^2) is recomputed as
-    sum((a - b)^2), so coincident rows give exactly 0.
+    `rf` (R, P) and `cf` (C, P) are float working copies of `rows` and
+    `cols`, the caller's lists or stacks; for distances the copies are
+    centred in place on their shared mean (pass the same array twice, and
+    the same input twice, for distances within one stack).  Inner products
+    are `rf @ cf.T`.  Squared distances are ||a||^2 + ||b||^2 - 2 <a, b> on
+    the centred rows, one matrix product for all entries; an entry whose
+    result is at most NEAR_PAIR_RATIO * (||a||^2 + ||b||^2) is recomputed
+    as sum((a - b)^2) from the uncentred rows of `rows` and `cols`, so
+    coincident rows give exactly 0.
 
     Error bound: the expansion's rounding is at most about 2 P u
     (||a||^2 + ||b||^2) for unit roundoff u = 2^-53, so an entry kept from
@@ -206,7 +217,7 @@ def _pairwise(rf: np.ndarray, cf: np.ndarray, distance: bool) -> np.ndarray:
         rf -= mean
         cf -= mean
         r_sq, c_sq = _row_sq(rf), _row_sq(cf)
-    return _sq_dists(rf, cf, r_sq, c_sq)
+    return _sq_dists(rf, cf, r_sq, c_sq, rows, cols)
 
 
 def joint_stats(spec: KernelSpec, hist, labels, forecasts, forecast_anchor: bool):
@@ -324,7 +335,7 @@ def gram_matrix(spec: KernelSpec, rows, cols, shared=None) -> np.ndarray:
     else:
         rf = _working_copy(rows)
         cf = rf if cols is rows else _working_copy(cols, shape=np.shape(rows[0]))
-        stat = _pairwise(rf, cf, spec.is_distance)
+        stat = _pairwise(rf, cf, spec.is_distance, rows, cols)
     return kernel_from_stat(spec, _add_shared(stat, shared, spec), np.size(rows[0]))
 
 
@@ -438,7 +449,7 @@ def pair_sq_dists(stack) -> np.ndarray:
     rows = _window_rows(stack)
     if rows is None:
         flats = _working_copy(stack)
-        return _pairwise(flats, flats, distance=True)
+        return _pairwise(flats, flats, True, stack, stack)
     if not np.isfinite(rows).all():
         raise DomainError("kernel inputs must be finite")
     return _sliding_sq_dists(rows, *stack.shape[:2])

@@ -11,7 +11,8 @@ balancing module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -71,7 +72,7 @@ def frequency_l1_grad(labels, forecasts, beta: float = 0.5) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MseObjective:
-    kind: str = "mse"
+    kind: ClassVar[str] = "mse"
 
     def loss_and_grad(self, histories, labels, forecasts):
         return mse_loss(labels, forecasts), mse_grad(labels, forecasts), None
@@ -79,8 +80,12 @@ class MseObjective:
 
 @dataclass(frozen=True)
 class FrequencyL1Objective:
+    kind: ClassVar[str] = "freq_l1"
     beta: float = 0.5
-    kind: str = "freq_l1"
+
+    def __post_init__(self):
+        if not 0.0 <= self.beta <= 1.0:
+            raise ConfigError(f"beta must be in [0, 1], got {self.beta}")
 
     def loss_and_grad(self, histories, labels, forecasts):
         return (
@@ -92,8 +97,9 @@ class FrequencyL1Objective:
 
 @dataclass(frozen=True)
 class KmbDfObjective:
-    config: BalanceConfig
-    kind: str = "kmb_df"
+    kind: ClassVar[str] = "kmb_df"
+    # In the dict form its keys sit beside `kind`.
+    config: BalanceConfig = field(metadata={"flatten": True})
 
     def loss_and_grad(self, histories, labels, forecasts):
         # Trailing partial batches may be smaller than top_k; clamp rather

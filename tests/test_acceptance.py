@@ -7,6 +7,7 @@ lines as they happen).
 
 import csv
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,6 +36,10 @@ from kmbdf.models import LinearForecaster, backward_batch, forward_batch, init_f
 from kmbdf.objectives import frequency_l1_grad, frequency_l1_loss, mse_grad, mse_loss
 
 EXP = KernelSpec(family="exponential", sigma=1.0)
+KMB_DF = {
+    "kind": "kmb_df", "alpha": 0.3, "top_k": 3, "margin_c": 0.001,
+    "kernel": {"family": "exponential", "sigma": "median"},
+}
 
 
 def report(name: str, ok: bool) -> None:
@@ -60,10 +65,7 @@ def synthetic_task(seed: int, **overrides) -> ExperimentConfig:
         "max_epochs": 30,
         "patience": 5,
         "seed": seed,
-        "objective": {
-            "kind": "kmb_df", "alpha": 0.3, "top_k": 3, "margin_c": 0.001,
-            "kernel": {"family": "exponential", "sigma": "median"},
-        },
+        "objective": KMB_DF,
         "mmd_max_samples": 512,
     }
     base.update(overrides)
@@ -225,9 +227,7 @@ class TestCriterion5Directional:
         mmd_wins = 0
         for seed in range(5):
             kmb = train(synthetic_task(seed))
-            base = train(synthetic_task(seed, objective={
-                **synthetic_task(seed).objective, "alpha": 0.0,
-            }))
+            base = train(synthetic_task(seed, objective={**KMB_DF, "alpha": 0.0}))
             mse_wins += kmb.test_mse <= base.test_mse
             mmd_wins += kmb.test_mmd <= base.test_mmd
         elapsed = time.monotonic() - t0
@@ -242,7 +242,7 @@ class TestCriterion5Directional:
 class TestCriterion6Sweeps:
     def test_all_three_sweeps(self, tmp_path):
         base = synthetic_task(0, max_epochs=2, compute_mmd=False)
-        base.data = {**base.data, "length": 1200}
+        base = replace(base, data=replace(base.data, length=1200))
         ok = True
         for param, grid in (
             ("alpha", ALPHA_GRID), ("margin_c", C_GRID), ("top_k", K_GRID)
@@ -266,9 +266,8 @@ class TestCriterion6Sweeps:
 
 class TestCriterion7Determinism:
     def test_byte_identical_reports(self):
-        cfg = synthetic_task(0)
-        cfg.data = {**cfg.data, "length": 1200}
-        cfg.max_epochs = 3
+        cfg = synthetic_task(0, max_epochs=3)
+        cfg = replace(cfg, data=replace(cfg.data, length=1200))
         a = train(cfg).to_json(include_timing=False)
         b = train(cfg).to_json(include_timing=False)
         ok = a == b

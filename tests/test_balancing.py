@@ -2,10 +2,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kmbdf import balancing
 from kmbdf.balancing import (
+    ANCHOR_MODES,
     HINGE_MODES,
     BalanceConfig,
     hinge_slack,
@@ -347,6 +348,52 @@ class TestKmbDfGrad:
         a = np.concatenate([g.ravel() for g in grads])
         b = np.concatenate([g.ravel() for g in numeric])
         assert np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-12) < 1e-5
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(
+        shape=st.tuples(*(st.integers(1, hi) for hi in (6, 4, 3, 3))),
+        kernel=st.one_of(
+            st.builds(KernelSpec, family=st.sampled_from(["exponential", "gaussian"]),
+                      sigma=st.floats(0.5, 5.0)),
+            st.builds(KernelSpec, family=st.just("polynomial"), degree=st.integers(1, 4),
+                      scale=st.floats(0.05, 1.0), offset=st.floats(-1.0, 1.0)),
+            st.builds(KernelSpec, family=st.sampled_from(["linear", "sigmoid"]),
+                      scale=st.floats(0.05, 1.0), offset=st.floats(-1.0, 1.0)),
+        ),
+        anchor=st.sampled_from(ANCHOR_MODES),
+        hinge=st.sampled_from(HINGE_MODES),
+        alpha=st.floats(0.1, 0.9),
+        margin_c=st.floats(0.0, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_finite_difference_at_random_shapes(self, shape, kernel, anchor, hinge, alpha,
+                                                margin_c, seed, data):
+        n, h, t, d = shape
+        cfg = BalanceConfig(
+            alpha=alpha,
+            top_k=data.draw(st.integers(1, n), label="top_k"),
+            margin_c=margin_c,
+            kernel=kernel,
+            anchor_mode=anchor,
+            hinge_mode=hinge,
+        )
+        rng = np.random.default_rng(seed)
+        hist, labels, fcs = (rng.normal(size=(n, m, d)) for m in (h, t, t))
+        grads, diag = kmb_df_grad(cfg, hist, labels, fcs)
+        # The hinge has kinks at |delta| = C (canonical) and -delta = C
+        # (paper_literal), where a central difference is no derivative.
+        chosen = diag.deltas[diag.selected]
+        arg = np.abs(chosen) if hinge == "canonical" else -chosen
+        assume(np.min(np.abs(arg - margin_c)) > 1e-4)
+        numeric = np.array(fd_grads(cfg, hist, labels, list(fcs), diag.selected))
+        assert np.linalg.norm(grads - numeric) / np.linalg.norm(numeric) < 1e-5
+        # The penalty's share alone, which the MSE term can dwarf; the
+        # differences' rounding is about 1e-10 of the loss per entry.
+        mse_part = 2.0 * (1.0 - alpha) * (fcs - labels)
+        penalty, numeric_penalty = grads - mse_part, numeric - mse_part
+        error = np.linalg.norm(penalty - numeric_penalty)
+        assert error <= 1e-5 * np.linalg.norm(numeric_penalty) + 1e-8 * (1.0 + diag.total)
 
     def test_deadzone_kills_penalty_gradient(self):
         rng = np.random.default_rng(12)

@@ -161,6 +161,56 @@ class TestTrainCommand:
         assert err["error"] == "ConfigError"
         assert override.split("=")[0] in err["message"]
 
+    @pytest.mark.parametrize("content, overrides", [
+        (b"{not json", []),
+        (b"\xff\xfe", []),
+        (b"[1, 2]", []),
+        (b'"config"', []),
+        (None, ["max_epochs.x=1"]),
+        (None, ["objective.kind.x=1"]),
+        (None, ["data.coeffs.x=1"]),
+        (None, ["max_epochs"]),
+    ], ids=["not-json", "not-utf8", "list", "string", "set-through-int",
+            "set-through-kind", "set-through-list", "set-without-value"])
+    def test_malformed_config_exits_with_json(self, config_path, capsys, content,
+                                              overrides):
+        if content is not None:
+            with open(config_path, "wb") as fh:
+                fh.write(content)
+        argv = ["train", "--config", config_path]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("overrides", [
+        ["objective.kind=kmb_df", 'objective.alpha="abc"'],
+        ["objective.kind=kmb_df", "objective.kernel.family=cosine"],
+        ["objective.kind=kmb_df", "objective.top_k=2.7"],
+        ["objective.kind=kmb_df", "objective.kernel.sigma=auto"],
+        ["objective.kind=freq_l1", "objective.beta=2"],
+        ['split.train="0.7"'],
+        ["split.standardize=no"],
+        ["data.length=30"],
+        ["out=5"],
+    ])
+    def test_motivating_inputs_fail_before_data(self, config_path, capsys, monkeypatch,
+                                                overrides):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("data built for an invalid config")
+
+        monkeypatch.setattr(harness, "build_dataset", forbidden)
+        argv = ["train", "--config", config_path]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "ConfigError"
+
     def test_integer_lr_accepted(self, config_path, capsys):
         assert main(["train", "--config", config_path, "--set", "lr=1"]) == 0
         assert json.loads(capsys.readouterr().out)["config"]["lr"] == 1
@@ -216,6 +266,23 @@ class TestSweepCommand:
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert [r[0] for r in rows] == ["alpha=0.0", "alpha=0.5"]
         assert (tmp_path / "sweep" / "sweep.csv").exists()
+
+    def test_mistyped_values_become_failed_rows(self, config_path, capsys):
+        # 2.5 is no top_k and "x" no number: each row fails at parse, none
+        # trains with a truncated K.
+        rc = main([
+            "sweep", "--config", config_path,
+            "--param", "top_k", "--values", "2.5,x,2",
+            "--set", "objective.kind=kmb_df",
+            "--set", "max_epochs=1",
+            "--set", "compute_mmd=false",
+        ])
+        assert rc == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [r[0] for r in rows] == ["DF", "top_k=2.5", "top_k=x", "top_k=2"]
+        assert rows[1][1] is None and "top_k" in rows[1][4]
+        assert rows[2][1] is None and "top_k" in rows[2][4]
+        assert rows[3][1] is not None
 
 
 class TestTimingCommand:

@@ -1,0 +1,274 @@
+"""Property tests of the config tree: the dict form round-trips, a report's
+config replays its run, and every single-key mutation of a valid config
+into a wrong type, a wrong range or an unknown key fails at parse."""
+
+import json
+import math
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from kmbdf import data as data_mod
+from kmbdf.balancing import ANCHOR_MODES, HINGE_MODES
+from kmbdf.errors import ConfigError
+from kmbdf.harness import ExperimentConfig, train
+
+# Derandomised, so a run is repeatable, and capped to keep the suite fast.
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+numbers = st.floats(-10.0, 10.0, allow_nan=False)
+kernels = st.one_of(
+    st.fixed_dictionaries(
+        {"family": st.sampled_from(["exponential", "gaussian"])},
+        optional={"sigma": st.one_of(st.just("median"), st.floats(0.01, 100.0))},
+    ),
+    st.fixed_dictionaries(
+        {"family": st.just("polynomial"), "degree": st.integers(1, 4)},
+        optional={"scale": numbers, "offset": numbers},
+    ),
+    st.fixed_dictionaries(
+        {"family": st.sampled_from(["linear", "sigmoid"])},
+        optional={"scale": numbers, "offset": numbers},
+    ),
+)
+objectives = st.one_of(
+    st.fixed_dictionaries({}, optional={"kind": st.just("mse")}),
+    st.fixed_dictionaries({"kind": st.just("freq_l1")}, optional={"beta": st.floats(0.0, 1.0)}),
+    st.fixed_dictionaries({"kind": st.just("kmb_df")}, optional={
+        "alpha": st.floats(0.0, 1.0),
+        "top_k": st.integers(1, 8),
+        "margin_c": st.floats(0.0, 1.0),
+        "kernel": kernels,
+        "anchor_mode": st.sampled_from(ANCHOR_MODES),
+        "hinge_mode": st.sampled_from(HINGE_MODES),
+    }),
+)
+sources = st.one_of(
+    st.fixed_dictionaries({"length": st.integers(400, 3000)}, optional={
+        "source": st.just("synthetic"),
+        "kind": st.sampled_from(["ar", "seasonal_trend"]),
+        "channels": st.integers(1, 4),
+        "seed": st.integers(0, 2**40),
+        # |phi_1| + |phi_2| < 1: always stationary.
+        "coeffs": st.lists(st.floats(-0.45, 0.45), max_size=2),
+        "noise_std": st.floats(0.0, 3.0),
+        "period": st.integers(1, 48),
+        "amplitude": numbers,
+        "slope": numbers,
+    }),
+    st.fixed_dictionaries(
+        {"source": st.just("csv"), "path": st.text(min_size=1)},
+        optional={"date_column": st.booleans()},
+    ),
+)
+configs = st.fixed_dictionaries({"data": sources, "objective": objectives}, optional={
+    "split": st.fixed_dictionaries({}, optional={
+        "convention": st.sampled_from(["extended", "strict"]),
+        "standardize": st.booleans(),
+    }),
+    "history_len": st.integers(1, 16),
+    "horizon": st.integers(1, 8),
+    "lr": st.floats(1e-6, 1.0),
+    "batch_size": st.integers(8, 64),
+    "max_epochs": st.integers(1, 100),
+    "patience": st.integers(1, 20),
+    "seed": st.integers(0, 2**40),
+    "out": st.one_of(st.none(), st.text()),
+    "compute_mmd": st.booleans(),
+    "mmd_max_samples": st.integers(2, 4096),
+})
+
+
+@PROPERTY
+@given(configs)
+def test_dict_form_round_trips(d):
+    config = ExperimentConfig.from_dict(d)
+    plain = config.to_dict()
+    assert ExperimentConfig.from_dict(plain) == config
+    # Every default is explicit and the form survives JSON.
+    echoed = json.loads(json.dumps(plain))
+    assert ExperimentConfig.from_dict(echoed) == config
+    assert ExperimentConfig.from_dict(echoed).to_dict() == plain
+
+
+TINY = {
+    "data": {"length": 300, "seed": 5},
+    "history_len": 8, "horizon": 4, "batch_size": 16, "max_epochs": 2, "patience": 2,
+    "mmd_max_samples": 32,
+}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=5)
+@given(objective=objectives, seed=st.integers(0, 2**16))
+def test_report_config_replays_the_run(objective, seed):
+    if objective.get("top_k", 0) > TINY["batch_size"]:
+        objective = {**objective, "top_k": TINY["batch_size"]}
+    report = train(ExperimentConfig.from_dict({**TINY, "objective": objective, "seed": seed}))
+    payload = json.loads(report.to_json())
+    replayed = train(ExperimentConfig.from_dict(payload["config"]))
+    assert replayed.to_json(include_timing=False) == report.to_json(include_timing=False)
+
+
+def explicit(objective, data=None):
+    """A valid config's normalised dict form, every key explicit, as JSON
+    gives it back."""
+    d = {**TINY, "objective": objective}
+    if data is not None:
+        d["data"] = data
+    return json.loads(json.dumps(ExperimentConfig.from_dict(d).to_dict()))
+
+
+BASES = {
+    "ar-kmb_df-exponential": explicit({"kind": "kmb_df"}),
+    "seasonal-kmb_df-polynomial": explicit(
+        {"kind": "kmb_df", "kernel": {"family": "polynomial", "degree": 2, "scale": 0.5,
+                                      "offset": 1.0}},
+        {"kind": "seasonal_trend", "length": 300, "coeffs": [0.5, 0.2]},
+    ),
+    "csv-freq_l1": explicit({"kind": "freq_l1"}, {"source": "csv", "path": "x.csv"}),
+    "ar-mse": explicit({"kind": "mse"}),
+}
+
+# Out of range for the key at that path, whatever the base.
+OUT_OF_RANGE = {
+    ("history_len",): [0, -3],
+    ("horizon",): [0],
+    ("batch_size",): [0],
+    ("max_epochs",): [0],
+    ("patience",): [0],
+    ("seed",): [-1],
+    ("lr",): [0.0, -1e-3],
+    ("mmd_max_samples",): [1, 0],
+    ("split", "train"): [0.0, 0.9],
+    ("split", "val"): [-0.1],
+    ("split", "test"): [0.5],
+    ("split", "convention"): ["bogus"],
+    ("data", "source"): ["parquet"],
+    ("data", "kind"): ["bogus"],
+    ("data", "length"): [0, 30],  # 30 rows leave a split without a window
+    ("data", "channels"): [0],
+    ("data", "seed"): [-1],
+    ("data", "coeffs"): [[1.0], [0.6, 0.6]],
+    ("data", "noise_std"): [-1.0],
+    ("data", "period"): [0],
+    ("objective", "kind"): ["huber"],
+    ("objective", "alpha"): [1.5, -0.1],
+    ("objective", "top_k"): [0, 17],
+    ("objective", "margin_c"): [-1e-3],
+    ("objective", "anchor_mode"): ["bogus"],
+    ("objective", "hinge_mode"): ["bogus"],
+    ("objective", "beta"): [2.0, -0.5],
+    ("objective", "kernel", "family"): ["cosine"],
+    ("objective", "kernel", "sigma"): [-1.0, 0.0, "auto"],
+    ("objective", "kernel", "degree"): [0],
+}
+# Keys whose annotation admits None besides their own type.
+OPTIONAL = {"out", "degree", "scale", "offset", "sigma"}
+# Every valid choice of a string key: random text must not hit one.
+CHOICES = {
+    "synthetic", "csv", "ar", "seasonal_trend", "extended", "strict", "mse", "freq_l1",
+    "kmb_df", "forecast", "real", "canonical", "paper_literal", "exponential", "gaussian",
+    "linear", "polynomial", "sigmoid", "median",
+}
+
+
+def out_of_range(base, path):
+    """Values out of range for the key at `path` of `base`: a parameter that
+    its kernel family or series kind ignores has no range."""
+    family = base["objective"].get("kernel", {}).get("family")
+    ignored = {
+        ("objective", "kernel", "sigma"): family not in ("exponential", "gaussian"),
+        ("objective", "kernel", "degree"): family != "polynomial",
+        ("data", "coeffs"): base["data"].get("kind") != "ar",
+        ("data", "period"): base["data"].get("kind") != "seasonal_trend",
+    }
+    return [] if ignored.get(path) else OUT_OF_RANGE.get(path, [])
+
+
+def leaves(d, path=()):
+    for key, value in d.items():
+        if isinstance(value, dict):
+            yield from leaves(value, path + (key,))
+        else:
+            yield path + (key,), value
+
+
+def nodes(d, path=()):
+    yield path
+    for key, value in d.items():
+        if isinstance(value, dict):
+            yield from nodes(value, path + (key,))
+
+
+def mutated(base, path, value):
+    d = json.loads(json.dumps(base))
+    node = d
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return d
+
+
+def wrong_types(path, value):
+    """A strategy of values whose type the key at `path`, now `value`, rejects."""
+    others = [st.lists(st.integers(), max_size=2), st.dictionaries(st.text(), st.integers(),
+                                                                   max_size=2)]
+    if path[-1] not in OPTIONAL:
+        others.append(st.none())
+    if value is None:
+        return st.one_of(st.booleans(), *others[:2])
+    if isinstance(value, bool):
+        return st.one_of(st.text(), st.integers(), st.floats(), *others)
+    if isinstance(value, int):
+        return st.one_of(st.text(), st.booleans(), st.floats(), *others)
+    if isinstance(value, float):
+        non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+        return st.one_of(st.text(), st.booleans(), non_finite, *others)
+    if isinstance(value, list):
+        return st.one_of(st.text(), st.booleans(), st.floats(),
+                         st.lists(st.text(), min_size=1, max_size=2), st.none())
+    if path[-1] == "path":
+        return st.one_of(st.booleans(), st.integers(), st.floats(), *others)
+    # The other strings are tags or choices: any other string is out of
+    # range, and sigma takes numbers.
+    text = st.text().filter(lambda s: s not in CHOICES)
+    if path[-1] == "sigma":
+        return st.one_of(text, st.booleans(), *others)
+    return st.one_of(text, st.booleans(), st.integers(), st.floats(), *others)
+
+
+def rejected_at_parse(d):
+    """True if parsing `d` raises ConfigError; never builds data."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("data built for an invalid config")
+
+    with mock.patch.object(data_mod, "generate", forbidden), \
+            mock.patch.object(data_mod, "load_csv", forbidden):
+        try:
+            ExperimentConfig.from_dict(d)
+        except ConfigError:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_every_out_of_range_or_unknown_key_is_rejected(name):
+    base = BASES[name]
+    assert not rejected_at_parse(base)
+    cases = [(path, value) for path, _ in leaves(base) for value in out_of_range(base, path)]
+    cases += [(path + ("bogus_key",), 1) for path in nodes(base)]
+    assert len(cases) > 10
+    accepted = [(path, value) for path, value in cases
+                if not rejected_at_parse(mutated(base, path, value))]
+    assert accepted == []
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(data=st.data())
+def test_every_wrong_type_is_rejected(name, data):
+    base = BASES[name]
+    path, value = data.draw(st.sampled_from(list(leaves(base))), label="key")
+    wrong = data.draw(wrong_types(path, value), label="value")
+    assert rejected_at_parse(mutated(base, path, wrong))

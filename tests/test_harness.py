@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from kmbdf.harness import (
 )
 from kmbdf.kernels import KernelSpec, median_bandwidth
 from kmbdf.models import LinearForecaster, forward_batch, init_forecaster
+from kmbdf.objectives import MseObjective
 
 
 def small_config(**overrides):
@@ -241,6 +243,30 @@ class TestBuildDataset:
         {"patience": True},
         {"compute_mmd": "no"},
         {"compute_mmd": 1},
+        {"objective": {"kind": "kmb_df", "alpha": "abc"}},
+        {"objective": {"kind": "kmb_df", "kernel": {"family": "cosine"}}},
+        {"objective": {"kind": "freq_l1", "beta": "x"}},
+        {"objective": {"kind": "kmb_df", "top_k": "x"}},
+        {"objective": "mse"},
+        {"data": "synthetic"},
+        {"split": {"train": "0.7"}},
+        {"data": {"source": "synthetic", "length": "400"}},
+        {"objective": {"kind": "kmb_df", "top_k": 2.7}},
+        {"objective": {"kind": "kmb_df", "kernel": {"family": "polynomial", "degree": 2.5}}},
+        {"split": {"standardize": "no"}},
+        {"objective": {"kind": "kmb_df", "alpha": 2}},
+        {"objective": {"kind": "kmb_df", "top_k": 0}},
+        {"objective": {"kind": "kmb_df", "margin_c": -1}},
+        {"objective": {"kind": "kmb_df", "anchor_mode": "bogus"}},
+        {"objective": {"kind": "kmb_df", "kernel": {"sigma": -1}}},
+        {"objective": {"kind": "kmb_df", "kernel": {"sigma": "auto"}}},
+        {"objective": {"kind": "kmb_df", "kernel": {"family": "polynomial"}}},
+        {"objective": {"kind": "freq_l1", "beta": 2}},
+        {"data": {"source": "synthetic", "length": 30}},
+        {"out": 5},
+        {"seed": -1},
+        {"lr": 10**400},
+        {"data": {1: 2, "lenght": 400}},
     ])
     def test_rejected_at_parse(self, monkeypatch, overrides):
         def forbidden(*args, **kwargs):
@@ -253,8 +279,29 @@ class TestBuildDataset:
 
 
     def test_integer_lr_and_numpy_integers_accepted(self):
+        # Normalised at parse, so the report's config echo is plain JSON.
         cfg = small_config(lr=1, seed=np.int64(4), compute_mmd=False)
         assert cfg.lr == 1 and cfg.seed == 4
+        assert type(cfg.lr) is float and type(cfg.seed) is int
+        assert json.loads(json.dumps(cfg.to_dict()))["seed"] == 4
+
+    def test_config_is_frozen_and_typed(self):
+        cfg = small_config(objective={"kind": "kmb_df", "top_k": 2})
+        with pytest.raises(FrozenInstanceError):
+            cfg.max_epochs = 3
+        assert isinstance(cfg.data, data_mod.SyntheticSpec)
+        assert cfg.data.coeffs == (0.8,)
+        balance = cfg.objective.config
+        assert (balance.alpha, balance.top_k, balance.margin_c) == (0.3, 2, 0.001)
+        assert balance.kernel == KernelSpec(family="exponential", sigma="median")
+        assert (balance.anchor_mode, balance.hinge_mode) == ("forecast", "canonical")
+        assert ExperimentConfig.from_dict({}).objective == MseObjective()
+
+    def test_csv_source(self, tmp_path):
+        cfg = small_config(data={"source": "csv", "path": str(tmp_path / "x.csv")})
+        assert cfg.data == data_mod.CsvSpec(path=str(tmp_path / "x.csv"), date_column=True)
+        assert cfg.to_dict()["data"] == {"source": "csv", "path": str(tmp_path / "x.csv"),
+                                         "date_column": True}
 
 
 class TestTrain:
@@ -366,7 +413,7 @@ class TestRunSweep:
     @staticmethod
     def fake_train(error):
         def fake(config):
-            if config.objective["alpha"] == 0.5:
+            if config.objective.config.alpha == 0.5:
                 raise error
             return SimpleNamespace(test_mse=1.0, test_mae=2.0)
 

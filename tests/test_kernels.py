@@ -284,6 +284,22 @@ class TestKernelSpec:
         assert eval_kernel(spec, a, b) == pytest.approx(0.0)
 
 
+class TestUnresolvedSigma:
+    @pytest.mark.parametrize("family", ["exponential", "gaussian"])
+    def test_median_never_reaches_kernel_math(self, family):
+        spec = KernelSpec(family=family, sigma="median")
+        z = np.random.default_rng(3).normal(size=(4, 3, 2))
+        with pytest.raises(ConfigError, match="median"):
+            gram_matrix(spec, z, z)
+        with pytest.raises(ConfigError, match="median"):
+            eval_kernel(spec, z[0], z[1])
+
+    def test_default_is_unresolved_median(self):
+        assert KernelSpec().sigma == "median"
+        # The inner-product families never read sigma.
+        assert eval_kernel(KernelSpec(family="linear"), [[1.0]], [[2.0]]) == 2.0
+
+
 class TestMedianBandwidth:
     def test_matches_direct_median(self):
         rng = np.random.default_rng(8)
@@ -425,14 +441,35 @@ class TestSlidingPath:
         flat = pair_sq_dists(cases["flat segment"])  # rows 20..44 equal
         np.testing.assert_array_equal(flat[20:40, 20:40], 0.0)
 
-    def test_near_coincident_windows_keep_relative_accuracy(self):
+    def test_near_coincident_windows_keep_relative_accuracy(self, monkeypatch):
         # Windows 1e-9 apart next to windows at unit distance: a difference
-        # of prefix sums over the far rows would lose them.
+        # of prefix sums over the far rows would lose them, and so would a
+        # product-path recompute from the centred copy.
         x = ar1_series(60, 2, seed=42)
         x[40:55] = x[5:20] + 1e-9 * ar1_series(15, 2, seed=43)
         stack = data.joint_windows(x, 6)
+        loop = loop_sq_dists(stack)
+        np.testing.assert_allclose(pair_sq_dists(stack), loop, rtol=1e-12, atol=0)
+        sigma = median_bandwidth(stack)
+
+        def forbidden(*args):
+            raise AssertionError("sliding path taken")
+
+        monkeypatch.setattr(kernels, "_sliding_sq_dists", forbidden)
+        gathered, rows = stack[np.arange(len(stack))], list(stack)
+        # sigma^2 of the order of the near pairs' squared distances, so
+        # their Gram entries carry the distances' relative error.
+        near = loop[(loop > 0) & (loop < 1e-12)]
+        tight = KernelSpec(family="gaussian", sigma=np.sqrt(np.median(near)))
+        expected = np.exp(-loop / (2.0 * tight.sigma**2))
+        for other in (gathered, rows):
+            np.testing.assert_allclose(pair_sq_dists(other), loop, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(median_bandwidth(other), sigma, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(
+                gram_matrix(tight, other, other), expected, rtol=1e-12, atol=0
+            )
         np.testing.assert_allclose(
-            pair_sq_dists(stack), loop_sq_dists(stack), rtol=1e-12, atol=0
+            gram_matrix(tight, gathered, rows), expected, rtol=1e-12, atol=0
         )
 
     def test_non_finite_rejected(self):

@@ -23,11 +23,11 @@ Two documented ambiguities are kept switchable:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Literal, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import ConfigError, DomainError, Node, ShapeError
 from .kernels import (
     KernelSpec,
     as_stack,
@@ -43,25 +43,21 @@ HINGE_MODES = ("canonical", "paper_literal")
 
 
 @dataclass(frozen=True)
-class BalanceConfig:
+class BalanceConfig(Node):
     alpha: float = 0.3
     top_k: int = 3
     margin_c: float = 0.001
     kernel: KernelSpec = field(default_factory=lambda: KernelSpec(sigma=1.0))
-    anchor_mode: str = "forecast"
-    hinge_mode: str = "canonical"
+    anchor_mode: Literal[ANCHOR_MODES] = "forecast"
+    hinge_mode: Literal[HINGE_MODES] = "canonical"
 
-    def __post_init__(self):
+    def _check(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
         if self.margin_c < 0.0:
             raise ConfigError(f"margin_c must be >= 0, got {self.margin_c}")
         if self.top_k < 1:
             raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
-        if self.anchor_mode not in ANCHOR_MODES:
-            raise ConfigError(f"unknown anchor_mode {self.anchor_mode!r}")
-        if self.hinge_mode not in HINGE_MODES:
-            raise ConfigError(f"unknown hinge_mode {self.hinge_mode!r}")
 
 
 @dataclass

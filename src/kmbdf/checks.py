@@ -11,6 +11,7 @@ from .balancing import (
     kmb_df_grad,
     kmb_df_loss,
 )
+from .errors import ConfigError
 from .kernels import KernelSpec
 
 
@@ -55,6 +56,8 @@ def run_gradcheck(trials: int = 3, tol: float = 1e-5, seed: int = 0):
 
     Returns a list of dicts with the worst relative error per case.
     """
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     results = []
     for kernel in _kernel_cases():

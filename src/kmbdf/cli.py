@@ -79,7 +79,12 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_timing(args) -> int:
-    horizons = [int(h) for h in args.horizons.split(",")]
+    try:
+        horizons = [int(h) for h in args.horizons.split(",")]
+    except ValueError:
+        raise ConfigError(
+            f"--horizons must be comma-separated integers, got {args.horizons!r}"
+        ) from None
     results = timing_probe(
         horizons,
         n=args.batch,
@@ -99,6 +104,8 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_mmd_test(args) -> int:
+    if args.window < 1:
+        raise ConfigError(f"--window must be >= 1, got {args.window}")
     seed = args.seed or 0
     spec_a = SyntheticSpec(kind="ar", coeffs=(args.phi,), length=args.samples, channels=1, seed=seed)
     spec_b = SyntheticSpec(kind="ar", coeffs=(args.phi_b,), length=args.samples, channels=1, seed=seed + 1)

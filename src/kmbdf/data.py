@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import ClassVar, NamedTuple
+from typing import ClassVar, Literal, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, Node, ShapeError
 
 AR_BURN_IN = 200
 
@@ -20,11 +20,11 @@ class WindowPair(NamedTuple):
 
 
 @dataclass(frozen=True)
-class SyntheticSpec:
+class SyntheticSpec(Node):
     """Seeded synthetic series: AR(p) or seasonal trend, per channel."""
 
     source: ClassVar[str] = "synthetic"
-    kind: str = "ar"  # "ar" | "seasonal_trend"
+    kind: Literal["ar", "seasonal_trend"] = "ar"
     length: int = 1000
     channels: int = 1
     seed: int = 0
@@ -34,9 +34,7 @@ class SyntheticSpec:
     amplitude: float = 1.0
     slope: float = 0.0
 
-    def __post_init__(self):
-        if self.kind not in ("ar", "seasonal_trend"):
-            raise ConfigError(f"unknown synthetic kind {self.kind!r}")
+    def _check(self):
         if self.length < 1 or self.channels < 1:
             raise ConfigError("length and channels must be positive")
         if self.seed < 0:
@@ -50,7 +48,7 @@ class SyntheticSpec:
 
 
 @dataclass(frozen=True)
-class CsvSpec:
+class CsvSpec(Node):
     """An ETT-style CSV file for `load_csv`, read when the dataset is built."""
 
     source: ClassVar[str] = "csv"
@@ -198,20 +196,18 @@ def window(series: np.ndarray, history_len: int, horizon: int, rows_range=None):
 
 
 @dataclass(frozen=True)
-class SplitSpec:
+class SplitSpec(Node):
     train: float = 0.7
     val: float = 0.1
     test: float = 0.2
-    convention: str = "extended"  # "extended" | "strict"
+    convention: Literal["extended", "strict"] = "extended"
     standardize: bool = True
 
-    def __post_init__(self):
+    def _check(self):
         if abs(self.train + self.val + self.test - 1.0) > 1e-9:
             raise ConfigError("split fractions must sum to 1")
         if min(self.train, self.val, self.test) <= 0:
             raise ConfigError("split fractions must be positive")
-        if self.convention not in ("extended", "strict"):
-            raise ConfigError(f"unknown split convention {self.convention!r}")
 
 
 def split_ranges(n_rows: int, spec: SplitSpec, history_len: int, horizon: int):

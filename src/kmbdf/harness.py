@@ -5,12 +5,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import os
 import statistics
 import time
-import types
-import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 
@@ -18,7 +15,7 @@ import numpy as np
 
 from . import data as data_mod
 from .balancing import BalanceConfig, kmb_df_loss_and_grad, mmd_squared
-from .errors import ConfigError, DomainError, KmbdfError, ShapeError
+from .errors import ConfigError, DomainError, KmbdfError, Node, ShapeError, node_fields
 from .kernels import KernelSpec, median_bandwidth, pair_sq_dists
 from .models import (
     LinearForecaster,
@@ -31,67 +28,35 @@ from .models import (
 )
 from .objectives import FrequencyL1Objective, KmbDfObjective, MseObjective
 
-LR_GRID = (5e-3, 2e-3, 1e-3, 5e-4, 2e-4, 1e-4, 5e-5)
 ALPHA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 C_GRID = (0.0005, 0.001, 0.005, 0.01, 0.05)
 K_GRID = (1, 2, 3, 4, 5)
 
-_NO = object()
-_FLOAT_MAX = float(np.finfo(float).max)  # compared with: float() of a huge int overflows
 
-
-def _members(tp) -> tuple:
-    """The alternatives of a union annotation; (tp,) for any other."""
-    union = typing.get_origin(tp) in (typing.Union, types.UnionType)
-    return typing.get_args(tp) if union else (tp,)
-
-
-def _typed(tp, value):
-    """`value` as the non-union annotation `tp`, or _NO.  Integers pass for
-    floats, booleans for no number, a list for a tuple; floats are finite."""
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is typing.Literal:
-        return value if isinstance(value, str) and value in args else _NO
-    if origin is tuple:
-        items = [_typed(args[0], v) for v in value] if isinstance(value, (list, tuple)) else [_NO]
-        return _NO if _NO in items else tuple(items)
-    if tp in (int, float):
-        number = numbers.Integral if tp is int else numbers.Real
-        ok = isinstance(value, number) and not isinstance(value, bool)
-        return tp(value) if ok and (tp is int or abs(value) <= _FLOAT_MAX) else _NO
-    if isinstance(tp, type) and issubclass(tp, Enum):
-        return next((m for m in tp if value in (m, m.value)), _NO)
-    return value if isinstance(value, tp) else _NO
-
-
-def _node(tp, value, path: str, tag: str | None = None):
-    """The config node of annotation `tp`, a frozen dataclass or a union of
-    them told apart by the key `tag` (a missing key picks the first), from
-    the dict `value`, every field checked against its annotation.  A missing
-    node is built from its own defaults; a "flatten" field reads its keys
-    from this dict.  Anything amiss raises ConfigError naming `path`."""
+def _node(classes: tuple, value, path: str, tag: str | None = None):
+    """The config node of one of the frozen dataclasses `classes`, told
+    apart by the key `tag` (a missing key picks the first), from the dict
+    `value`.  A missing node is built from its own defaults; a "flatten"
+    field reads its keys from this dict.  Each node checks its own field
+    types and ranges; anything amiss raises ConfigError naming `path`."""
     if not isinstance(value, dict):
         raise ConfigError(f"{path} must be an object, got {value!r}")
-    value, cls, where = dict(value), _members(tp)[0], path or "config"
+    value, cls, where = dict(value), classes[0], path or "config"
     if tag is not None:
         name = value.pop(tag, getattr(cls, tag))
-        cls = next((c for c in _members(tp) if getattr(c, tag) == name), None)
+        cls = next((c for c in classes if getattr(c, tag) == name), None)
         if cls is None:
             raise ConfigError(f"unknown {path} {tag} {name!r}")
-    hints, kwargs = typing.get_type_hints(cls), {}
-    for f in fields(cls):
-        sub, ftp = f"{path}.{f.name}".lstrip("."), hints[f.name]
+    kwargs = {}
+    for f, members in node_fields(cls):
         if f.metadata.get("flatten"):
-            own = {g.name: value.pop(g.name) for g in fields(ftp) if g.name in value}
-            kwargs[f.name] = _node(ftp, own, path)
-        elif all(is_dataclass(m) for m in _members(ftp)):
-            kwargs[f.name] = _node(ftp, value.pop(f.name, {}), sub, f.metadata.get("tag"))
+            own = {g.name: value.pop(g.name) for g in fields(members[0]) if g.name in value}
+            kwargs[f.name] = _node(members, own, path)
+        elif all(is_dataclass(m) for m in members):
+            sub = f"{path}.{f.name}".lstrip(".")
+            kwargs[f.name] = _node(members, value.pop(f.name, {}), sub, f.metadata.get("tag"))
         elif f.name in value:
-            raw = value.pop(f.name)
-            typed = (_typed(m, raw) for m in _members(ftp))
-            kwargs[f.name] = next((t for t in typed if t is not _NO), _NO)
-            if kwargs[f.name] is _NO:
-                raise ConfigError(f"{sub} must be {f.type}, got {raw!r}")
+            kwargs[f.name] = value.pop(f.name)
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{where} requires {f.name!r}")
     if value:
@@ -118,17 +83,17 @@ def _plain(node, tag: str | None = None) -> dict:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Node):
     """One experiment as a frozen tree of config nodes.
 
     `data` is a `SyntheticSpec` or a `CsvSpec`, chosen by the key `source`
     ("synthetic" if omitted); `objective` an `MseObjective` (if omitted), a
     `FrequencyL1Objective` or a `KmbDfObjective`, chosen by `kind`, with its
     `BalanceConfig` keys beside `kind` (kernel: exponential, sigma "median").
-    `from_dict` checks every type (`_node`) and each node its ranges; this
-    one also checks top_k <= batch_size and, for a synthetic source, that
-    every split of `length` rows holds a window.  `to_dict` is the
-    normalised tree: `from_dict(to_dict(c)) == c`.
+    Each node checks its own types and ranges, however built; this one also
+    checks top_k <= batch_size and, for a synthetic source, that every split
+    of `length` rows holds a window.  `to_dict` is the normalised tree:
+    `from_dict(to_dict(c)) == c`.
     """
 
     data: data_mod.SyntheticSpec | data_mod.CsvSpec = field(
@@ -149,7 +114,7 @@ class ExperimentConfig:
     compute_mmd: bool = True
     mmd_max_samples: int = 512
 
-    def __post_init__(self):
+    def _check(self):
         for name in ("history_len", "horizon", "batch_size", "max_epochs", "patience"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -166,7 +131,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        return _node(cls, d, "")
+        return _node((cls,), d, "")
 
     def to_dict(self) -> dict:
         return _plain(self)
@@ -411,7 +376,7 @@ def run_sweep(base_config: ExperimentConfig, param: str, values, out_dir=None):
         raise ConfigError("sweeps operate on the kmb_df objective")
 
     def variant(**overrides) -> ExperimentConfig:
-        balance = _node(BalanceConfig, {**_plain(objective.config), **overrides}, "objective")
+        balance = replace(objective.config, **overrides)
         return replace(base_config, objective=replace(objective, config=balance), out=None)
 
     reports = {}
@@ -467,6 +432,12 @@ def timing_probe(
     horizon after the other.  Absolute numbers are machine-dependent; only
     the trend across horizons is meaningful.
     """
+    horizons = list(horizons)
+    if min(reps, channels, history_len, *horizons) < 1:
+        raise ConfigError(
+            f"timing needs reps, channels, history_len and horizons >= 1, got reps={reps}, "
+            f"channels={channels}, history_len={history_len}, horizons={horizons}"
+        )
     results = []
     for t in horizons:
         rng = np.random.default_rng(seed)

@@ -26,7 +26,7 @@ from typing import Literal
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import ConfigError, DomainError, Node, ShapeError
 
 # Guard for the 1/||a-b|| factor in the exponential kernel gradient.
 EPS_NORM = 1e-12
@@ -41,7 +41,7 @@ class KernelFamily(str, Enum):
 
 
 @dataclass(frozen=True)
-class KernelSpec:
+class KernelSpec(Node):
     """A kernel family plus the parameters that family reads.
 
     Parameters irrelevant to `family` are ignored.  `sigma` is a finite
@@ -57,15 +57,14 @@ class KernelSpec:
     scale: float | None = None
     offset: float | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "family", KernelFamily(self.family))
+    def _check(self):
         if self.is_distance and self.sigma != "median":
-            if self.sigma is None or not np.isfinite(self.sigma) or self.sigma <= 0:
+            if self.sigma is None or self.sigma <= 0:
                 raise ConfigError(
                     f"{self.family.value} kernel requires sigma 'median' or > 0, got {self.sigma}"
                 )
         if self.family is KernelFamily.POLYNOMIAL:
-            if self.degree is None or int(self.degree) < 1:
+            if self.degree is None or self.degree < 1:
                 raise ConfigError(
                     f"polynomial kernel requires degree >= 1, got {self.degree}"
                 )

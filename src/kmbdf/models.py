@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 
 CHECKPOINT_VERSION = 1
 
@@ -154,14 +154,21 @@ def save_forecaster(model: LinearForecaster, path) -> None:
 
 
 def load_forecaster(path) -> LinearForecaster:
+    """The forecaster `save_forecaster` wrote to `path`; a file that holds
+    no such checkpoint raises DataError naming `path`."""
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # malformed JSON or not UTF-8
+            raise DataError(f"{path}: not a JSON checkpoint: {exc}") from None
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: checkpoint must be a JSON object, got {type(payload).__name__}")
     if payload.get("version") != CHECKPOINT_VERSION:
-        raise ConfigError(f"unsupported checkpoint version {payload.get('version')}")
-    return LinearForecaster(
-        weight=np.array(payload["weight"], dtype=float),
-        bias=np.array(payload["bias"], dtype=float),
-        history_len=int(payload["H"]),
-        horizon=int(payload["T"]),
-        channels=int(payload["D"]),
-    )
+        raise ConfigError(f"{path}: unsupported checkpoint version {payload.get('version')}")
+    try:
+        weight = np.array(payload["weight"], dtype=float)
+        bias = np.array(payload["bias"], dtype=float)
+        dims = int(payload["H"]), int(payload["T"]), int(payload["D"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed checkpoint: {exc!r}") from None
+    return LinearForecaster(weight, bias, *dims)

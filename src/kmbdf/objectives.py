@@ -17,7 +17,7 @@ from typing import ClassVar
 import numpy as np
 
 from .balancing import BalanceConfig, kmb_df_loss_and_grad
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, Node, ShapeError
 from .kernels import as_stack
 
 
@@ -71,7 +71,7 @@ def frequency_l1_grad(labels, forecasts, beta: float = 0.5) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class MseObjective:
+class MseObjective(Node):
     kind: ClassVar[str] = "mse"
 
     def loss_and_grad(self, histories, labels, forecasts):
@@ -79,11 +79,11 @@ class MseObjective:
 
 
 @dataclass(frozen=True)
-class FrequencyL1Objective:
+class FrequencyL1Objective(Node):
     kind: ClassVar[str] = "freq_l1"
     beta: float = 0.5
 
-    def __post_init__(self):
+    def _check(self):
         if not 0.0 <= self.beta <= 1.0:
             raise ConfigError(f"beta must be in [0, 1], got {self.beta}")
 
@@ -96,7 +96,7 @@ class FrequencyL1Objective:
 
 
 @dataclass(frozen=True)
-class KmbDfObjective:
+class KmbDfObjective(Node):
     kind: ClassVar[str] = "kmb_df"
     # In the dict form its keys sit beside `kind`.
     config: BalanceConfig = field(metadata={"flatten": True})
@@ -115,10 +115,7 @@ def make_objective(kind: str, **params):
     if kind == "mse":
         return MseObjective()
     if kind == "freq_l1":
-        return FrequencyL1Objective(beta=float(params.get("beta", 0.5)))
+        return FrequencyL1Objective(beta=params.get("beta", 0.5))
     if kind == "kmb_df":
-        cfg = params.get("balance")
-        if not isinstance(cfg, BalanceConfig):
-            raise ConfigError("kmb_df objective requires a BalanceConfig")
-        return KmbDfObjective(config=cfg)
+        return KmbDfObjective(config=params.get("balance"))
     raise ConfigError(f"unknown objective kind {kind!r}")

@@ -251,6 +251,19 @@ class TestEvaluateCommand:
         assert result["split"] == "test"
         assert result["mse"] == pytest.approx(train_report["test_mse"], rel=1e-12)
 
+    @pytest.mark.parametrize("content", [b"{not json", b'{"version": 1}'])
+    def test_malformed_checkpoint_exits_with_json(self, config_path, capsys, tmp_path,
+                                                  content):
+        ckpt = tmp_path / "checkpoint.json"
+        ckpt.write_bytes(content)
+        rc = main(["evaluate", "--config", config_path, "--checkpoint", str(ckpt)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "DataError"
+        assert str(ckpt) in err["message"]
+
 
 class TestSweepCommand:
     def test_alpha_sweep(self, config_path, capsys, tmp_path):
@@ -283,6 +296,23 @@ class TestSweepCommand:
         assert rows[1][1] is None and "top_k" in rows[1][4]
         assert rows[2][1] is None and "top_k" in rows[2][4]
         assert rows[3][1] is not None
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["timing", "--horizons", "a"], "--horizons"),
+    (["timing", "--reps", "0"], "reps=0"),
+    (["timing", "--horizons", "0"], "horizons=[0]"),
+    (["timing", "--horizons", "4", "--channels", "0"], "channels=0"),
+    (["mmd-test", "--window", "0"], "--window"),
+    (["gradcheck", "--trials", "0"], "trials"),
+])
+def test_out_of_range_argument_exits_with_json(capsys, argv, needle):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ConfigError"
+    assert needle in err["message"]
 
 
 class TestTimingCommand:

@@ -1,18 +1,23 @@
 """Property tests of the config tree: the dict form round-trips, a report's
 config replays its run, and every single-key mutation of a valid config
-into a wrong type, a wrong range or an unknown key fails at parse."""
+into a wrong type, a wrong range or an unknown key fails at parse, and
+fails the same way when the node is built directly or by `replace`."""
 
 import json
 import math
+from dataclasses import fields, is_dataclass, replace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kmbdf import data as data_mod
-from kmbdf.balancing import ANCHOR_MODES, HINGE_MODES
+from kmbdf.balancing import ANCHOR_MODES, HINGE_MODES, BalanceConfig
 from kmbdf.errors import ConfigError
 from kmbdf.harness import ExperimentConfig, train
+from kmbdf.kernels import KernelFamily, KernelSpec
+from kmbdf.objectives import MseObjective
 
 # Derandomised, so a run is repeatable, and capped to keep the suite fast.
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -272,3 +277,124 @@ def test_every_wrong_type_is_rejected(name, data):
     path, value = data.draw(st.sampled_from(list(leaves(base))), label="key")
     wrong = data.draw(wrong_types(path, value), label="value")
     assert rejected_at_parse(mutated(base, path, wrong))
+
+
+# The dict keys that pick a node's class: no field of any node.
+TAGS = {("data", "source"), ("objective", "kind")}
+
+
+def chain_to(config, path):
+    """The (node, field) pairs from `config` down to the key at dict path
+    `path`, through the flattened `KmbDfObjective.config`."""
+    chain, node = [], config
+    for key in path[:-1]:
+        chain.append((node, key))
+        node = getattr(node, key)
+        flat = [f.name for f in fields(node) if f.metadata.get("flatten")]
+        if flat:
+            chain.append((node, flat[0]))
+            node = getattr(node, flat[0])
+    return chain + [(node, path[-1])]
+
+
+def node_chains(node, chain=()):
+    """The chain of (node, field) pairs to every node-valued field."""
+    for f in fields(node):
+        child = getattr(node, f.name)
+        if is_dataclass(child):
+            yield chain + ((node, f.name),)
+            yield from node_chains(child, chain + ((node, f.name),))
+
+
+def rebuilt(chain, value, build):
+    """The root of `chain` with its last pair's field set to `value`: that
+    node made by `build(node, changes)`, each node above it by `replace`."""
+    node, name = chain[-1]
+    new = build(node, {name: value})
+    for parent, key in reversed(chain[:-1]):
+        new = replace(parent, **{key: new})
+    return new
+
+
+def direct(node, changes):
+    """A call of `node`'s class with every field of `node`, `changes` applied."""
+    return type(node)(**{**{f.name: getattr(node, f.name) for f in fields(node)}, **changes})
+
+
+BUILDERS = {"direct": direct, "replace": lambda node, changes: replace(node, **changes)}
+
+
+def rejected(chain, value, build):
+    """True if the tree rebuilt with `value` raises ConfigError; any other
+    exception propagates and fails the test."""
+    try:
+        rebuilt(chain, value, BUILDERS[build])
+    except ConfigError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("build", sorted(BUILDERS))
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_every_out_of_range_field_is_rejected_however_built(name, build):
+    base = BASES[name]
+    config = ExperimentConfig.from_dict(base)
+    cases = [(path, value) for path, _ in leaves(base) if path not in TAGS
+             for value in out_of_range(base, path)]
+    assert len(cases) > 5
+    accepted = [(path, value) for path, value in cases
+                if not rejected(chain_to(config, path), value, build)]
+    assert accepted == []
+
+
+@pytest.mark.parametrize("build", sorted(BUILDERS))
+@pytest.mark.parametrize("name", sorted(BASES))
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(data=st.data())
+def test_every_wrong_type_is_rejected_however_built(name, build, data):
+    base = BASES[name]
+    keys = [(path, value) for path, value in leaves(base) if path not in TAGS]
+    path, value = data.draw(st.sampled_from(keys), label="key")
+    wrong = data.draw(wrong_types(path, value), label="value")
+    assert rejected(chain_to(ExperimentConfig.from_dict(base), path), wrong, build)
+
+
+@pytest.mark.parametrize("build", sorted(BUILDERS))
+def test_every_wrong_node_is_rejected_however_built(build):
+    config = ExperimentConfig.from_dict(BASES["ar-kmb_df-exponential"])
+    chains = list(node_chains(config))
+    # data, split, objective, its flattened BalanceConfig and that one's kernel
+    assert [chain[-1][1] for chain in chains] == ["data", "split", "objective", "config",
+                                                  "kernel"]
+    for chain in chains:
+        other = MseObjective() if chain[-1][1] == "split" else data_mod.SplitSpec()
+        for value in (None, {}, "median", 1.0, other):
+            assert rejected(chain, value, build), (chain[-1][1], value)
+
+
+@pytest.mark.parametrize("build", sorted(BUILDERS))
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_every_array_is_rejected_however_built(name, build):
+    # A NumPy array is no scalar, whatever its elements.
+    base = BASES[name]
+    config = ExperimentConfig.from_dict(base)
+    accepted = [path for path, value in leaves(base) if path not in TAGS
+                if not rejected(chain_to(config, path), np.array([value, value]), build)]
+    assert accepted == []
+
+
+def test_direct_construction_normalises_values():
+    kernel = KernelSpec(family="polynomial", degree=np.int64(2), scale=1, offset=np.float32(0.5))
+    assert kernel.family is KernelFamily.POLYNOMIAL
+    assert (kernel.degree, kernel.scale, kernel.offset) == (2, 1.0, 0.5)
+    assert [type(v) for v in (kernel.degree, kernel.scale, kernel.offset)] == [int, float, float]
+    balance = BalanceConfig(alpha=1, top_k=np.int32(2), margin_c=np.float64(0.0), kernel=kernel)
+    assert [type(v) for v in (balance.alpha, balance.top_k, balance.margin_c)] == [
+        float, int, float]
+    spec = data_mod.SyntheticSpec(length=np.int64(500), coeffs=[0.5, np.float32(0.25)])
+    assert spec.coeffs == (0.5, 0.25) and type(spec.coeffs) is tuple
+    assert [type(v) for v in (spec.length, *spec.coeffs)] == [int, float, float]
+    config = replace(ExperimentConfig(data=spec), lr=1, seed=np.int64(4))
+    assert (type(config.lr), type(config.seed)) == (float, int)
+    # The normalised tree is plain JSON and replays to itself.
+    assert ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kmbdf.errors import ShapeError
+from kmbdf.errors import DataError, ShapeError
 from kmbdf.models import (
     LinearForecaster,
     adam_init,
@@ -251,6 +251,17 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.weight, m.weight)
         np.testing.assert_array_equal(loaded.bias, m.bias)
         assert (loaded.history_len, loaded.horizon, loaded.channels) == (4, 3, 2)
+
+    @pytest.mark.parametrize("content", [
+        b"{not json", b"\xff\xfe", b"[1, 2]", b'{"version": 1}',
+        b'{"version": 1, "H": 2, "T": 1, "D": 1, "weight": [["x", 0]], "bias": [0]}',
+    ], ids=["not-json", "not-utf8", "list", "no-weight", "text-weight"])
+    def test_malformed_file_raises_data_error(self, tmp_path, content):
+        path = tmp_path / "ckpt.json"
+        path.write_bytes(content)
+        with pytest.raises(DataError) as exc:
+            load_forecaster(path)
+        assert str(path) in str(exc.value)
 
     def test_init_seeded(self):
         a = init_forecaster(4, 3, 2, seed=9)

@@ -30,6 +30,6 @@ from .models import (
     load_forecaster,
     save_forecaster,
 )
-from .objectives import frequency_l1_loss, make_objective, mse_grad, mse_loss
+from .objectives import make_objective
 
 __version__ = "0.1.0"

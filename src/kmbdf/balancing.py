@@ -249,12 +249,6 @@ def kmb_df_grad(cfg: BalanceConfig, histories, labels, forecasts):
     return grads, diag
 
 
-def kmb_df_loss_and_grad(cfg: BalanceConfig, histories, labels, forecasts):
-    """Convenience wrapper used by the training loop."""
-    grads, diag = kmb_df_grad(cfg, histories, labels, forecasts)
-    return diag.total, grads, diag
-
-
 def mmd_squared(kernel: KernelSpec, sample_p, sample_q, shared=None) -> MmdResult:
     """Two-sample MMD^2 estimate between samples of joint sequences, each a
     list or an (N, L, D) stack.  With `shared` (N, N), the squared distances

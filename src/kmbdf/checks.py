@@ -15,22 +15,20 @@ from .errors import ConfigError
 from .kernels import KernelSpec
 
 
-def fd_forecast_grads(loss_fn, forecasts, eps: float = 1e-5):
-    """Central finite differences of loss_fn w.r.t. each forecast entry."""
-    grads = []
-    for i, f in enumerate(forecasts):
-        g = np.zeros_like(f, dtype=float)
-        it = np.nditer(f, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            bumped = [np.array(x, dtype=float) for x in forecasts]
-            bumped[i][idx] += eps
-            hi = loss_fn(bumped)
-            bumped[i][idx] -= 2 * eps
-            lo = loss_fn(bumped)
-            g[idx] = (hi - lo) / (2 * eps)
-            it.iternext()
-        grads.append(g)
+def fd_forecast_grads(loss_fn, forecasts, eps: float = 1e-5) -> np.ndarray:
+    """Central finite differences of loss_fn w.r.t. each forecast entry, as
+    an (N, T, D) array.  loss_fn is called on one stacked float copy of the
+    forecasts with a single entry moved by +-eps in place."""
+    bumped = np.array(forecasts, dtype=float)
+    grads = np.zeros_like(bumped)
+    for idx in np.ndindex(bumped.shape):
+        saved = bumped[idx]
+        bumped[idx] = saved + eps
+        hi = loss_fn(bumped)
+        bumped[idx] = saved - eps
+        lo = loss_fn(bumped)
+        bumped[idx] = saved
+        grads[idx] = (hi - lo) / (2 * eps)
     return grads
 
 

@@ -106,6 +106,11 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_mmd_test(args) -> int:
     if args.window < 1:
         raise ConfigError(f"--window must be >= 1, got {args.window}")
+    if args.samples // args.window < 2:
+        raise ConfigError(
+            f"--samples must hold at least 2 windows of --window, got --samples "
+            f"{args.samples} and --window {args.window}"
+        )
     seed = args.seed or 0
     spec_a = SyntheticSpec(kind="ar", coeffs=(args.phi,), length=args.samples, channels=1, seed=seed)
     spec_b = SyntheticSpec(kind="ar", coeffs=(args.phi_b,), length=args.samples, channels=1, seed=seed + 1)

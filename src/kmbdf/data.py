@@ -92,10 +92,15 @@ def load_csv(path, date_column: bool = True) -> np.ndarray:
     """Read an ETT-style CSV into an (M, D) float matrix.
 
     Header row required; an optional leading date column is skipped.  Any
-    unparseable or non-finite cell raises with its 1-based row/column.
+    unparseable or non-finite cell raises with its 1-based row/column, and a
+    file that is not UTF-8 text raises naming the file.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+        reader = csv.reader(lines)
         try:
             header = next(reader)
         except StopIteration:

@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from . import data as data_mod
-from .balancing import BalanceConfig, kmb_df_loss_and_grad, mmd_squared
+from .balancing import BalanceConfig, mmd_squared
 from .errors import ConfigError, DomainError, KmbdfError, Node, ShapeError, node_fields
 from .kernels import KernelSpec, median_bandwidth, pair_sq_dists
 from .models import (
@@ -420,19 +420,20 @@ def timing_probe(
     n: int = 128,
     channels: int = 21,
     history_len: int = 96,
-    top_k: int = 3,
-    alpha: float = 0.3,
-    margin_c: float = 0.001,
     reps: int = 100,
     seed: int = 0,
 ):
-    """Median milliseconds of one `kmb_df_loss_and_grad` call, the training
-    loop's objective call, as `loss_and_grad_ms` and `total_ms`.  One random
-    batch per horizon, evaluated once untimed and then `reps` times, one
-    horizon after the other.  Absolute numbers are machine-dependent; only
-    the trend across horizons is meaningful.
+    """Median milliseconds of one `KmbDfObjective.loss_and_grad` call, the
+    training loop's objective call, with the default `BalanceConfig` and an
+    exponential kernel at the batch's median bandwidth, as
+    `loss_and_grad_ms` and `total_ms`.  One random batch per horizon,
+    evaluated once untimed and then `reps` times, one horizon after the
+    other.  Absolute numbers are machine-dependent; only the trend across
+    horizons is meaningful.
     """
     horizons = list(horizons)
+    if n < 2:
+        raise ConfigError(f"timing needs n (--batch) >= 2, got {n}")
     if min(reps, channels, history_len, *horizons) < 1:
         raise ConfigError(
             f"timing needs reps, channels, history_len and horizons >= 1, got reps={reps}, "
@@ -446,12 +447,12 @@ def timing_probe(
         fcs = rng.normal(size=(n, t, channels))
         joints = np.concatenate([hist, labels], axis=1)
         kernel = KernelSpec(family="exponential", sigma=median_bandwidth(joints))
-        cfg = BalanceConfig(alpha=alpha, top_k=top_k, margin_c=margin_c, kernel=kernel)
-        kmb_df_loss_and_grad(cfg, hist, labels, fcs)
+        objective = KmbDfObjective(config=BalanceConfig(kernel=kernel))
+        objective.loss_and_grad(hist, labels, fcs)
         times = []
         for _ in range(reps):
             t0 = time.perf_counter()
-            kmb_df_loss_and_grad(cfg, hist, labels, fcs)
+            objective.loss_and_grad(hist, labels, fcs)
             times.append(1e3 * (time.perf_counter() - t0))
         ms = statistics.median(times)
         results.append({"horizon": int(t), "loss_and_grad_ms": ms, "total_ms": ms})

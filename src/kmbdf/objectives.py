@@ -16,7 +16,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .balancing import BalanceConfig, kmb_df_loss_and_grad
+from . import balancing
+from .balancing import BalanceConfig
 from .errors import ConfigError, Node, ShapeError
 from .kernels import as_stack
 
@@ -28,18 +29,6 @@ def _as_pair(labels, forecasts):
     return y, f
 
 
-def mse_loss(labels, forecasts) -> float:
-    """Sum over the batch of squared Frobenius norms of the forecast error."""
-    y, f = _as_pair(labels, forecasts)
-    err = f - y
-    return float(np.sum(err * err))
-
-
-def mse_grad(labels, forecasts) -> np.ndarray:
-    y, f = _as_pair(labels, forecasts)
-    return 2.0 * (f - y)
-
-
 def _dft_matrices(t: int) -> tuple[np.ndarray, np.ndarray]:
     # Direct O(T^2) DFT along the time axis; T stays small at desk scale.
     idx = np.arange(t)
@@ -47,35 +36,16 @@ def _dft_matrices(t: int) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(ang), np.sin(ang)
 
 
-def frequency_l1_loss(labels, forecasts, beta: float = 0.5) -> float:
-    """beta * L1 distance of per-channel DFT coefficients + (1-beta) * MSE."""
-    if not 0.0 <= beta <= 1.0:
-        raise ConfigError(f"beta must be in [0, 1], got {beta}")
-    y, f = _as_pair(labels, forecasts)
-    fr, fi = _dft_matrices(y.shape[1])
-    d = y - f
-    freq_term = float(np.sum(np.abs(fr @ d)) + np.sum(np.abs(fi @ d)))
-    return beta * freq_term + (1.0 - beta) * mse_loss(y, f)
-
-
-def frequency_l1_grad(labels, forecasts, beta: float = 0.5) -> np.ndarray:
-    """Subgradient of frequency_l1_loss w.r.t. each forecast; sign(0) := 0."""
-    if not 0.0 <= beta <= 1.0:
-        raise ConfigError(f"beta must be in [0, 1], got {beta}")
-    y, f = _as_pair(labels, forecasts)
-    fr, fi = _dft_matrices(y.shape[1])
-    d = y - f
-    # d/d yhat |F (y - yhat)| = -F^T sign(F (y - yhat)), per part.
-    gf = -(fr.T @ np.sign(fr @ d) + fi.T @ np.sign(fi @ d))
-    return beta * gf + (1.0 - beta) * 2.0 * (f - y)
-
-
 @dataclass(frozen=True)
 class MseObjective(Node):
     kind: ClassVar[str] = "mse"
 
     def loss_and_grad(self, histories, labels, forecasts):
-        return mse_loss(labels, forecasts), mse_grad(labels, forecasts), None
+        """Sum over the batch of squared Frobenius norms of the forecast
+        error, and its gradient."""
+        y, f = _as_pair(labels, forecasts)
+        err = f - y
+        return float(np.sum(err * err)), 2.0 * err, None
 
 
 @dataclass(frozen=True)
@@ -88,11 +58,18 @@ class FrequencyL1Objective(Node):
             raise ConfigError(f"beta must be in [0, 1], got {self.beta}")
 
     def loss_and_grad(self, histories, labels, forecasts):
-        return (
-            frequency_l1_loss(labels, forecasts, self.beta),
-            frequency_l1_grad(labels, forecasts, self.beta),
-            None,
-        )
+        """beta * L1 norm of the per-channel DFT coefficients of the
+        forecast error + (1 - beta) * MSE, and its subgradient; sign(0) := 0."""
+        y, f = _as_pair(labels, forecasts)
+        fr, fi = _dft_matrices(y.shape[1])
+        d = y - f
+        coef_r, coef_i = fr @ d, fi @ d
+        beta = self.beta
+        loss = beta * float(np.sum(np.abs(coef_r)) + np.sum(np.abs(coef_i)))
+        loss += (1.0 - beta) * float(np.sum(d * d))
+        # d/d yhat |F (y - yhat)| = -F^T sign(F (y - yhat)), per part.
+        gf = -(fr.T @ np.sign(coef_r) + fi.T @ np.sign(coef_i))
+        return loss, beta * gf + (1.0 - beta) * 2.0 * (f - y), None
 
 
 @dataclass(frozen=True)
@@ -107,7 +84,9 @@ class KmbDfObjective(Node):
         cfg = self.config
         if cfg.top_k > len(histories):
             cfg = replace(cfg, top_k=len(histories))
-        return kmb_df_loss_and_grad(cfg, histories, labels, forecasts)
+        # Through the module, so that a patched `kmb_df_grad` is the one called.
+        grads, diag = balancing.kmb_df_grad(cfg, histories, labels, forecasts)
+        return diag.total, grads, diag
 
 
 def make_objective(kind: str, **params):

@@ -33,9 +33,11 @@ from kmbdf.harness import (
 )
 from kmbdf.kernels import KernelSpec, eval_kernel, gram_matrix, median_bandwidth
 from kmbdf.models import LinearForecaster, backward_batch, forward_batch, init_forecaster
-from kmbdf.objectives import frequency_l1_grad, frequency_l1_loss, mse_grad, mse_loss
+from kmbdf.objectives import FrequencyL1Objective, MseObjective
 
 EXP = KernelSpec(family="exponential", sigma=1.0)
+MSE = MseObjective()
+FREQ_L1 = FrequencyL1Objective(beta=0.5)
 KMB_DF = {
     "kind": "kmb_df", "alpha": 0.3, "top_k": 3, "margin_c": 0.001,
     "kernel": {"family": "exponential", "sigma": "median"},
@@ -85,21 +87,16 @@ class TestCriterion1Gradients:
         # Batch MSE on 20 random small instances.
         for _ in range(20):
             _, labels, fcs = random_batch(rng, 4, 3, 3, 2)
-            fd = fd_forecast_grads(lambda b: mse_loss(labels, b), fcs)
-            ok &= relative_error(mse_grad(labels, fcs), fd) < 1e-5
+            fd = fd_forecast_grads(lambda b: MSE.loss_and_grad(None, labels, b)[0], fcs)
+            ok &= relative_error(MSE.loss_and_grad(None, labels, fcs)[1], fd) < 1e-5
 
         # Frequency-domain L1 on 20 instances away from its kinks.
         checked = 0
         while checked < 20:
             _, labels, fcs = random_batch(rng, 3, 2, 3, 2)
-            loss = frequency_l1_loss(labels, fcs, beta=0.5)
-            bumped = frequency_l1_loss(
-                labels, [f + 1e-4 for f in fcs], beta=0.5
-            )
-            grads = frequency_l1_grad(labels, fcs, beta=0.5)
-            fd = fd_forecast_grads(
-                lambda b: frequency_l1_loss(labels, b, beta=0.5), fcs
-            )
+            loss, grads, _ = FREQ_L1.loss_and_grad(None, labels, fcs)
+            bumped, _, _ = FREQ_L1.loss_and_grad(None, labels, [f + 1e-4 for f in fcs])
+            fd = fd_forecast_grads(lambda b: FREQ_L1.loss_and_grad(None, labels, b)[0], fcs)
             err = relative_error(grads, fd)
             if err >= 1e-5 and abs(bumped - loss) < 1e-3:
                 # Possible kink crossing; draw a fresh instance instead.
@@ -116,10 +113,10 @@ class TestCriterion1Gradients:
 
             def loss_of(weight, bias):
                 m = LinearForecaster(weight, bias, h, t, d)
-                return mse_loss(list(ys), list(forward_batch(m, xs)))
+                return MSE.loss_and_grad(xs, list(ys), list(forward_batch(m, xs)))[0]
 
             preds = forward_batch(model, xs)
-            gouts = np.stack(mse_grad(list(ys), list(preds)))
+            gouts = MSE.loss_and_grad(xs, list(ys), list(preds))[1]
             gw, gb = backward_batch(model, xs, gouts)
             eps = 1e-6
             fd_w = np.zeros_like(gw)
@@ -277,8 +274,7 @@ class TestCriterion7Determinism:
 class TestCriterion8ComplexityTrend:
     def test_timing_trend(self):
         horizons = [32, 96, 192, 336, 720]
-        results = timing_probe(horizons, n=128, channels=21, history_len=96,
-                               top_k=3, reps=5, seed=0)
+        results = timing_probe(horizons, n=128, channels=21, history_len=96, reps=5, seed=0)
         totals = [r["total_ms"] for r in results]
         ok = totals[-1] > totals[0]
         ok &= totals[-1] / totals[0] <= 25.0
@@ -298,7 +294,7 @@ class TestCriterion9CrossModule:
             hist, labels, fcs = random_batch(rng, n, 3, 2, 2)
             cfg = BalanceConfig(alpha=0.0, top_k=min(2, n), kernel=EXP)
             total, _ = kmb_df_loss(cfg, hist, labels, fcs)
-            ref = mse_loss(labels, fcs)
+            ref = MSE.loss_and_grad(hist, labels, fcs)[0]
             ok &= abs(total - ref) <= 1e-12 * max(abs(ref), 1.0)
         for _ in range(1000):
             delta = float(rng.normal(scale=2.0))

@@ -13,10 +13,10 @@ from kmbdf.balancing import (
     informativeness_scores,
     kmb_df_grad,
     kmb_df_loss,
-    kmb_df_loss_and_grad,
     mmd_squared,
     select_top_k,
 )
+from kmbdf.checks import fd_forecast_grads
 from kmbdf.errors import ConfigError, DomainError, ShapeError
 from kmbdf.kernels import (
     KernelSpec,
@@ -25,7 +25,7 @@ from kmbdf.kernels import (
     median_bandwidth,
     pair_sq_dists,
 )
-from kmbdf.objectives import make_objective, mse_grad, mse_loss
+from kmbdf.objectives import KmbDfObjective, MseObjective, make_objective
 
 from kernel_reference import kernel_grad_b
 
@@ -256,10 +256,10 @@ class TestKmbDfLoss:
         hist, labels, fcs = random_batch(rng)
         for anchor in ("forecast", "real"):
             cfg = BalanceConfig(alpha=0.0, top_k=2, kernel=EXP, anchor_mode=anchor)
-            total, grads, diag = kmb_df_loss_and_grad(cfg, hist, labels, fcs)
-            assert total == mse_loss(labels, fcs)
-            for g, want in zip(grads, mse_grad(labels, fcs)):
-                np.testing.assert_array_equal(g, want)
+            total, grads, diag = KmbDfObjective(config=cfg).loss_and_grad(hist, labels, fcs)
+            want_total, want, _ = MseObjective().loss_and_grad(hist, labels, fcs)
+            assert total == want_total
+            np.testing.assert_array_equal(grads, want)
             assert diag.to_dict() == {
                 "deltas": [], "selected": [], "slacks": [],
                 "penalty_term": 0.0, "mse_term": total, "total": total,
@@ -292,26 +292,6 @@ class TestKmbDfLoss:
                 kmb_df_loss(cfg, hist, labels, fcs)
 
 
-def fd_grads(cfg, hist, labels, fcs, selected, eps=1e-6):
-    """Finite-difference oracle with the anchor selection pinned."""
-    grads = []
-    for i, f in enumerate(fcs):
-        g = np.zeros_like(f)
-        it = np.nditer(f, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            hi = [np.array(x) for x in fcs]
-            hi[i][idx] += eps
-            lo = [np.array(x) for x in fcs]
-            lo[i][idx] -= eps
-            fh, _ = kmb_df_loss(cfg, hist, labels, hi, selected)
-            fl, _ = kmb_df_loss(cfg, hist, labels, lo, selected)
-            g[idx] = (fh - fl) / (2 * eps)
-            it.iternext()
-        grads.append(g)
-    return grads
-
-
 class TestKmbDfGrad:
     def test_zero_at_optimum(self):
         rng = np.random.default_rng(9)
@@ -321,7 +301,7 @@ class TestKmbDfGrad:
         for g in grads:
             np.testing.assert_array_equal(g, np.zeros_like(g))
 
-    def test_alpha_zero_is_mse_gradient(self):
+    def test_alpha_zero_gradient_is_mse(self):
         rng = np.random.default_rng(10)
         cfg = BalanceConfig(alpha=0.0, top_k=2, kernel=EXP)
         hist, labels, fcs = random_batch(rng)
@@ -344,7 +324,10 @@ class TestKmbDfGrad:
         )
         hist, labels, fcs = random_batch(rng, n=4, h=3, t=2, d=2)
         grads, diag = kmb_df_grad(cfg, hist, labels, fcs)
-        numeric = fd_grads(cfg, hist, labels, fcs, diag.selected)
+        # Finite differences with the anchor selection pinned.
+        numeric = fd_forecast_grads(
+            lambda b: kmb_df_loss(cfg, hist, labels, b, diag.selected)[0], fcs, eps=1e-6
+        )
         a = np.concatenate([g.ravel() for g in grads])
         b = np.concatenate([g.ravel() for g in numeric])
         assert np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-12) < 1e-5
@@ -386,7 +369,9 @@ class TestKmbDfGrad:
         chosen = diag.deltas[diag.selected]
         arg = np.abs(chosen) if hinge == "canonical" else -chosen
         assume(np.min(np.abs(arg - margin_c)) > 1e-4)
-        numeric = np.array(fd_grads(cfg, hist, labels, list(fcs), diag.selected))
+        numeric = fd_forecast_grads(
+            lambda b: kmb_df_loss(cfg, hist, labels, b, diag.selected)[0], fcs, eps=1e-6
+        )
         assert np.linalg.norm(grads - numeric) / np.linalg.norm(numeric) < 1e-5
         # The penalty's share alone, which the MSE term can dwarf; the
         # differences' rounding is about 1e-10 of the loss per entry.
@@ -643,9 +628,10 @@ class TestStackedInputs:
         hist, labels, fcs = random_batch(rng, n=6, h=4, t=3, d=2)
         for kernel in ALL_KERNELS:
             cfg = BalanceConfig(alpha=0.4, top_k=3, kernel=kernel, anchor_mode=anchor)
-            total_l, grads_l, diag_l = kmb_df_loss_and_grad(cfg, hist, labels, fcs)
-            total_s, grads_s, diag_s = kmb_df_loss_and_grad(
-                cfg, np.stack(hist), np.stack(labels), np.stack(fcs)
+            objective = KmbDfObjective(config=cfg)
+            total_l, grads_l, diag_l = objective.loss_and_grad(hist, labels, fcs)
+            total_s, grads_s, diag_s = objective.loss_and_grad(
+                np.stack(hist), np.stack(labels), np.stack(fcs)
             )
             assert total_l == total_s
             np.testing.assert_array_equal(grads_l, grads_s)
@@ -658,7 +644,7 @@ class TestStackedInputs:
         for kernel in ALL_KERNELS:
             for anchor in ("forecast", "real"):
                 cfg = BalanceConfig(alpha=0.4, top_k=3, kernel=kernel, anchor_mode=anchor)
-                kmb_df_loss_and_grad(cfg, *batch)
+                KmbDfObjective(config=cfg).loss_and_grad(*batch)
         for b, b0 in zip(batch, before):
             np.testing.assert_array_equal(b, b0)
 
@@ -670,7 +656,7 @@ class TestStackedInputs:
         batch[which][2] = np.zeros((batch[which][2].shape[0] + 1, 2))
         cfg = BalanceConfig(alpha=0.4, top_k=2, kernel=EXP)
         with pytest.raises(ShapeError):
-            kmb_df_loss_and_grad(cfg, *batch)
+            KmbDfObjective(config=cfg).loss_and_grad(*batch)
         with pytest.raises(ShapeError):
             informativeness_scores(cfg, *batch)
 
@@ -692,4 +678,4 @@ class TestStackedInputs:
         for alpha, anchor in ((0.4, "forecast"), (0.4, "real"), (0.0, "forecast")):
             cfg = BalanceConfig(alpha=alpha, top_k=2, kernel=EXP, anchor_mode=anchor)
             with pytest.raises(DomainError):
-                kmb_df_loss_and_grad(cfg, hist, labels, fcs)
+                KmbDfObjective(config=cfg).loss_and_grad(hist, labels, fcs)

@@ -86,6 +86,24 @@ class TestTrainCommand:
         assert err["error"] == "DataError"
         assert "channel 1" in err["message"]
 
+    def test_not_utf8_csv_errors(self, tmp_path, capsys):
+        (tmp_path / "latin.csv").write_bytes(
+            b"date,a\n" + b"".join(b"2020-01-01,%d.0\n" % i for i in range(80))
+            + b"2020-01-02,\xff\xfe\n"
+        )
+        cfg = {
+            "data": {"source": "csv", "path": str(tmp_path / "latin.csv")},
+            "history_len": 4, "horizon": 2, "batch_size": 8, "max_epochs": 1,
+        }
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        rc = main(["train", "--config", str(tmp_path / "config.json")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "DataError"
+        assert "latin.csv: not UTF-8" in err["message"]
+
     def test_bad_config_value_errors(self, config_path, capsys):
         rc = main(["train", "--config", config_path, "--set", "lr=-1.0"])
         assert rc == 2
@@ -305,6 +323,11 @@ class TestSweepCommand:
     (["timing", "--horizons", "4", "--channels", "0"], "channels=0"),
     (["mmd-test", "--window", "0"], "--window"),
     (["gradcheck", "--trials", "0"], "trials"),
+    (["timing", "--batch", "-3"], "--batch"),
+    (["timing", "--batch", "0"], "--batch"),
+    (["timing", "--batch", "1"], "--batch"),
+    (["mmd-test", "--samples", "10", "--window", "20"], "--samples 10 and --window 20"),
+    (["mmd-test", "--samples", "30", "--window", "20"], "--samples 30 and --window 20"),
 ])
 def test_out_of_range_argument_exits_with_json(capsys, argv, needle):
     assert main(argv) == 2
@@ -324,6 +347,17 @@ class TestTimingCommand:
         assert rc == 0
         results = json.loads(capsys.readouterr().out)["results"]
         assert [r["horizon"] for r in results] == [4, 8]
+
+    def test_batch_smaller_than_top_k(self, capsys):
+        # The objective clamps its top_k of 3 to the batch, as in training.
+        rc = main([
+            "timing", "--horizons", "4", "--batch", "2",
+            "--channels", "2", "--history", "6", "--reps", "2",
+        ])
+        assert rc == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert [r["horizon"] for r in results] == [4]
+        assert results[0]["loss_and_grad_ms"] > 0.0
 
 
 class TestGradcheckCommand:

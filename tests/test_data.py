@@ -114,6 +114,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 3"):
             load_csv(p)
 
+    def test_not_utf8(self, tmp_path):
+        p = tmp_path / "latin.csv"
+        p.write_bytes(b"date,a,b\n2020-01-01,1.0,2.0\n2020-01-02,\xff\xfe,3.0\n")
+        with pytest.raises(DataError, match="latin.csv: not UTF-8"):
+            load_csv(p)
+
 
 class TestStandardize:
     def test_train_stats_oracle(self):

@@ -23,7 +23,7 @@ from kmbdf.harness import (
 )
 from kmbdf.kernels import KernelSpec, median_bandwidth
 from kmbdf.models import LinearForecaster, forward_batch, init_forecaster
-from kmbdf.objectives import MseObjective
+from kmbdf.objectives import KmbDfObjective, MseObjective
 
 
 def small_config(**overrides):
@@ -447,3 +447,18 @@ class TestTimingProbe:
             assert set(r) == {"horizon", "loss_and_grad_ms", "total_ms"}
             assert r["loss_and_grad_ms"] > 0.0
             assert r["total_ms"] == r["loss_and_grad_ms"]
+
+    def test_times_the_objective_call(self, monkeypatch):
+        calls = []
+        original = KmbDfObjective.loss_and_grad
+
+        def counted(self, *batch):
+            calls.append(self.config)
+            return original(self, *batch)
+
+        monkeypatch.setattr(KmbDfObjective, "loss_and_grad", counted)
+        timing_probe([4], n=2, channels=2, history_len=3, reps=3, seed=0)
+        # One untimed call and `reps` timed ones, with the default balance
+        # settings whatever the batch size.
+        assert len(calls) == 4
+        assert {(c.alpha, c.top_k, c.margin_c) for c in calls} == {(0.3, 3, 0.001)}

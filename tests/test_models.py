@@ -12,7 +12,7 @@ from kmbdf.models import (
     load_forecaster,
     save_forecaster,
 )
-from kmbdf.objectives import mse_grad, mse_loss
+from kmbdf.objectives import MseObjective
 
 
 def forward(model, x):
@@ -129,10 +129,10 @@ class TestBackward:
         def loss_of(weight, bias):
             mm = LinearForecaster(weight, bias, 3, 2, 2)
             preds = forward_batch(mm, xs)
-            return mse_loss(list(ys), list(preds))
+            return MseObjective().loss_and_grad(xs, list(ys), list(preds))[0]
 
         preds = forward_batch(m, xs)
-        gouts = np.stack(mse_grad(list(ys), list(preds)))
+        gouts = MseObjective().loss_and_grad(xs, list(ys), list(preds))[1]
         gw, gb = backward_batch(m, xs, gouts)
         eps = 1e-6
         for idx in np.ndindex(m.weight.shape):

@@ -15,7 +15,6 @@ from .data import CsvSpec, SplitSpec, SyntheticSpec, WindowPair, generate, load_
 from .errors import ConfigError, DataError, DomainError, KmbdfError, ShapeError
 from .harness import ExperimentConfig, TrainReport, evaluate, run_sweep, timing_probe, train
 from .kernels import (
-    KernelFamily,
     KernelSpec,
     eval_kernel,
     gram_matrix,

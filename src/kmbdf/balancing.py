@@ -22,6 +22,7 @@ Two documented ambiguities are kept switchable:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Literal, NamedTuple
 
@@ -99,16 +100,21 @@ class Scores(NamedTuple):
     cross: np.ndarray
 
 
-def _as_stacks(histories, labels, forecasts):
-    """(N, H, D), (N, T, D) and (N, T, D) float stacks of one batch; lists
-    are stacked once here, float ndarrays pass through uncopied."""
-    x, y, f = as_stack(histories), as_stack(labels), as_stack(forecasts)
-    if not len(x) == len(y) == len(f):
-        raise ShapeError("histories, labels and forecasts must have equal length")
+def label_forecast_stacks(labels, forecasts):
+    """Same-shaped float stacks of a batch's labels and forecasts; lists are
+    stacked once here, float ndarrays pass through uncopied."""
+    y, f = as_stack(labels), as_stack(forecasts)
     if y.shape != f.shape:
         raise ShapeError(f"label/forecast shapes differ: {y.shape} vs {f.shape}")
-    if x.ndim != 3 or y.ndim != 3 or x.shape[2] != y.shape[2]:
-        raise ShapeError(f"history/label channel counts differ: {x.shape} vs {y.shape}")
+    return y, f
+
+
+def _as_stacks(histories, labels, forecasts):
+    """(N, H, D), (N, T, D) and (N, T, D) float stacks of one batch, as
+    `label_forecast_stacks` gives them."""
+    x, (y, f) = as_stack(histories), label_forecast_stacks(labels, forecasts)
+    if len(x) != len(y) or x.ndim != 3 or y.ndim != 3 or x.shape[2] != y.shape[2]:
+        raise ShapeError(f"histories {x.shape} and labels {y.shape} are not (N, H, D), (N, T, D)")
     return x, y, f
 
 
@@ -141,10 +147,11 @@ def informativeness_scores(cfg: BalanceConfig, histories, labels, forecasts) -> 
 
 
 def select_top_k(deltas: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest |delta|, descending |delta|, ties by index."""
+    """Indices of the k largest |delta|, descending |delta|, ties by index;
+    k is an integer in [1, N]."""
     deltas = np.asarray(deltas, dtype=float)
-    if k > deltas.size:
-        raise ConfigError(f"top_k={k} exceeds batch size {deltas.size}")
+    if not isinstance(k, numbers.Integral) or isinstance(k, bool) or not 1 <= k <= deltas.size:
+        raise ConfigError(f"top_k must be an integer in [1, {deltas.size}], got {k!r}")
     return np.argsort(-np.abs(deltas), kind="stable")[:k]
 
 
@@ -188,7 +195,11 @@ def _evaluate(cfg, x, y, f, selected=None):
     if selected is None:
         selected = select_top_k(deltas, cfg.top_k)
     else:
-        selected = np.asarray(selected, dtype=int)
+        pinned = np.asarray(selected)
+        distinct = pinned.ndim == 1 and np.unique(pinned).size == pinned.size
+        if not (distinct and pinned.dtype.kind in "iu" and np.all((pinned >= 0) & (pinned < n))):
+            raise ConfigError(f"selected must hold distinct integers in [0, {n}), got {selected!r}")
+        selected = pinned
     slacks = hinge_slack(deltas[selected], cfg.margin_c, cfg.hinge_mode)
     penalty = float(np.sum(slacks))
     total = cfg.alpha * penalty + (1.0 - cfg.alpha) * mse
@@ -206,7 +217,8 @@ def _evaluate(cfg, x, y, f, selected=None):
 def kmb_df_loss(cfg: BalanceConfig, histories, labels, forecasts, selected=None):
     """Composite balancing objective; returns (total, BalanceDiagnostics).
 
-    `selected` pins the anchor indices in place of the top-K (gradient checks)."""
+    `selected` pins the anchor indices in place of the top-K (gradient
+    checks): distinct integers in [0, N)."""
     diag, _, _ = _evaluate(cfg, *_as_stacks(histories, labels, forecasts), selected)
     return diag.total, diag
 
@@ -263,10 +275,8 @@ def mmd_squared(kernel: KernelSpec, sample_p, sample_q, shared=None) -> MmdResul
     because the within-sample Grams are symmetric products, which round
     differently from the cross product.
     """
-    m, n = len(sample_p), len(sample_q)
-    if m == 0 or n == 0:
-        raise ShapeError("mmd_squared requires nonempty samples")
     p, q = as_stack(sample_p), as_stack(sample_q)
+    m, n = len(p), len(q)
     g_pp = gram_matrix(kernel, p, p, shared)
     g_qq = gram_matrix(kernel, q, q, shared)
     g_pq = gram_matrix(kernel, p, q, shared)

@@ -85,7 +85,7 @@ def run_gradcheck(trials: int = 3, tol: float = 1e-5, seed: int = 0):
                     worst = max(worst, relative_error(grads, fd))
                 results.append(
                     {
-                        "kernel": kernel.family.value,
+                        "kernel": kernel.family,
                         "anchor_mode": anchor,
                         "hinge_mode": hinge,
                         "max_rel_error": worst,

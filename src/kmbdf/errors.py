@@ -8,7 +8,6 @@ import sys
 import types
 import typing
 from dataclasses import fields
-from enum import Enum
 
 
 class KmbdfError(Exception):
@@ -56,8 +55,6 @@ def _typed(tp, value):
         if ok and tp is float:  # a NumPy float32 compared with _FLOAT_MAX would overflow
             ok = abs(value) <= _FLOAT_MAX if isinstance(value, int) else math.isfinite(value)
         return tp(value) if ok else _NO
-    if isinstance(tp, type) and issubclass(tp, Enum):
-        return next((m for m in tp if isinstance(value, (tp, str)) and value in (m, m.value)), _NO)
     return value if isinstance(value, tp) else _NO
 
 

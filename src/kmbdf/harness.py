@@ -9,7 +9,6 @@ import os
 import statistics
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
-from enum import Enum
 
 import numpy as np
 
@@ -78,7 +77,7 @@ def _plain(node, tag: str | None = None) -> dict:
             sub = _plain(value, f.metadata.get("tag"))
             out.update(sub if f.metadata.get("flatten") else {f.name: sub})
         else:
-            out[f.name] = value.value if isinstance(value, Enum) else value
+            out[f.name] = value
     return out
 
 
@@ -92,7 +91,8 @@ class ExperimentConfig(Node):
     `BalanceConfig` keys beside `kind` (kernel: exponential, sigma "median").
     Each node checks its own types and ranges, however built; this one also
     checks top_k <= batch_size and, for a synthetic source, that every split
-    of `length` rows holds a window.  `to_dict` is the normalised tree:
+    of `length` rows holds a window (the test split 2 with the test MMD^2
+    on).  `to_dict` is the normalised tree:
     `from_dict(to_dict(c)) == c`.
     """
 
@@ -127,7 +127,11 @@ class ExperimentConfig(Node):
             if self.batch_size < k:
                 raise ConfigError(f"batch_size {self.batch_size} smaller than top_k {k}")
         if isinstance(self.data, data_mod.SyntheticSpec):
-            data_mod.split_ranges(self.data.length, self.split, self.history_len, self.horizon)
+            h, t = self.history_len, self.horizon
+            start, stop = data_mod.split_ranges(self.data.length, self.split, h, t)["test"]
+            n_test = stop - start - h - t + 1
+            if self.compute_mmd and n_test < 2:
+                raise ConfigError(f"test MMD^2 needs at least 2 test windows, got {n_test}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -264,6 +268,8 @@ def train(config: ExperimentConfig) -> TrainReport:
     dataset = build_dataset(config)
     val_w = dataset["stacks"]["val"]
     test_w = dataset["stacks"]["test"]
+    # A CSV's test windows are known only once it is read; a synthetic
+    # source's are checked at parse.
     if config.compute_mmd and len(test_w[0]) < 2:
         raise ConfigError(f"test MMD^2 needs at least 2 test windows, got {len(test_w[0])}")
     # Batches are gathered from read-only window views: no whole-split copy.

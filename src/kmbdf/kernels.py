@@ -20,7 +20,6 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Literal
 
 import numpy as np
@@ -31,13 +30,7 @@ from .errors import ConfigError, DomainError, Node, ShapeError
 # Guard for the 1/||a-b|| factor in the exponential kernel gradient.
 EPS_NORM = 1e-12
 
-
-class KernelFamily(str, Enum):
-    EXPONENTIAL = "exponential"
-    GAUSSIAN = "gaussian"
-    LINEAR = "linear"
-    POLYNOMIAL = "polynomial"
-    SIGMOID = "sigmoid"
+KERNEL_FAMILIES = ("exponential", "gaussian", "linear", "polynomial", "sigmoid")
 
 
 @dataclass(frozen=True)
@@ -51,7 +44,7 @@ class KernelSpec(Node):
     described in the module docstring.
     """
 
-    family: KernelFamily = KernelFamily.EXPONENTIAL
+    family: Literal[KERNEL_FAMILIES] = "exponential"
     sigma: float | Literal["median"] | None = "median"
     degree: int | None = None
     scale: float | None = None
@@ -61,9 +54,9 @@ class KernelSpec(Node):
         if self.is_distance and self.sigma != "median":
             if self.sigma is None or self.sigma <= 0:
                 raise ConfigError(
-                    f"{self.family.value} kernel requires sigma 'median' or > 0, got {self.sigma}"
+                    f"{self.family} kernel requires sigma 'median' or > 0, got {self.sigma}"
                 )
-        if self.family is KernelFamily.POLYNOMIAL:
+        if self.family == "polynomial":
             if self.degree is None or self.degree < 1:
                 raise ConfigError(
                     f"polynomial kernel requires degree >= 1, got {self.degree}"
@@ -71,7 +64,7 @@ class KernelSpec(Node):
 
     @property
     def is_distance(self) -> bool:
-        return self.family in (KernelFamily.EXPONENTIAL, KernelFamily.GAUSSIAN)
+        return self.family in ("exponential", "gaussian")
 
     def resolved_scale(self, size: int) -> float:
         return 1.0 / size if self.scale is None else float(self.scale)
@@ -79,17 +72,7 @@ class KernelSpec(Node):
     def resolved_offset(self) -> float:
         if self.offset is not None:
             return float(self.offset)
-        return -1.0 if self.family is KernelFamily.SIGMOID else 0.0
-
-
-def _check_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ShapeError(f"kernel inputs differ in shape: {a.shape} vs {b.shape}")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise DomainError("kernel inputs must be finite")
-    return a, b
+        return -1.0 if self.family == "sigmoid" else 0.0
 
 
 def kernel_from_stat(spec: KernelSpec, stat, size: int):
@@ -98,14 +81,14 @@ def kernel_from_stat(spec: KernelSpec, stat, size: int):
     if spec.is_distance:
         if spec.sigma == "median":
             raise ConfigError("sigma 'median' must be resolved by median_bandwidth first")
-        if spec.family is KernelFamily.EXPONENTIAL:
+        if spec.family == "exponential":
             return np.exp(-np.sqrt(stat) / (2.0 * spec.sigma**2))
         return np.exp(-stat / (2.0 * spec.sigma**2))
-    if spec.family is KernelFamily.LINEAR:
+    if spec.family == "linear":
         return stat
     s = spec.resolved_scale(size)
     c = spec.resolved_offset()
-    if spec.family is KernelFamily.POLYNOMIAL:
+    if spec.family == "polynomial":
         return (s * stat + c) ** int(spec.degree)
     return np.tanh(s * stat + c)
 
@@ -118,14 +101,14 @@ def grad_coeffs(spec: KernelSpec, stat, size: int):
     """
     if spec.is_distance:
         k = kernel_from_stat(spec, stat, size)
-        if spec.family is KernelFamily.EXPONENTIAL:
+        if spec.family == "exponential":
             return k / (2.0 * spec.sigma**2 * np.maximum(np.sqrt(stat), EPS_NORM))
         return k / spec.sigma**2
-    if spec.family is KernelFamily.LINEAR:
+    if spec.family == "linear":
         return np.ones_like(stat)
     s = spec.resolved_scale(size)
     c = spec.resolved_offset()
-    if spec.family is KernelFamily.POLYNOMIAL:
+    if spec.family == "polynomial":
         deg = int(spec.degree)
         return deg * (s * stat + c) ** (deg - 1) * s
     return (1.0 - np.tanh(s * stat + c) ** 2) * s
@@ -133,8 +116,7 @@ def grad_coeffs(spec: KernelSpec, stat, size: int):
 
 def eval_kernel(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> float:
     """Evaluate K(a, b) for two same-shaped matrices."""
-    a, b = _check_pair(a, b)
-    af, bf = a.ravel(), b.ravel()
+    af, bf = _working_copy([a, b])
     if spec.is_distance:
         d = af - bf
         return float(kernel_from_stat(spec, np.sum(d * d), af.size))
@@ -298,7 +280,7 @@ def _add_shared(stat: np.ndarray, shared, spec: KernelSpec | None = None) -> np.
     if spec is not None and not spec.is_distance:
         # The inner-product families' default scale is 1/len of the whole
         # joint, which a label block alone does not know.
-        raise ConfigError(f"a shared block needs a distance kernel, got {spec.family.value}")
+        raise ConfigError(f"a shared block needs a distance kernel, got {spec.family}")
     if np.shape(shared) != stat.shape:
         raise ShapeError(f"shared statistic {np.shape(shared)} does not match {stat.shape}")
     stat += shared
@@ -327,8 +309,6 @@ def gram_matrix(spec: KernelSpec, rows, cols, shared=None) -> np.ndarray:
     joints (shared block, rows[i]) against (shared block, cols[j]), and each
     block keeps its own `_pairwise` bound.
     """
-    if len(rows) == 0 or len(cols) == 0:
-        raise ShapeError("gram_matrix requires nonempty rows and columns")
     if spec.is_distance and cols is rows:
         stat = pair_sq_dists(rows)
     else:
@@ -462,9 +442,9 @@ def median_bandwidth(joints, shared=None) -> float:
 
     Falls back to 1.0 if the median distance is zero (all points coincide).
     """
-    if len(joints) < 2:
-        raise ConfigError("median bandwidth needs at least 2 joint sequences")
     sq = _add_shared(pair_sq_dists(joints), shared)
+    if len(sq) < 2:
+        raise ConfigError("median bandwidth needs at least 2 joint sequences")
     med = float(np.median(np.sqrt(sq[np.triu_indices(len(sq), k=1)])))
     if med <= 0.0:
         return 1.0

@@ -17,16 +17,8 @@ from typing import ClassVar
 import numpy as np
 
 from . import balancing
-from .balancing import BalanceConfig
-from .errors import ConfigError, Node, ShapeError
-from .kernels import as_stack
-
-
-def _as_pair(labels, forecasts):
-    y, f = as_stack(labels), as_stack(forecasts)
-    if y.shape != f.shape:
-        raise ShapeError(f"label/forecast shapes differ: {y.shape} vs {f.shape}")
-    return y, f
+from .balancing import BalanceConfig, label_forecast_stacks
+from .errors import ConfigError, Node
 
 
 def _dft_matrices(t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -43,7 +35,7 @@ class MseObjective(Node):
     def loss_and_grad(self, histories, labels, forecasts):
         """Sum over the batch of squared Frobenius norms of the forecast
         error, and its gradient."""
-        y, f = _as_pair(labels, forecasts)
+        y, f = label_forecast_stacks(labels, forecasts)
         err = f - y
         return float(np.sum(err * err)), 2.0 * err, None
 
@@ -60,7 +52,7 @@ class FrequencyL1Objective(Node):
     def loss_and_grad(self, histories, labels, forecasts):
         """beta * L1 norm of the per-channel DFT coefficients of the
         forecast error + (1 - beta) * MSE, and its subgradient; sign(0) := 0."""
-        y, f = _as_pair(labels, forecasts)
+        y, f = label_forecast_stacks(labels, forecasts)
         fr, fi = _dft_matrices(y.shape[1])
         d = y - f
         coef_r, coef_i = fr @ d, fi @ d
@@ -80,9 +72,10 @@ class KmbDfObjective(Node):
 
     def loss_and_grad(self, histories, labels, forecasts):
         # Trailing partial batches may be smaller than top_k; clamp rather
-        # than reject so the final windows still contribute.
+        # than reject so the final windows still contribute.  An empty batch
+        # is left to raise ShapeError.
         cfg = self.config
-        if cfg.top_k > len(histories):
+        if cfg.top_k > len(histories) > 0:
             cfg = replace(cfg, top_k=len(histories))
         # Through the module, so that a patched `kmb_df_grad` is the one called.
         grads, diag = balancing.kmb_df_grad(cfg, histories, labels, forecasts)

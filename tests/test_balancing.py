@@ -115,7 +115,7 @@ class TestInformativenessScores:
                 cfg = BalanceConfig(kernel=kernel, anchor_mode=anchor)
                 got = informativeness_scores(cfg, hist, labels, fcs).deltas
                 want = brute_force_deltas(kernel, reals, fc_joints, anchor)
-                np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=kernel.family.value)
+                np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=kernel.family)
 
     def test_anchor_modes_differ_in_general(self):
         rng = np.random.default_rng(2)
@@ -150,6 +150,14 @@ class TestSelectTopK:
     def test_k_too_large(self):
         with pytest.raises(ConfigError):
             select_top_k([1.0, 2.0], 3)
+
+    @pytest.mark.parametrize("k", [-1, 0, 2.0, 1.5, True, "1", None])
+    def test_k_outside_integers_1_to_n_rejected(self, k):
+        with pytest.raises(ConfigError, match="top_k"):
+            select_top_k([0.5, -0.9, 0.1], k)
+
+    def test_numpy_integer_k(self):
+        np.testing.assert_array_equal(select_top_k([0.5, -0.9, 0.1], np.int64(3)), [1, 0, 2])
 
     def test_selected_dominate_unselected(self):
         rng = np.random.default_rng(4)
@@ -283,6 +291,25 @@ class TestKmbDfLoss:
         assert diag.total == total
         assert len(set(int(i) for i in diag.selected)) == 3
 
+    @pytest.mark.parametrize("selected", [[5], [3], [-1], [0.5], [1.0], [0, 0], [[0, 1]], [True]])
+    def test_pinned_selection_outside_distinct_indices_rejected(self, selected):
+        rng = np.random.default_rng(9)
+        hist, labels, fcs = random_batch(rng, n=3)
+        cfg = BalanceConfig(alpha=0.4, top_k=2, kernel=EXP)
+        with pytest.raises(ConfigError, match="selected"):
+            kmb_df_loss(cfg, hist, labels, fcs, selected)
+
+    def test_pinned_selection(self):
+        rng = np.random.default_rng(9)
+        hist, labels, fcs = random_batch(rng, n=3)
+        cfg = BalanceConfig(alpha=0.4, top_k=2, kernel=EXP)
+        _, diag = kmb_df_loss(cfg, hist, labels, fcs)
+        for selected in ([2, 0], np.array([2, 0], dtype=np.uint8), diag.selected):
+            total, pinned = kmb_df_loss(cfg, hist, labels, fcs, selected)
+            np.testing.assert_array_equal(pinned.selected, selected)
+            slacks = hinge_slack(diag.deltas[list(selected)], cfg.margin_c)
+            assert pinned.penalty_term == float(np.sum(slacks))
+
     def test_top_k_larger_than_batch(self):
         rng = np.random.default_rng(8)
         hist, labels, fcs = random_batch(rng, n=4)
@@ -309,7 +336,7 @@ class TestKmbDfGrad:
         for g, y, f in zip(grads, labels, fcs):
             np.testing.assert_allclose(g, 2.0 * (f - y), rtol=1e-14)
 
-    @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.family.value)
+    @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.family)
     @pytest.mark.parametrize("anchor", ["forecast", "real"])
     @pytest.mark.parametrize("hinge", ["canonical", "paper_literal"])
     def test_finite_difference(self, kernel, anchor, hinge):
@@ -617,7 +644,7 @@ class TestPenaltyGradient:
             want = per_pair_grads(cfg, hist, labels, fcs, diag)
             np.testing.assert_allclose(
                 grads, want, rtol=1e-12, atol=1e-13 * np.abs(want).max(),
-                err_msg=kernel.family.value,
+                err_msg=kernel.family,
             )
 
 

@@ -1,0 +1,128 @@
+"""Every public entry point that takes a batch validates it the same way.
+
+A list of per-sample arrays and its stack give bit-identical results; empty,
+ragged or mismatched input raises ShapeError; NaN raises DomainError wherever
+the entry checks finiteness.  None of them may emit a RuntimeWarning.
+"""
+
+import warnings
+from typing import Callable, NamedTuple
+
+import numpy as np
+import pytest
+
+from kmbdf.balancing import (
+    BalanceConfig,
+    BalanceDiagnostics,
+    informativeness_scores,
+    kmb_df_grad,
+    kmb_df_loss,
+    mmd_squared,
+)
+from kmbdf.errors import DomainError, ShapeError
+from kmbdf.kernels import KernelSpec, eval_kernel, gram_matrix, median_bandwidth, pair_sq_dists
+from kmbdf.objectives import FrequencyL1Objective, KmbDfObjective, MseObjective
+
+EXP = KernelSpec(family="exponential", sigma=1.3)
+LIN = KernelSpec(family="linear")
+CFG = BalanceConfig(alpha=0.4, top_k=2, margin_c=0.01, kernel=EXP)
+BATCH = [(5, 3, 2), (5, 2, 2), (5, 2, 2)]  # histories, labels, forecasts
+PAIR = [(5, 3, 2), (4, 3, 2)]  # two samples of joints
+
+
+class Entry(NamedTuple):
+    call: Callable
+    shapes: list  # of each batch argument, as stacks
+    reads: tuple  # the arguments the entry reads
+    same_n: bool  # whether their sample counts must agree
+    finite: bool  # whether the entry rejects NaN
+
+
+ENTRIES = {
+    "eval_kernel": Entry(lambda a, b: eval_kernel(EXP, a, b), [(3, 2), (3, 2)], (0, 1), True, True),
+    "gram_matrix": Entry(lambda r, c: gram_matrix(EXP, r, c), PAIR, (0, 1), False, True),
+    "gram_matrix_linear": Entry(lambda r, c: gram_matrix(LIN, r, c), PAIR, (0, 1), False, True),
+    "gram_matrix_within": Entry(lambda z: gram_matrix(EXP, z, z), [(5, 3, 2)], (0,), False, True),
+    "pair_sq_dists": Entry(pair_sq_dists, [(5, 3, 2)], (0,), False, True),
+    "median_bandwidth": Entry(median_bandwidth, [(5, 3, 2)], (0,), False, True),
+    "mmd_squared": Entry(lambda p, q: mmd_squared(EXP, p, q), PAIR, (0, 1), False, True),
+    "informativeness_scores": Entry(
+        lambda *b: informativeness_scores(CFG, *b), BATCH, (0, 1, 2), True, True
+    ),
+    "kmb_df_loss": Entry(lambda *b: kmb_df_loss(CFG, *b), BATCH, (0, 1, 2), True, True),
+    "kmb_df_grad": Entry(lambda *b: kmb_df_grad(CFG, *b), BATCH, (0, 1, 2), True, True),
+    "mse": Entry(MseObjective().loss_and_grad, BATCH, (1, 2), True, False),
+    "freq_l1": Entry(FrequencyL1Objective().loss_and_grad, BATCH, (1, 2), True, False),
+    "kmb_df": Entry(KmbDfObjective(config=CFG).loss_and_grad, BATCH, (0, 1, 2), True, True),
+}
+
+
+def stacks(entry):
+    rng = np.random.default_rng(0)
+    return [rng.normal(size=shape) for shape in entry.shapes]
+
+
+def call(entry, args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return entry.call(*args)
+
+
+def bits(result) -> list:
+    """(shape, dtype, bytes) of every number in a result."""
+    if isinstance(result, BalanceDiagnostics):
+        result = tuple(vars(result).values())
+    if result is None:
+        return []
+    if isinstance(result, tuple):
+        return [leaf for part in result for leaf in bits(part)]
+    a = np.asarray(result)
+    return [(a.shape, a.dtype.str, a.tobytes())]
+
+
+def replaced(args, i, value):
+    return [value if j == i else a for j, a in enumerate(args)]
+
+
+def shape_faults(entry):
+    """Argument lists, each with one bad batch argument."""
+    args = stacks(entry)
+    for i in entry.reads:
+        ragged = list(args[i])
+        ragged[1] = ragged[1][:-1]
+        yield replaced(args, i, [])
+        yield replaced(args, i, args[i][:0])
+        yield replaced(args, i, ragged)
+        if len(entry.reads) > 1:
+            yield replaced(args, i, args[i][..., :-1])
+            if entry.same_n:
+                yield replaced(args, i, args[i][:-1])
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_list_and_stack_give_identical_bits(name):
+    entry = ENTRIES[name]
+    args = stacks(entry)
+    want = bits(call(entry, args))
+    assert want
+    assert bits(call(entry, [list(a) for a in args])) == want
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_empty_ragged_or_mismatched_input_raises_shape_error(name):
+    entry = ENTRIES[name]
+    for args in shape_faults(entry):
+        for form in (args, [list(a) for a in args]):
+            with pytest.raises(ShapeError):
+                call(entry, form)
+
+
+@pytest.mark.parametrize("name", [n for n, e in ENTRIES.items() if e.finite])
+def test_nan_raises_domain_error(name):
+    entry = ENTRIES[name]
+    for i in entry.reads:
+        args = stacks(entry)
+        args[i][(1,) * args[i].ndim] = np.nan
+        for form in (args, [list(a) for a in args]):
+            with pytest.raises(DomainError):
+                call(entry, form)

@@ -344,19 +344,25 @@ class TestTrain:
             assert rep.balance_summary is not None
             assert len(rep.balance_summary["selected"]) == 3
 
-    def test_test_split_too_small_for_mmd_fails_before_training(self, monkeypatch):
+    def test_test_split_too_small_for_mmd_fails_before_training(self, monkeypatch, tmp_path):
         def forbidden(*args, **kwargs):
             raise AssertionError("a training step ran")
 
         monkeypatch.setattr(harness, "forward_batch", forbidden)
         # 25 / 17 / 1 windows: one test window has no pair for MMD^2.
-        cfg = small_config(
-            data={"source": "synthetic", "kind": "ar", "length": 100, "channels": 1,
-                  "seed": 3, "coeffs": (0.8,)},
-            split={"train": 0.6, "val": 0.28, "test": 0.12},
-            history_len=24, horizon=12,
-        )
-        assert len(build_dataset(cfg)["windows"]["test"]) == 1
+        split = {"split": {"train": 0.6, "val": 0.28, "test": 0.12},
+                 "history_len": 24, "horizon": 12}
+        synthetic = {"kind": "ar", "length": 100, "channels": 1, "seed": 3, "coeffs": (0.8,)}
+        # A synthetic source's window count follows from the config: parse fails.
+        with pytest.raises(ConfigError, match="test windows"):
+            small_config(data=synthetic, **split)
+        small_config(data=synthetic, compute_mmd=False, **split)
+        # A CSV's rows are known only once read: train() fails before a step.
+        path = tmp_path / "short.csv"
+        series = data_mod.generate(data_mod.SyntheticSpec(**synthetic))
+        path.write_text("a\n" + "".join(f"{float(v)!r}\n" for v in series[:, 0]))
+        cfg = small_config(data={"source": "csv", "path": str(path), "date_column": False}, **split)
+        assert len(build_dataset(cfg)["stacks"]["test"][0]) == 1
         with pytest.raises(ConfigError, match="test windows"):
             train(cfg)
 

@@ -72,7 +72,7 @@ class TestEvalKernel:
         with pytest.raises(DomainError):
             eval_kernel(spec, np.array([[np.nan]]), np.array([[1.0]]))
 
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family.value)
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
     def test_symmetry(self, spec):
         rng = np.random.default_rng(1)
         for _ in range(20):
@@ -119,7 +119,7 @@ class TestGramMatrix:
         expected = np.array([[1.0, np.exp(-1)], [np.exp(-1), 1.0]])
         np.testing.assert_allclose(gram_matrix(spec, pts, pts), expected)
 
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family.value)
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
     def test_matches_double_loop(self, spec):
         rng = np.random.default_rng(4)
         pts = [rng.normal(size=(3, 2)) for _ in range(5)]
@@ -138,7 +138,7 @@ class TestGramMatrix:
         if spec.is_distance:
             np.testing.assert_array_equal(np.diag(g), 1.0)
 
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family.value)
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
     def test_near_duplicates(self, spec):
         # Z against Z + 1e-9: the diagonal's squared distances are ~1e-18
         # per entry, far below the expansion's rounding of ||Z||^2.
@@ -150,7 +150,7 @@ class TestGramMatrix:
             rtol=1e-12, atol=0,
         )
 
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family.value)
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
     def test_large_offset(self, spec):
         # Points at +1e3 with spread 1e-3 over L*D = 4000 entries: the
         # uncentred squared norms are ~4e9 and the distances ~8e-3.
@@ -224,7 +224,7 @@ class TestKernelGrad:
         g = kernel_grad_b(spec, [[0.0]], [[2.0]])
         assert g[0, 0] == pytest.approx(-np.exp(-1.0) / 2.0)
 
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family.value)
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
     def test_finite_difference(self, spec):
         rng = np.random.default_rng(7)
         for _ in range(5):
@@ -237,7 +237,7 @@ class TestKernelGrad:
 
 
 class TestGradBSum:
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family.value)
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
     def test_matches_row_loop(self, spec):
         rng = np.random.default_rng(8)
         a, b = rng.normal(size=(6, 5)), rng.normal(size=(4, 5))
@@ -340,7 +340,7 @@ def shared_block_cases():
 
 
 class TestSharedBlock:
-    @pytest.mark.parametrize("spec", ALL_SPECS[:2], ids=lambda s: s.family.value)
+    @pytest.mark.parametrize("spec", ALL_SPECS[:2], ids=lambda s: s.family)
     def test_matches_concatenated_joints(self, spec):
         for hist, lab, fc in shared_block_cases():
             shared = pair_sq_dists(hist)
@@ -367,7 +367,7 @@ class TestSharedBlock:
         np.testing.assert_array_equal(stack, before)
         np.testing.assert_array_equal(pair_sq_dists(list(stack)), sq)
 
-    @pytest.mark.parametrize("spec", ALL_SPECS[2:], ids=lambda s: s.family.value)
+    @pytest.mark.parametrize("spec", ALL_SPECS[2:], ids=lambda s: s.family)
     def test_inner_product_families_rejected(self, spec):
         # Their default scale is 1/len of the whole joint, which the label
         # block alone does not give.
@@ -497,7 +497,7 @@ class TestSlidingPath:
             assert kernels._window_rows(other) is None
             np.testing.assert_allclose(pair_sq_dists(other), ref, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("spec", ALL_SPECS[:2], ids=lambda s: s.family.value)
+    @pytest.mark.parametrize("spec", ALL_SPECS[:2], ids=lambda s: s.family)
     def test_gram_and_bandwidth_take_it(self, spec, monkeypatch):
         stack = data.joint_windows(ar1_series(70, 2, seed=46), 9)
         copy = stack.copy()

@@ -195,9 +195,13 @@ def _evaluate(cfg, x, y, f, selected=None):
     if selected is None:
         selected = select_top_k(deltas, cfg.top_k)
     else:
-        pinned = np.asarray(selected)
-        distinct = pinned.ndim == 1 and np.unique(pinned).size == pinned.size
-        if not (distinct and pinned.dtype.kind in "iu" and np.all((pinned >= 0) & (pinned < n))):
+        try:
+            pinned = np.asarray(selected)
+        except ValueError:  # ragged, such as [[0], [1, 2]]
+            pinned = np.asarray(None)
+        indices = pinned.dtype.kind in "iu" and pinned.ndim == 1
+        distinct = indices and np.unique(pinned).size == pinned.size
+        if not (distinct and np.all((pinned >= 0) & (pinned < n))):
             raise ConfigError(f"selected must hold distinct integers in [0, {n}), got {selected!r}")
         selected = pinned
     slacks = hinge_slack(deltas[selected], cfg.margin_c, cfg.hinge_mode)

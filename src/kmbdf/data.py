@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar, Literal, NamedTuple
 
@@ -74,17 +75,11 @@ def generate(spec: SyntheticSpec) -> np.ndarray:
         noise = rng.normal(0.0, spec.noise_std, size=(spec.length, spec.channels))
         return base[:, None] + noise
     phi = np.asarray(spec.coeffs, dtype=float)
-    p = phi.size
-    total = spec.length + AR_BURN_IN
-    noise = rng.normal(0.0, spec.noise_std, size=(total, spec.channels))
-    if p == 0:
-        return noise[AR_BURN_IN:]
-    out = np.zeros((total, spec.channels))
-    for t in range(total):
-        acc = noise[t].copy()
-        for i in range(min(p, t)):
-            acc += phi[i] * out[t - 1 - i]
-        out[t] = acc
+    out = rng.normal(0.0, spec.noise_std, size=(spec.length + AR_BURN_IN, spec.channels))
+    # In place on the noise: the rows before t already hold the series.
+    for t, row in enumerate(out):
+        for i in range(min(phi.size, t)):
+            row += phi[i] * out[t - 1 - i]
     return out[AR_BURN_IN:]
 
 
@@ -123,7 +118,7 @@ def load_csv(path, date_column: bool = True) -> np.ndarray:
                     raise DataError(
                         f"{path}: unparseable value {cell!r} at row {r}, column {c}"
                     ) from None
-                if not np.isfinite(v):
+                if not math.isfinite(v):
                     raise DataError(
                         f"{path}: non-finite value {cell!r} at row {r}, column {c}"
                     )
@@ -186,18 +181,11 @@ def joint_windows(series: np.ndarray, length: int, rows_range=None) -> np.ndarra
     return np.moveaxis(sliding_window_view(series[start:stop], length, axis=0), -1, 1)
 
 
-def window_stacks(series: np.ndarray, history_len: int, horizon: int, rows_range=None):
-    """Stride-1 windows of `rows_range` = (start, stop) as (n, H, D)
-    histories and (n, T, D) labels: the two blocks of `joint_windows`, so
-    both are read-only views of the series."""
-    joints = joint_windows(series, history_len + horizon, rows_range)
-    return joints[:, :history_len], joints[:, history_len:]
-
-
 def window(series: np.ndarray, history_len: int, horizon: int, rows_range=None):
-    """Stride-1 (history, label) pairs: the rows of `window_stacks`."""
-    stacks = window_stacks(series, history_len, horizon, rows_range)
-    return [WindowPair(x, y) for x, y in zip(*stacks)]
+    """Stride-1 (history, label) pairs: read-only views of the two blocks of
+    each row of `joint_windows`."""
+    joints = joint_windows(series, history_len + horizon, rows_range)
+    return [WindowPair(x, y) for x, y in zip(joints[:, :history_len], joints[:, history_len:])]
 
 
 @dataclass(frozen=True)

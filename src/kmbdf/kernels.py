@@ -422,8 +422,8 @@ def pair_sq_dists(stack) -> np.ndarray:
     """(N, N) squared distances within a list or (N, L, D) stack: exactly
     symmetric, with an exactly-zero diagonal.  The input is left unmodified.
     A stride-1 window stack (see `_window_rows`), such as a view from
-    `data.window_stacks` or a contiguous slice of one, takes the sliding
-    path; any other input (a list, a gathered copy, `view[::2]`, float32)
+    `data.joint_windows`, one of its blocks or a contiguous slice, takes the
+    sliding path; any other input (a list, a gathered copy, `view[::2]`, float32)
     one symmetric `_pairwise` product.  Both keep `_pairwise`'s bound."""
     rows = _window_rows(stack)
     if rows is None:

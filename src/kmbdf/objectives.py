@@ -11,6 +11,7 @@ balancing module.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
@@ -21,11 +22,14 @@ from .balancing import BalanceConfig, label_forecast_stacks
 from .errors import ConfigError, Node
 
 
+@functools.lru_cache(maxsize=1)
 def _dft_matrices(t: int) -> tuple[np.ndarray, np.ndarray]:
-    # Direct O(T^2) DFT along the time axis; T stays small at desk scale.
+    # Direct O(T^2) DFT along the time axis; a run keeps one T, so one pair.
     idx = np.arange(t)
     ang = -2.0 * np.pi * np.outer(idx, idx) / t
-    return np.cos(ang), np.sin(ang)
+    fr, fi = np.cos(ang), np.sin(ang)
+    fr.flags.writeable = fi.flags.writeable = False
+    return fr, fi
 
 
 @dataclass(frozen=True)

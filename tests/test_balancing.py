@@ -291,7 +291,9 @@ class TestKmbDfLoss:
         assert diag.total == total
         assert len(set(int(i) for i in diag.selected)) == 3
 
-    @pytest.mark.parametrize("selected", [[5], [3], [-1], [0.5], [1.0], [0, 0], [[0, 1]], [True]])
+    @pytest.mark.parametrize(
+        "selected", [[5], [3], [-1], [0.5], [1.0], [0, 0], [[0, 1]], [True], [[0], [1, 2]], [0, None]]
+    )
     def test_pinned_selection_outside_distinct_indices_rejected(self, selected):
         rng = np.random.default_rng(9)
         hist, labels, fcs = random_batch(rng, n=3)

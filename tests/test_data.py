@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kmbdf.data import (
+    AR_BURN_IN,
     SplitSpec,
     SyntheticSpec,
     generate,
@@ -18,7 +19,36 @@ def lag1_autocorr(x):
     return float(np.sum(x[1:] * x[:-1]) / np.sum(x * x))
 
 
+def reference_ar(spec):
+    """The AR recursion `generate` replaced: a zero buffer, one accumulator
+    copy per row and its write-back, and white noise returned directly."""
+    rng = np.random.default_rng(spec.seed)
+    phi = np.asarray(spec.coeffs, dtype=float)
+    p = phi.size
+    total = spec.length + AR_BURN_IN
+    noise = rng.normal(0.0, spec.noise_std, size=(total, spec.channels))
+    if p == 0:
+        return noise[AR_BURN_IN:]
+    out = np.zeros((total, spec.channels))
+    for t in range(total):
+        acc = noise[t].copy()
+        for i in range(min(p, t)):
+            acc += phi[i] * out[t - 1 - i]
+        out[t] = acc
+    return out[AR_BURN_IN:]
+
+
 class TestGenerate:
+    @pytest.mark.parametrize("coeffs", [(), (0.9,), (0.5, -0.3, 0.2)])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_ar_bytes_match_reference(self, coeffs, channels):
+        spec = SyntheticSpec(
+            kind="ar", length=600, channels=channels, seed=12, coeffs=coeffs, noise_std=1.3
+        )
+        got, want = generate(spec), reference_ar(spec)
+        assert got.dtype == want.dtype and got.shape == want.shape == (600, channels)
+        assert got.tobytes() == want.tobytes()
+
     def test_white_noise_autocorrelation(self):
         spec = SyntheticSpec(kind="ar", length=10000, coeffs=(), seed=0)
         series = generate(spec)
@@ -100,6 +130,13 @@ class TestLoadCsv:
         p = tmp_path / "bad.csv"
         p.write_text("date,a,b\n2020-01-01,1.0,2.0\n2020-01-02,3.0,NaN\n")
         with pytest.raises(DataError, match=r"row 3, column 3"):
+            load_csv(p)
+
+    @pytest.mark.parametrize("cell", ["inf", "-Infinity", "1e999"])
+    def test_infinite_cell_located(self, tmp_path, cell):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"date,a,b\n2020-01-01,1.0,2.0\n2020-01-02,{cell},4.0\n")
+        with pytest.raises(DataError, match=rf"non-finite value '{cell}' at row 3, column 2"):
             load_csv(p)
 
     def test_unparseable_cell_located(self, tmp_path):

@@ -105,7 +105,7 @@ class TestTestMmd:
                 )
 
     def test_window_views_match_concatenated_joints(self, monkeypatch):
-        # The views of `data.window_stacks`: every window takes the sliding
+        # The blocks of `data.joint_windows`: every window takes the sliding
         # path of `pair_sq_dists` (two `_pairwise` products, for g_qq and
         # g_pq); over the cap the gathered copies take five products.
         rng = np.random.default_rng(32)
@@ -123,7 +123,8 @@ class TestTestMmd:
 
         monkeypatch.setattr(kernels, "_pairwise", counted)
         for series in (x, 1e3 + x, repeated):
-            hist, labels = data_mod.window_stacks(series, 10, 5)
+            joints = data_mod.joint_windows(series, 15)
+            hist, labels = joints[:, :10], joints[:, 10:]
             model = init_forecaster(10, 5, 3, seed=7)
             n = len(hist)
             for max_samples, expected_products in ((n, 2), (n + 5, 2), (n // 3, 5)):

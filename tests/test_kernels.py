@@ -403,7 +403,7 @@ def sliding_cases():
     """(name, stride-1 window stack) pairs, all read-only views."""
     x = ar1_series(80, 3, seed=41)
     yield "ar1", data.joint_windows(x, 12)
-    yield "ar1 labels", data.window_stacks(x, 9, 5)[1]
+    yield "ar1 labels", data.joint_windows(x, 14)[:, 9:]
     yield "ar1 slice", data.joint_windows(x, 7)[5:40]
     yield "offset", data.joint_windows(1e3 + 1e-3 * x, 10)
     rep = x.copy()

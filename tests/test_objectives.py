@@ -182,6 +182,21 @@ class TestFrequencyL1:
             assert grads == pytest.approx(numeric, rel=1e-5, abs=1e-6)
         assert checked == 5
 
+    def test_dft_pair_cached_read_only(self):
+        from kmbdf.objectives import _dft_matrices
+
+        fr, fi = _dft_matrices(7)
+        again = _dft_matrices(7)
+        assert again[0] is fr and again[1] is fi
+        assert not fr.flags.writeable and not fi.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            fr[0, 0] = 2.0
+        # Only the last T is kept; a rebuilt pair has the same bits.
+        _dft_matrices(5)
+        rebuilt = _dft_matrices(7)
+        assert rebuilt[0] is not fr
+        assert rebuilt[0].tobytes() == fr.tobytes() and rebuilt[1].tobytes() == fi.tobytes()
+
     def test_bad_beta(self):
         for beta in (1.5, -0.1):
             with pytest.raises(ConfigError, match="beta"):

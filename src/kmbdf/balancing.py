@@ -37,6 +37,7 @@ from .kernels import (
     gram_matrix,
     joint_stats,
     kernel_from_stat,
+    median_gram,
 )
 
 ANCHOR_MODES = ("forecast", "real")
@@ -140,7 +141,7 @@ def informativeness_scores(cfg: BalanceConfig, histories, labels, forecasts) -> 
     )
     size = xf.shape[1] + yf.shape[1]
     deltas = (
-        kernel_from_stat(cfg.kernel, real, size).sum(axis=0)
+        kernel_from_stat(cfg.kernel, real, size, inplace=True).sum(axis=0)
         - kernel_from_stat(cfg.kernel, cross, size).sum(axis=0)
     )
     return Scores(deltas, cross)
@@ -270,7 +271,10 @@ def mmd_squared(kernel: KernelSpec, sample_p, sample_q, shared=None) -> MmdResul
     list or an (N, L, D) stack.  With `shared` (N, N), the squared distances
     of a block that p_i and q_i share (distance kernels and paired samples
     only; see `kernels.gram_matrix`), the samples are the joints
-    (block_i, p_i) and (block_i, q_i).
+    (block_i, p_i) and (block_i, q_i).  A distance kernel's sigma "median"
+    is resolved to `median_bandwidth(sample_p, shared)` from the statistic
+    that then becomes g_pp (`kernels.median_gram`): the same bits as
+    resolving it first.  g_qq and g_pq come from `gram_matrix`.
 
     Unbiased U-statistic when both samples have >= 2 points; for equal-size
     samples the paired form excluding diagonal cross terms is used.  Falls
@@ -281,7 +285,10 @@ def mmd_squared(kernel: KernelSpec, sample_p, sample_q, shared=None) -> MmdResul
     """
     p, q = as_stack(sample_p), as_stack(sample_q)
     m, n = len(p), len(q)
-    g_pp = gram_matrix(kernel, p, p, shared)
+    if kernel.is_distance and kernel.sigma == "median":
+        kernel, g_pp = median_gram(kernel, p, shared)
+    else:
+        g_pp = gram_matrix(kernel, p, p, shared)
     g_qq = gram_matrix(kernel, q, q, shared)
     g_pq = gram_matrix(kernel, p, q, shared)
     # After the Grams, which reject non-finite samples.

@@ -17,7 +17,7 @@ from .checks import run_gradcheck
 from .data import SyntheticSpec, generate
 from .errors import ConfigError, KmbdfError
 from .harness import ExperimentConfig, build_dataset, evaluate, run_sweep, timing_probe, train
-from .kernels import KernelSpec, median_bandwidth
+from .kernels import KernelSpec
 from .models import load_forecaster
 
 
@@ -119,8 +119,7 @@ def _cmd_mmd_test(args) -> int:
     width = args.window
     sample_p = [a[i : i + width] for i in range(0, len(a) - width + 1, width)]
     sample_q = [b[i : i + width] for i in range(0, len(b) - width + 1, width)]
-    kernel = KernelSpec(family="exponential", sigma=median_bandwidth(sample_p))
-    result = mmd_squared(kernel, sample_p, sample_q)
+    result = mmd_squared(KernelSpec(family="exponential"), sample_p, sample_q)
     print(json.dumps({"mmd_squared": result.value, "biased": result.biased}))
     return 0
 

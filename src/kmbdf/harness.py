@@ -187,8 +187,13 @@ class EarlyStopper:
         return self.bad_epochs >= self.patience
 
 
+def _data_key(config: ExperimentConfig) -> tuple:
+    return config.data, config.split, config.history_len, config.horizon
+
+
 def build_dataset(config: ExperimentConfig) -> dict:
-    """Materialize series, splits, and window pairs for one experiment."""
+    """Materialize series, splits, and window pairs for one experiment;
+    `built_for` holds the config's data, split, history_len and horizon."""
     spec = config.data
     if isinstance(spec, data_mod.CsvSpec):
         series = data_mod.load_csv(spec.path, date_column=spec.date_column)
@@ -201,6 +206,7 @@ def build_dataset(config: ExperimentConfig) -> dict:
         series, stats = data_mod.standardize(series, train_rows=ranges["train"][1])
     joints = {name: data_mod.joint_windows(series, h + t, rng) for name, rng in ranges.items()}
     return {
+        "built_for": _data_key(config),
         "series": series,
         "stats": stats,
         "windows": {
@@ -227,19 +233,19 @@ def _resolve_objective(config: ExperimentConfig, joints):
 
 
 def evaluate(model: LinearForecaster, windows) -> tuple[float, float]:
-    """Per-element mean squared / absolute error over all windows: a list of
-    `WindowPair`s, or a (histories, labels) pair of (n, H, D) and (n, T, D)
-    stacks such as `build_dataset`'s read-only views."""
+    """Per-element mean squared / absolute error, formed in place in the
+    forecasts, over all windows: a list of `WindowPair`s, or (n, H, D) and
+    (n, T, D) stacks such as `build_dataset`'s read-only views, unmodified."""
     if len(windows) == 0 or not isinstance(windows[0], np.ndarray):
         windows = np.array([w.history for w in windows]), np.array([w.label for w in windows])
     xs, ys = windows
     if len(xs) == 0:
         raise ConfigError("evaluate requires at least one window")
-    preds = forward_batch(model, xs)
-    if preds.shape != np.shape(ys):
-        raise ShapeError(f"labels {np.shape(ys)} do not match forecasts {preds.shape}")
-    err = preds - ys
-    return float(np.mean(err * err)), float(np.mean(np.abs(err)))
+    err = forward_batch(model, xs)
+    if err.shape != np.shape(ys):
+        raise ShapeError(f"labels {np.shape(ys)} do not match forecasts {err.shape}")
+    err -= ys
+    return float(np.mean(err * err)), float(np.mean(np.abs(err, out=err)))
 
 
 def _test_mmd(model, histories, labels, max_samples: int) -> float:
@@ -248,8 +254,9 @@ def _test_mmd(model, histories, labels, max_samples: int) -> float:
     its squared distances are computed once and added to those of the
     label and forecast blocks; no joint is concatenated.  With every window
     in use (n <= max_samples) the stacks are not copied, so window views
-    take `pair_sq_dists`' sliding path for the history block, the bandwidth
-    and g_pp; the evenly spaced picks of n > max_samples are copies."""
+    take `pair_sq_dists`' sliding path for the history block and the labels,
+    whose statistic gives both the bandwidth and g_pp; over the cap the
+    evenly spaced picks are copies."""
     n = len(histories)
     picks = slice(None)
     if n > max_samples:
@@ -258,14 +265,21 @@ def _test_mmd(model, histories, labels, max_samples: int) -> float:
     fcs = forward_batch(model, hist)
     shared = pair_sq_dists(hist)
     del hist
-    lab = labels[picks]
-    kernel = KernelSpec(family="exponential", sigma=median_bandwidth(lab, shared))
-    return float(mmd_squared(kernel, lab, fcs, shared).value)
+    return float(mmd_squared(KernelSpec(family="exponential"), labels[picks], fcs, shared).value)
 
 
-def train(config: ExperimentConfig) -> TrainReport:
-    """Mini-batch Adam training with early stopping on validation MSE."""
-    dataset = build_dataset(config)
+def train(config: ExperimentConfig, dataset: dict | None = None) -> TrainReport:
+    """Mini-batch Adam training with early stopping on validation MSE, on a
+    new dataset or on `dataset` (only read), which `build_dataset` must have
+    made for this config's data, else ConfigError before any step.  `timing`
+    adds build (0.0 if passed in), validation and test seconds."""
+    build_s = 0.0
+    if dataset is None:
+        t0 = time.perf_counter()
+        dataset = build_dataset(config)
+        build_s = time.perf_counter() - t0
+    elif dataset.get("built_for") != _data_key(config):
+        raise ConfigError("dataset was built for another data, split, history_len or horizon")
     val_w = dataset["stacks"]["val"]
     test_w = dataset["stacks"]["test"]
     # A CSV's test windows are known only once it is read; a synthetic
@@ -287,6 +301,7 @@ def train(config: ExperimentConfig) -> TrainReport:
     epochs = []
     trace = []
     step_times = []
+    val_s = 0.0
     stopper = EarlyStopper(config.patience)
     best_params = None
     last_diag = None
@@ -313,7 +328,9 @@ def train(config: ExperimentConfig) -> TrainReport:
             trace.append((step, epoch, loss))
             if diag is not None:
                 last_diag = diag
+        t0 = time.perf_counter()
         val_mse, val_mae = evaluate(model, val_w)
+        val_s += time.perf_counter() - t0
         epochs.append(
             {
                 "epoch": epoch,
@@ -330,10 +347,13 @@ def train(config: ExperimentConfig) -> TrainReport:
 
     if best_params is not None:
         model.set_params(best_params)
+    t0 = time.perf_counter()
     test_mse, test_mae = evaluate(model, test_w)
+    t1 = time.perf_counter()
     test_mmd = None
     if config.compute_mmd:
         test_mmd = _test_mmd(model, *test_w, config.mmd_max_samples)
+    t2 = time.perf_counter()
     report = TrainReport(
         config=config.to_dict(),
         seed=config.seed,
@@ -348,6 +368,7 @@ def train(config: ExperimentConfig) -> TrainReport:
             "steps": len(step_times),
             "mean_step_ms": 1e3 * float(np.mean(step_times)) if step_times else 0.0,
             "median_step_ms": 1e3 * float(np.median(step_times)) if step_times else 0.0,
+            "build_s": build_s, "val_s": val_s, "test_mse_s": t1 - t0, "test_mmd_s": t2 - t1,
         },
     )
     if config.out:
@@ -366,7 +387,7 @@ SWEEP_PARAMS = ("alpha", "top_k", "margin_c")
 
 
 def run_sweep(base_config: ExperimentConfig, param: str, values, out_dir=None):
-    """One train() per grid value plus an alpha=0 reference run.
+    """One train() per grid value plus an alpha=0 reference run, on one dataset.
 
     Returns (rows, reports).  Each row is (label, mse, mae, dmse_pct,
     dmae_pct) with deltas against the alpha=0 run; failed runs carry an
@@ -385,10 +406,11 @@ def run_sweep(base_config: ExperimentConfig, param: str, values, out_dir=None):
         balance = replace(objective.config, **overrides)
         return replace(base_config, objective=replace(objective, config=balance), out=None)
 
+    dataset = build_dataset(base_config)
     reports = {}
     rows = []
     baseline_in_grid = param == "alpha" and any(v == 0 for v in values)
-    base_report = train(variant(alpha=0.0))
+    base_report = train(variant(alpha=0.0), dataset)
     reports["DF"] = base_report
     base_mse, base_mae = base_report.test_mse, base_report.test_mae
     if not baseline_in_grid:
@@ -400,7 +422,7 @@ def run_sweep(base_config: ExperimentConfig, param: str, values, out_dir=None):
             reports[label] = base_report
             continue
         try:
-            rep = train(variant(**{param: v}))
+            rep = train(variant(**{param: v}), dataset)
         except KmbdfError as exc:  # record and continue per sweep contract
             rows.append((label, None, None, None, str(exc)))
             continue

@@ -19,7 +19,7 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
@@ -39,9 +39,9 @@ class KernelSpec(Node):
 
     Parameters irrelevant to `family` are ignored.  `sigma` is a finite
     bandwidth > 0 or "median", unresolved: a distance kernel evaluated with
-    it raises ConfigError, so set it from `median_bandwidth` first.  `scale`
-    / `offset` may be left as None to use the size-dependent defaults
-    described in the module docstring.
+    it raises ConfigError unless `mmd_squared` or `median_gram` resolves it.
+    `scale` / `offset` may be left as None to use the size-dependent
+    defaults described in the module docstring.
     """
 
     family: Literal[KERNEL_FAMILIES] = "exponential"
@@ -75,22 +75,26 @@ class KernelSpec(Node):
         return -1.0 if self.family == "sigmoid" else 0.0
 
 
-def kernel_from_stat(spec: KernelSpec, stat, size: int):
+def kernel_from_stat(spec: KernelSpec, stat, size: int, inplace: bool = False):
     """K from the pair statistic: the squared distance for the distance
-    families, the inner product otherwise; `size` is the flattened length."""
+    families, the inner product otherwise; `size` is the flattened length.
+    With `inplace`, K overwrites `stat`, a float array the caller owns."""
+    if spec.is_distance and spec.sigma == "median":
+        raise ConfigError("sigma 'median' must be resolved by median_bandwidth first")
+    k = stat if inplace else np.array(stat, dtype=float)
     if spec.is_distance:
-        if spec.sigma == "median":
-            raise ConfigError("sigma 'median' must be resolved by median_bandwidth first")
         if spec.family == "exponential":
-            return np.exp(-np.sqrt(stat) / (2.0 * spec.sigma**2))
-        return np.exp(-stat / (2.0 * spec.sigma**2))
+            np.sqrt(k, out=k)
+        k /= -2.0 * spec.sigma**2
+        return np.exp(k, out=k)
     if spec.family == "linear":
-        return stat
-    s = spec.resolved_scale(size)
-    c = spec.resolved_offset()
+        return k
+    k *= spec.resolved_scale(size)
+    k += spec.resolved_offset()
     if spec.family == "polynomial":
-        return (s * stat + c) ** int(spec.degree)
-    return np.tanh(s * stat + c)
+        k **= int(spec.degree)
+        return k
+    return np.tanh(k, out=k)
 
 
 def grad_coeffs(spec: KernelSpec, stat, size: int):
@@ -288,7 +292,7 @@ def _add_shared(stat: np.ndarray, shared, spec: KernelSpec | None = None) -> np.
 
 
 def gram_matrix(spec: KernelSpec, rows, cols, shared=None) -> np.ndarray:
-    """Entry (i, j) = K(rows[i], cols[j]), from one pair statistic.
+    """Entry (i, j) = K(rows[i], cols[j]), from one pair statistic made K in place.
 
     Rows and columns are lists or (N, L, D) stacks; each distinct input is
     copied once for one `_pairwise` product, so the in-place centring never
@@ -297,8 +301,8 @@ def gram_matrix(spec: KernelSpec, rows, cols, shared=None) -> np.ndarray:
     it takes its squared distances from `pair_sq_dists(z)`, so a stride-1
     window stack takes the sliding path instead.  Either way the result is
     exactly symmetric, and for the distance families its diagonal is
-    exactly K(z_i, z_i) = 1.  Against the
-    sequential double loop over `eval_kernel` the entries agree to rtol
+    exactly K(z_i, z_i) = 1.  Against the sequential double loop over
+    `eval_kernel` the entries agree to rtol
     1e-12 in the tests, including near-duplicate points and points at a
     large common offset; see `_pairwise` for the bound.  Identical inputs
     give bit-identical results.
@@ -315,7 +319,7 @@ def gram_matrix(spec: KernelSpec, rows, cols, shared=None) -> np.ndarray:
         rf = _working_copy(rows)
         cf = rf if cols is rows else _working_copy(cols, shape=np.shape(rows[0]))
         stat = _pairwise(rf, cf, spec.is_distance, rows, cols)
-    return kernel_from_stat(spec, _add_shared(stat, shared, spec), np.size(rows[0]))
+    return kernel_from_stat(spec, _add_shared(stat, shared, spec), np.size(rows[0]), inplace=True)
 
 
 # Differences per `grad_b_sum` product (2 MB) unless one row is larger.  A
@@ -442,10 +446,21 @@ def median_bandwidth(joints, shared=None) -> float:
 
     Falls back to 1.0 if the median distance is zero (all points coincide).
     """
-    sq = _add_shared(pair_sq_dists(joints), shared)
+    return _median_sigma(_add_shared(pair_sq_dists(joints), shared))
+
+
+def _median_sigma(sq: np.ndarray) -> float:
     if len(sq) < 2:
         raise ConfigError("median bandwidth needs at least 2 joint sequences")
     med = float(np.median(np.sqrt(sq[np.triu_indices(len(sq), k=1)])))
     if med <= 0.0:
         return 1.0
     return float(np.sqrt(med))
+
+
+def median_gram(spec: KernelSpec, joints, shared=None):
+    """A distance `spec` at sigma = `median_bandwidth(joints, shared)` and its
+    `gram_matrix(spec, joints, joints, shared)`, bit for bit, from one statistic."""
+    sq = _add_shared(pair_sq_dists(joints), shared, spec)
+    spec = replace(spec, sigma=_median_sigma(sq))
+    return spec, kernel_from_stat(spec, sq, np.size(joints[0]), inplace=True)

@@ -66,7 +66,9 @@ def forward_batch(model: LinearForecaster, xs: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"batch shape {xs.shape} incompatible with ({model.history_len}, {model.channels})"
         )
-    return np.matmul(model.weight, xs) + model.bias[None, :, None]
+    out = np.matmul(model.weight, xs)
+    out += model.bias[:, None]
+    return out
 
 
 def backward_batch(model: LinearForecaster, xs: np.ndarray, grad_outs: np.ndarray):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from kmbdf import balancing
+from kmbdf import balancing, data
 from kmbdf.balancing import (
     ANCHOR_MODES,
     HINGE_MODES,
@@ -522,6 +522,50 @@ class TestMmdSquared:
             mmd_squared(EXP, z, z[:4], shared)
         with pytest.raises(ConfigError):
             mmd_squared(KernelSpec(family="linear"), z, z + 1.0, shared)
+
+    @staticmethod
+    def median_cases():
+        """(name, real sample, forecast sample, shared) for the unresolved
+        median: a list, a stack and a read-only window view."""
+        rng = np.random.default_rng(43)
+        hist, lab, fc = rng.normal(size=(3, 11, 4, 2))
+        shared = pair_sq_dists(hist)
+        joints = data.joint_windows(np.cumsum(rng.normal(size=(70, 2)), axis=0), 10)
+        view, fc_view = joints[:, 6:], rng.normal(size=(len(joints), 4, 2))
+        for with_shared in (False, True):
+            yield "list", list(lab), list(fc), shared if with_shared else None
+            yield "stack", lab, fc, shared if with_shared else None
+            yield "window view", view, fc_view, (
+                pair_sq_dists(joints[:, :6]) if with_shared else None
+            )
+
+    @pytest.mark.parametrize("family", ["exponential", "gaussian"])
+    def test_unresolved_median_equals_resolved(self, family):
+        for name, p, q, shared in self.median_cases():
+            before = [np.array(z) for z in (p, q)]
+            shared_before = None if shared is None else shared.copy()
+            resolved = KernelSpec(family=family, sigma=median_bandwidth(p, shared))
+            want = mmd_squared(resolved, p, q, shared)
+            got = mmd_squared(KernelSpec(family=family), p, q, shared)
+            assert got == want, name
+            np.testing.assert_array_equal(np.array(p), before[0])
+            np.testing.assert_array_equal(np.array(q), before[1])
+            if shared is not None:
+                np.testing.assert_array_equal(shared, shared_before)
+
+    @pytest.mark.parametrize("family", ["exponential", "gaussian"])
+    def test_unresolved_median_needs_two_real_points(self, family):
+        rng = np.random.default_rng(44)
+        q = [rng.normal(size=(2, 1)) for _ in range(4)]
+        with pytest.raises(ConfigError, match="at least 2"):
+            mmd_squared(KernelSpec(family=family), [rng.normal(size=(2, 1))], q)
+
+    @pytest.mark.parametrize("spec", ALL_KERNELS[2:], ids=lambda s: s.family)
+    def test_inner_product_families_ignore_sigma(self, spec):
+        rng = np.random.default_rng(45)
+        p, q = rng.normal(size=(2, 7, 3, 2))
+        values = {mmd_squared(replace(spec, sigma=sigma), p, q) for sigma in ("median", 0.4, 9.0)}
+        assert len(values) == 1
 
 
 class TestBalanceConfig:

@@ -1,6 +1,6 @@
 import csv
 import json
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -82,6 +82,23 @@ class TestEvaluate:
         with pytest.raises(ShapeError):
             evaluate(model, (np.zeros((4, 3, 1)), np.zeros((4, 1, 1))))
 
+    def test_inputs_unmodified(self):
+        cfg = small_config()
+        xs, ys = build_dataset(cfg)["stacks"]["val"]  # read-only views
+        model = init_forecaster(cfg.history_len, cfg.horizon, 1, seed=5)
+        weight = model.weight.copy()
+        writable = xs.copy(), ys.copy()
+        for windows in ((xs, ys), writable):
+            before = [z.copy() for z in windows]
+            preds = forward_batch(model, windows[0])
+            err = preds - windows[1]
+            assert evaluate(model, windows) == (
+                float(np.mean(err * err)), float(np.mean(np.abs(err)))
+            )
+            for z, b in zip(windows, before):
+                np.testing.assert_array_equal(z, b)
+        np.testing.assert_array_equal(model.weight, weight)
+
 
 class TestTestMmd:
     def test_matches_concatenated_joints(self):
@@ -107,7 +124,9 @@ class TestTestMmd:
     def test_window_views_match_concatenated_joints(self, monkeypatch):
         # The blocks of `data.joint_windows`: every window takes the sliding
         # path of `pair_sq_dists` (two `_pairwise` products, for g_qq and
-        # g_pq); over the cap the gathered copies take five products.
+        # g_pq); over the cap the gathered copies take four products (the
+        # history block, the labels' distances for the bandwidth and g_pp,
+        # g_qq and g_pq).
         rng = np.random.default_rng(32)
         x = np.zeros((120, 3))
         for i in range(1, len(x)):
@@ -127,7 +146,7 @@ class TestTestMmd:
             hist, labels = joints[:, :10], joints[:, 10:]
             model = init_forecaster(10, 5, 3, seed=7)
             n = len(hist)
-            for max_samples, expected_products in ((n, 2), (n + 5, 2), (n // 3, 5)):
+            for max_samples, expected_products in ((n, 2), (n + 5, 2), (n // 3, 4)):
                 idx = np.unique(np.linspace(0, n - 1, min(max_samples, n)).astype(int))
                 x_idx = hist[idx]
                 reals = np.concatenate([x_idx, labels[idx]], axis=1)
@@ -379,6 +398,34 @@ class TestTrain:
         assert len(rep.epochs) < 300
         assert len(rep.epochs) == rep.best_epoch + 3
 
+    @pytest.mark.parametrize("other", [
+        {"horizon": 5},
+        {"split": {"train": 0.6, "val": 0.2, "test": 0.2}},
+        {"data": {"source": "synthetic", "kind": "ar", "length": 400,
+                  "channels": 1, "seed": 4, "coeffs": (0.8,)}},
+    ], ids=["horizon", "split", "data seed"])
+    def test_foreign_dataset_rejected_before_a_step(self, monkeypatch, other):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        dataset = build_dataset(small_config(**other))
+        monkeypatch.setattr(harness, "forward_batch", forbidden)
+        with pytest.raises(ConfigError, match="dataset was built for another"):
+            train(small_config(), dataset)
+
+    def test_timing_phases_outside_payload(self):
+        cfg = small_config()
+        own = train(cfg)
+        passed = train(cfg, build_dataset(cfg))
+        for rep in (own, passed):
+            phases = {k: rep.timing[k] for k in ("build_s", "val_s", "test_mse_s", "test_mmd_s")}
+            assert all(isinstance(v, float) and v >= 0.0 for v in phases.values()), phases
+            assert not set(phases) & set(rep.to_dict(include_timing=False))
+        assert own.timing["build_s"] > 0.0
+        assert passed.timing["build_s"] == 0.0
+        assert own.to_json(include_timing=False) == passed.to_json(include_timing=False)
+        assert train(small_config(compute_mmd=False)).timing["test_mmd_s"] >= 0.0
+
 
 class TestRunSweep:
     def base(self):
@@ -413,13 +460,38 @@ class TestRunSweep:
         assert rows[0][3] == 0.0
         assert "DF" in reports and "top_k=2" in reports
 
+    @pytest.mark.parametrize("param, values", [("alpha", [0.0, 0.3]), ("top_k", [2])])
+    def test_reports_equal_separate_runs(self, param, values):
+        base = replace(self.base(), compute_mmd=True)
+        overrides = {"DF": {"alpha": 0.0}, **{f"{param}={v}": {param: v} for v in values}}
+        _, reports = run_sweep(base, param, values)
+        assert set(reports) == set(overrides)
+        for label, rep in reports.items():
+            balance = replace(base.objective.config, **overrides[label])
+            alone = train(replace(base, objective=replace(base.objective, config=balance)))
+            assert rep.test_mmd is not None
+            assert rep.to_json(include_timing=False) == alone.to_json(include_timing=False)
+
+    def test_builds_dataset_once(self, monkeypatch):
+        calls = []
+        build = harness.build_dataset
+
+        def counted(config):
+            calls.append(config)
+            return build(config)
+
+        monkeypatch.setattr(harness, "build_dataset", counted)
+        _, reports = run_sweep(self.base(), "alpha", [0.3, 0.5])
+        assert len(calls) == 1 and len(reports) == 3
+        assert all(rep.timing["build_s"] == 0.0 for rep in reports.values())
+
     def test_bad_param(self):
         with pytest.raises(ConfigError):
             run_sweep(self.base(), "lr", [1e-3])
 
     @staticmethod
     def fake_train(error):
-        def fake(config):
+        def fake(config, dataset=None):
             if config.objective.config.alpha == 0.5:
                 raise error
             return SimpleNamespace(test_mse=1.0, test_mae=2.0)

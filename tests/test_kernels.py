@@ -9,6 +9,7 @@ from kmbdf.kernels import (
     eval_kernel,
     grad_b_sum,
     gram_matrix,
+    kernel_from_stat,
     median_bandwidth,
     pair_sq_dists,
 )
@@ -516,3 +517,85 @@ class TestSlidingPath:
             median_bandwidth(stack), median_bandwidth(copy), rtol=1e-12, atol=0
         )
         assert calls == [70, 70]
+
+
+def formula(spec, stat, size):
+    """Each family's kernel as an out-of-place expression of its statistic."""
+    if spec.family == "exponential":
+        return np.exp(-np.sqrt(stat) / (2.0 * spec.sigma**2))
+    if spec.family == "gaussian":
+        return np.exp(-stat / (2.0 * spec.sigma**2))
+    if spec.family == "linear":
+        return stat
+    s, c = spec.resolved_scale(size), spec.resolved_offset()
+    if spec.family == "polynomial":
+        return (s * stat + c) ** int(spec.degree)
+    return np.tanh(s * stat + c)
+
+
+INPLACE_SPECS = ALL_SPECS + [
+    KernelSpec(family="polynomial", degree=2, scale=0.3, offset=1.0),
+    KernelSpec(family="exponential", sigma=0.37),
+]
+
+
+def gram_cases():
+    """(name, rows, cols, shared) on the product path, the sliding path and
+    with a shared block; the window views are read-only."""
+    rng = np.random.default_rng(51)
+    a, b = rng.normal(size=(2, 9, 5, 3))
+    yield "product", a, b, None
+    yield "product lists", list(a), list(b), None
+    yield "within", a, a, None
+    view = data.joint_windows(ar1_series(60, 2, seed=52), 9)
+    yield "sliding", view, view, None
+    hist, lab = view[:, :5], view[:, 5:]
+    yield "shared", lab, 1e-3 + lab, pair_sq_dists(hist)
+    yield "shared sliding", lab, lab, pair_sq_dists(hist)
+
+
+class TestKernelInPlace:
+    @pytest.mark.parametrize("spec", INPLACE_SPECS, ids=lambda s: s.family)
+    def test_gram_is_kernel_of_a_copy_of_its_statistic(self, spec):
+        for name, rows, cols, shared in gram_cases():
+            if shared is not None and not spec.is_distance:
+                continue
+            if spec.is_distance and cols is rows:
+                stat = pair_sq_dists(rows)
+            else:
+                rf = kernels._working_copy(rows)
+                cf = rf if cols is rows else kernels._working_copy(cols)
+                stat = kernels._pairwise(rf, cf, spec.is_distance, rows, cols)
+            if shared is not None:
+                stat += shared
+            size = np.size(rows[0])
+            kept = stat.copy()
+            want = kernel_from_stat(spec, stat, size)
+            np.testing.assert_array_equal(stat, kept)  # left as it was
+            np.testing.assert_array_equal(want, formula(spec, kept, size), err_msg=name)
+            np.testing.assert_array_equal(gram_matrix(spec, rows, cols, shared), want,
+                                          err_msg=name)
+            out = kernel_from_stat(spec, stat, size, inplace=True)
+            assert out is stat
+            np.testing.assert_array_equal(out, want, err_msg=name)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
+    def test_gram_leaves_inputs_unmodified(self, spec):
+        for name, rows, cols, shared in gram_cases():
+            if shared is not None and not spec.is_distance:
+                continue
+            before = [np.array(z) for z in (rows, cols)]
+            shared_before = None if shared is None else shared.copy()
+            gram_matrix(spec, rows, cols, shared)
+            np.testing.assert_array_equal(np.array(rows), before[0], err_msg=name)
+            np.testing.assert_array_equal(np.array(cols), before[1], err_msg=name)
+            if shared is not None:
+                np.testing.assert_array_equal(shared, shared_before, err_msg=name)
+
+    @pytest.mark.parametrize("spec", INPLACE_SPECS, ids=lambda s: s.family)
+    def test_scalar_statistic(self, spec):
+        a, b = np.random.default_rng(53).normal(size=(2, 4, 3))
+        stat = np.sum((a - b) ** 2) if spec.is_distance else np.sum(a * b)
+        np.testing.assert_allclose(
+            eval_kernel(spec, a, b), formula(spec, stat, a.size), rtol=1e-14, atol=0
+        )

@@ -88,6 +88,18 @@ class TestForward:
         with pytest.raises(ShapeError):
             forward_batch(m, np.zeros((1, 5, 2)))
 
+    def test_inputs_unmodified_and_bias_added_exactly(self):
+        rng = np.random.default_rng(3)
+        m = LinearForecaster(rng.normal(size=(3, 4)), rng.normal(size=3), 4, 3, 2)
+        weight, bias = m.weight.copy(), m.bias.copy()
+        xs = rng.normal(size=(6, 4, 2))
+        xs.flags.writeable = False
+        out = forward_batch(m, xs)
+        np.testing.assert_array_equal(out, np.matmul(weight, xs) + bias[None, :, None])
+        np.testing.assert_array_equal(m.weight, weight)
+        np.testing.assert_array_equal(m.bias, bias)
+        assert not np.shares_memory(out, xs)
+
 
 class TestBackward:
     def test_zero_grad_out(self):

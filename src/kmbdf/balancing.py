@@ -38,6 +38,7 @@ from .kernels import (
     joint_stats,
     kernel_from_stat,
     median_gram,
+    pair_sq_dists,
 )
 
 ANCHOR_MODES = ("forecast", "real")
@@ -87,9 +88,6 @@ class BalanceDiagnostics:
 class MmdResult(NamedTuple):
     value: float
     biased: bool
-
-    def __float__(self) -> float:
-        return self.value
 
 
 class Scores(NamedTuple):
@@ -266,15 +264,15 @@ def kmb_df_grad(cfg: BalanceConfig, histories, labels, forecasts):
     return grads, diag
 
 
-def mmd_squared(kernel: KernelSpec, sample_p, sample_q, shared=None) -> MmdResult:
+def mmd_squared(kernel: KernelSpec, sample_p, sample_q, history=None) -> MmdResult:
     """Two-sample MMD^2 estimate between samples of joint sequences, each a
-    list or an (N, L, D) stack.  With `shared` (N, N), the squared distances
-    of a block that p_i and q_i share (distance kernels and paired samples
-    only; see `kernels.gram_matrix`), the samples are the joints
-    (block_i, p_i) and (block_i, q_i).  A distance kernel's sigma "median"
-    is resolved to `median_bandwidth(sample_p, shared)` from the statistic
-    that then becomes g_pp (`kernels.median_gram`): the same bits as
-    resolving it first.  g_qq and g_pq come from `gram_matrix`.
+    list or an (N, L, D) stack.  With `history`, a list, stack or window
+    view of the block that p_i and q_i share (distance kernels and paired
+    samples only), the samples are the joints (history_i, p_i) and
+    (history_i, q_i); the block's `pair_sq_dists` is added to each Gram's
+    statistic.  A distance kernel's sigma "median" is resolved from the
+    statistic that then becomes g_pp (`kernels.median_gram`): the same bits
+    as resolving it first.  g_qq and g_pq come from `gram_matrix`.
 
     Unbiased U-statistic when both samples have >= 2 points; for equal-size
     samples the paired form excluding diagonal cross terms is used.  Falls
@@ -283,8 +281,11 @@ def mmd_squared(kernel: KernelSpec, sample_p, sample_q, shared=None) -> MmdResul
     because the within-sample Grams are symmetric products, which round
     differently from the cross product.
     """
+    if history is not None and not kernel.is_distance:
+        raise ConfigError(f"a shared history needs a distance kernel, got {kernel.family}")
     p, q = as_stack(sample_p), as_stack(sample_q)
     m, n = len(p), len(q)
+    shared = None if history is None else pair_sq_dists(history)
     if kernel.is_distance and kernel.sigma == "median":
         kernel, g_pp = median_gram(kernel, p, shared)
     else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from .balancing import mmd_squared
 from .checks import run_gradcheck
@@ -129,24 +130,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument("--out", default=None, help="override output directory")
     sub = parser.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True)
+    config.add_argument("--set", action="append", metavar="KEY.PATH=VALUE")
 
-    p = sub.add_parser("train", help="train one experiment")
-    p.add_argument("--config", required=True)
-    p.add_argument("--set", action="append", metavar="KEY.PATH=VALUE")
+    p = sub.add_parser("train", parents=[config], help="train one experiment")
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("sweep", help="grid sweep over one balance parameter")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("sweep", parents=[config], help="grid sweep over one balance parameter")
     p.add_argument("--param", required=True, choices=["alpha", "top_k", "margin_c"])
     p.add_argument("--values", required=True, help="comma-separated grid values")
-    p.add_argument("--set", action="append", metavar="KEY.PATH=VALUE")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("evaluate", help="evaluate a checkpoint on one split")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("evaluate", parents=[config], help="evaluate a checkpoint on one split")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", default="test", choices=["train", "val", "test"])
-    p.add_argument("--set", action="append", metavar="KEY.PATH=VALUE")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("timing", help="median ms of one objective loss-and-gradient call")
@@ -175,9 +173,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (KmbdfError, OSError) as exc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return args.func(args)
+    except (KmbdfError, OSError, RuntimeWarning) as exc:
+        # A NumPy overflow or invalid value fails the command as a DomainError.
         name = "OSError" if isinstance(exc, OSError) else type(exc).__name__
+        name = "DomainError" if isinstance(exc, RuntimeWarning) else name
         json.dump({"error": name, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 2

@@ -76,8 +76,9 @@ def generate(spec: SyntheticSpec) -> np.ndarray:
         return base[:, None] + noise
     phi = np.asarray(spec.coeffs, dtype=float)
     out = rng.normal(0.0, spec.noise_std, size=(spec.length + AR_BURN_IN, spec.channels))
-    # In place on the noise: the rows before t already hold the series.
-    for t, row in enumerate(out):
+    # In place on the noise: the rows before t already hold the series, and
+    # white noise (no lags) is the noise itself.
+    for t, row in enumerate(out if phi.size else ()):
         for i in range(min(phi.size, t)):
             row += phi[i] * out[t - 1 - i]
     return out[AR_BURN_IN:]

@@ -15,7 +15,7 @@ import numpy as np
 from . import data as data_mod
 from .balancing import BalanceConfig, mmd_squared
 from .errors import ConfigError, DomainError, KmbdfError, Node, ShapeError, node_fields
-from .kernels import KernelSpec, median_bandwidth, pair_sq_dists
+from .kernels import KernelSpec, median_bandwidth
 from .models import (
     LinearForecaster,
     adam_init,
@@ -250,22 +250,19 @@ def evaluate(model: LinearForecaster, windows) -> tuple[float, float]:
 
 def _test_mmd(model, histories, labels, max_samples: int) -> float:
     """MMD^2 between the real and forecast joints of up to `max_samples`
-    evenly spaced test windows.  Both joints share their history block, so
-    its squared distances are computed once and added to those of the
-    label and forecast blocks; no joint is concatenated.  With every window
-    in use (n <= max_samples) the stacks are not copied, so window views
-    take `pair_sq_dists`' sliding path for the history block and the labels,
-    whose statistic gives both the bandwidth and g_pp; over the cap the
-    evenly spaced picks are copies."""
+    evenly spaced test windows, which share their history block:
+    `mmd_squared` takes it beside the labels and forecasts, so no joint is
+    concatenated.  With every window in use (n <= max_samples) the stacks
+    are not copied, so window views take the kernels' sliding-window path
+    for the history block and the labels, whose distances give both the
+    bandwidth and g_pp; over the cap the evenly spaced picks are copies."""
     n = len(histories)
     picks = slice(None)
     if n > max_samples:
         picks = np.unique(np.linspace(0, n - 1, max_samples).astype(int))
     hist = histories[picks]
     fcs = forward_batch(model, hist)
-    shared = pair_sq_dists(hist)
-    del hist
-    return float(mmd_squared(KernelSpec(family="exponential"), labels[picks], fcs, shared).value)
+    return float(mmd_squared(KernelSpec(family="exponential"), labels[picks], fcs, hist).value)
 
 
 def train(config: ExperimentConfig, dataset: dict | None = None) -> TrainReport:
@@ -305,7 +302,6 @@ def train(config: ExperimentConfig, dataset: dict | None = None) -> TrainReport:
     stopper = EarlyStopper(config.patience)
     best_params = None
     last_diag = None
-    step = 0
     for epoch in range(1, config.max_epochs + 1):
         perm = rng.permutation(n)
         epoch_loss = 0.0
@@ -317,15 +313,14 @@ def train(config: ExperimentConfig, dataset: dict | None = None) -> TrainReport:
             loss, grads, diag = objective.loss_and_grad(xb, yb, preds)
             if not math.isfinite(loss):
                 raise DomainError(
-                    f"non-finite loss at epoch {epoch}, step {step}: {loss!r}"
+                    f"non-finite loss at epoch {epoch}, step {len(step_times)}: {loss!r}"
                 )
             gw, gb = backward_batch(model, xb, grads)
             params = adam_step(state, params, {"weight": gw, "bias": gb})
             model.set_params(params)
             step_times.append(time.perf_counter() - t0)
-            step += 1
             epoch_loss += loss
-            trace.append((step, epoch, loss))
+            trace.append((len(step_times), epoch, loss))
             if diag is not None:
                 last_diag = diag
         t0 = time.perf_counter()

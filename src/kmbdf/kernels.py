@@ -276,12 +276,12 @@ def _working_copy(mats, shape=None) -> np.ndarray:
     return stack.reshape(len(stack), -1)
 
 
-def _add_shared(stat: np.ndarray, shared, spec: KernelSpec | None = None) -> np.ndarray:
+def _add_shared(stat: np.ndarray, shared, spec: KernelSpec) -> np.ndarray:
     """`stat` plus `shared`, the squared distances of a block that every
-    input shares; `spec`, if given, must be a distance kernel."""
+    input shares; `spec` must be a distance kernel."""
     if shared is None:
         return stat
-    if spec is not None and not spec.is_distance:
+    if not spec.is_distance:
         # The inner-product families' default scale is 1/len of the whole
         # joint, which a label block alone does not know.
         raise ConfigError(f"a shared block needs a distance kernel, got {spec.family}")
@@ -308,10 +308,10 @@ def gram_matrix(spec: KernelSpec, rows, cols, shared=None) -> np.ndarray:
     give bit-identical results.
 
     `shared` (R, C), for the distance families only, holds the squared
-    distances of a block that rows and columns share, such as
-    `pair_sq_dists` of a common history: the Gram is then that of the
-    joints (shared block, rows[i]) against (shared block, cols[j]), and each
-    block keeps its own `_pairwise` bound.
+    distances of a block that rows and columns share: the Gram is then that
+    of the joints (shared block, rows[i]) against (shared block, cols[j]),
+    and each block keeps its own `_pairwise` bound.  Only `mmd_squared`
+    passes it, as `pair_sq_dists` of the history block it is given.
     """
     if spec.is_distance and cols is rows:
         stat = pair_sq_dists(rows)
@@ -438,15 +438,13 @@ def pair_sq_dists(stack) -> np.ndarray:
     return _sliding_sq_dists(rows, *stack.shape[:2])
 
 
-def median_bandwidth(joints, shared=None) -> float:
+def median_bandwidth(joints) -> float:
     """Median heuristic: sigma^2 = median pairwise ||Z_i - Z_j|| over a batch
-    (a list or an (N, L, D) stack), from `pair_sq_dists`.  With
-    `shared` (N, N), the squared distances of a block every Z_i shares (see
-    `gram_matrix`), the distances are those of the joints (block, Z_i).
+    (a list or an (N, L, D) stack), from `pair_sq_dists`.
 
     Falls back to 1.0 if the median distance is zero (all points coincide).
     """
-    return _median_sigma(_add_shared(pair_sq_dists(joints), shared))
+    return _median_sigma(pair_sq_dists(joints))
 
 
 def _median_sigma(sq: np.ndarray) -> float:
@@ -459,8 +457,8 @@ def _median_sigma(sq: np.ndarray) -> float:
 
 
 def median_gram(spec: KernelSpec, joints, shared=None):
-    """A distance `spec` at sigma = `median_bandwidth(joints, shared)` and its
-    `gram_matrix(spec, joints, joints, shared)`, bit for bit, from one statistic."""
+    """A distance `spec` at the median bandwidth of the joints (shared block,
+    joints[i]) and its `gram_matrix(spec, joints, joints, shared)`, bit for bit."""
     sq = _add_shared(pair_sq_dists(joints), shared, spec)
     spec = replace(spec, sigma=_median_sigma(sq))
     return spec, kernel_from_stat(spec, sq, np.size(joints[0]), inplace=True)

@@ -165,12 +165,13 @@ def load_forecaster(path) -> LinearForecaster:
             raise DataError(f"{path}: not a JSON checkpoint: {exc}") from None
     if not isinstance(payload, dict):
         raise DataError(f"{path}: checkpoint must be a JSON object, got {type(payload).__name__}")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise ConfigError(f"{path}: unsupported checkpoint version {payload.get('version')}")
+    if type(payload.get("version")) is not int or payload["version"] != CHECKPOINT_VERSION:
+        raise DataError(f"{path}: unsupported checkpoint version {payload.get('version')!r}")
+    dims = [payload.get(k) for k in ("H", "T", "D")]
+    if any(type(v) is not int for v in dims):
+        raise DataError(f"{path}: H, T and D must be integers, got {dims}")
     try:
-        weight = np.array(payload["weight"], dtype=float)
-        bias = np.array(payload["bias"], dtype=float)
-        dims = int(payload["H"]), int(payload["T"]), int(payload["D"])
+        # A misshaped or non-finite parameter raises a ValueError subclass.
+        return LinearForecaster(payload["weight"], payload["bias"], *dims)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed checkpoint: {exc!r}") from None
-    return LinearForecaster(weight, bias, *dims)

@@ -23,6 +23,7 @@ from kmbdf.kernels import (
     eval_kernel,
     grad_coeffs,
     median_bandwidth,
+    median_gram,
     pair_sq_dists,
 )
 from kmbdf.objectives import KmbDfObjective, MseObjective, make_objective
@@ -212,6 +213,10 @@ class TestHingeSlack:
         c = 0.1
         xs = [hinge_slack(d, c, "canonical") for d in (0.2, 0.4, 0.8)]
         assert xs[0] < xs[1] < xs[2]
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ConfigError, match="unknown hinge mode"):
+            hinge_slack(0.1, 0.01, "literal")
 
     def test_negative_margin_rejected(self):
         with pytest.raises(ConfigError):
@@ -509,49 +514,56 @@ class TestMmdSquared:
         for hist, lab, fc in ((hist, lab, fc), near, far):
             reals = np.concatenate([hist, lab], axis=1)
             kernel = KernelSpec(family=family, sigma=median_bandwidth(reals))
-            shared = pair_sq_dists(hist)
             expected = mmd_squared(kernel, reals, np.concatenate([hist, fc], axis=1))
-            result = mmd_squared(kernel, lab, fc, shared)
+            result = mmd_squared(kernel, lab, fc, hist)
             np.testing.assert_allclose(result.value, expected.value, rtol=1e-10, atol=0)
-            assert mmd_squared(kernel, lab, lab.copy(), shared).value == 0.0
+            assert mmd_squared(kernel, lab, lab.copy(), hist).value == 0.0
 
     def test_shared_block_needs_paired_distance_samples(self):
         z = np.random.default_rng(42).normal(size=(5, 3, 2))
-        shared = pair_sq_dists(z)
         with pytest.raises(ShapeError):
-            mmd_squared(EXP, z, z[:4], shared)
-        with pytest.raises(ConfigError):
-            mmd_squared(KernelSpec(family="linear"), z, z + 1.0, shared)
+            mmd_squared(EXP, z, z[:4], z)
+        with pytest.raises(ShapeError):
+            mmd_squared(EXP, z, z + 1.0, z[:4])
+        with pytest.raises(ShapeError):
+            mmd_squared(EXP, z, z + 1.0, list(z[:4]))
+        bad = z.copy()
+        bad[2, 1, 0] = np.nan
+        with pytest.raises(DomainError):
+            mmd_squared(EXP, z, z + 1.0, bad)
+
+    def test_shared_block_kernel_checked_before_history(self):
+        # The family is checked first: a non-finite or misshaped history
+        # still raises ConfigError for an inner-product kernel.
+        z = np.random.default_rng(42).normal(size=(5, 3, 2))
+        for history in (z, np.full_like(z, np.nan), z[:4]):
+            with pytest.raises(ConfigError):
+                mmd_squared(KernelSpec(family="linear"), z, z + 1.0, history)
 
     @staticmethod
     def median_cases():
-        """(name, real sample, forecast sample, shared) for the unresolved
+        """(name, real sample, forecast sample, history) for the unresolved
         median: a list, a stack and a read-only window view."""
         rng = np.random.default_rng(43)
         hist, lab, fc = rng.normal(size=(3, 11, 4, 2))
-        shared = pair_sq_dists(hist)
         joints = data.joint_windows(np.cumsum(rng.normal(size=(70, 2)), axis=0), 10)
         view, fc_view = joints[:, 6:], rng.normal(size=(len(joints), 4, 2))
-        for with_shared in (False, True):
-            yield "list", list(lab), list(fc), shared if with_shared else None
-            yield "stack", lab, fc, shared if with_shared else None
-            yield "window view", view, fc_view, (
-                pair_sq_dists(joints[:, :6]) if with_shared else None
-            )
+        for with_history in (False, True):
+            yield "list", list(lab), list(fc), list(hist) if with_history else None
+            yield "stack", lab, fc, hist if with_history else None
+            yield "window view", view, fc_view, joints[:, :6] if with_history else None
 
     @pytest.mark.parametrize("family", ["exponential", "gaussian"])
     def test_unresolved_median_equals_resolved(self, family):
-        for name, p, q, shared in self.median_cases():
-            before = [np.array(z) for z in (p, q)]
-            shared_before = None if shared is None else shared.copy()
-            resolved = KernelSpec(family=family, sigma=median_bandwidth(p, shared))
-            want = mmd_squared(resolved, p, q, shared)
-            got = mmd_squared(KernelSpec(family=family), p, q, shared)
+        for name, p, q, history in self.median_cases():
+            before = [np.array(z) for z in (p, q, history)]
+            shared = None if history is None else pair_sq_dists(history)
+            resolved, _ = median_gram(KernelSpec(family=family), p, shared)
+            want = mmd_squared(resolved, p, q, history)
+            got = mmd_squared(KernelSpec(family=family), p, q, history)
             assert got == want, name
-            np.testing.assert_array_equal(np.array(p), before[0])
-            np.testing.assert_array_equal(np.array(q), before[1])
-            if shared is not None:
-                np.testing.assert_array_equal(shared, shared_before)
+            for z, z_before in zip((p, q, history), before):
+                np.testing.assert_array_equal(np.array(z), z_before)
 
     @pytest.mark.parametrize("family", ["exponential", "gaussian"])
     def test_unresolved_median_needs_two_real_points(self, family):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -103,6 +104,19 @@ class TestTrainCommand:
         err = json.loads(captured.err)
         assert err["error"] == "DataError"
         assert "latin.csv: not UTF-8" in err["message"]
+
+    @pytest.mark.parametrize("kind", ["mse", "kmb_df"])
+    def test_diverging_run_is_one_domain_error(self, config_path, capsys, kind):
+        # The command itself turns NumPy's overflow warnings into its error,
+        # whatever the caller's warning filters.
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            rc = main(["train", "--config", config_path, "--set", "lr=1e300",
+                       "--set", f"objective.kind={kind}"])
+        assert rc == 2 and not seen
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "DomainError"
 
     def test_bad_config_value_errors(self, config_path, capsys):
         rc = main(["train", "--config", config_path, "--set", "lr=-1.0"])

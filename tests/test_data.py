@@ -49,6 +49,11 @@ class TestGenerate:
         assert got.dtype == want.dtype and got.shape == want.shape == (600, channels)
         assert got.tobytes() == want.tobytes()
 
+    def test_white_noise_is_the_drawn_noise(self):
+        spec = SyntheticSpec(kind="ar", length=500, channels=2, seed=4, coeffs=(), noise_std=0.7)
+        noise = np.random.default_rng(4).normal(0.0, 0.7, size=(500 + AR_BURN_IN, 2))
+        assert generate(spec).tobytes() == noise[AR_BURN_IN:].tobytes()
+
     def test_white_noise_autocorrelation(self):
         spec = SyntheticSpec(kind="ar", length=10000, coeffs=(), seed=0)
         series = generate(spec)
@@ -118,6 +123,12 @@ class TestLoadCsv:
         p = tmp_path / "empty.csv"
         p.write_text("")
         with pytest.raises(DataError, match="empty"):
+            load_csv(p)
+
+    def test_no_value_columns(self, tmp_path):
+        p = tmp_path / "dates.csv"
+        p.write_text("date\n2020-01-01\n2020-01-02\n")
+        with pytest.raises(DataError, match="dates.csv: no value columns"):
             load_csv(p)
 
     def test_header_only(self, tmp_path):

@@ -386,6 +386,12 @@ class TestTrain:
         with pytest.raises(ConfigError, match="test windows"):
             train(cfg)
 
+    def test_non_finite_loss_raises_naming_its_step(self):
+        # Adam's first step at this rate overflows the forecasts, so the
+        # second step's loss is not finite.
+        with np.errstate(all="ignore"), pytest.raises(DomainError, match="epoch 1, step 1: "):
+            train(small_config(lr=1e300))
+
     def test_deterministic(self):
         a = train(small_config()).to_json(include_timing=False)
         b = train(small_config()).to_json(include_timing=False)
@@ -488,6 +494,10 @@ class TestRunSweep:
     def test_bad_param(self):
         with pytest.raises(ConfigError):
             run_sweep(self.base(), "lr", [1e-3])
+
+    def test_empty_grid(self):
+        with pytest.raises(ConfigError, match="grid is empty"):
+            run_sweep(self.base(), "alpha", [])
 
     @staticmethod
     def fake_train(error):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kmbdf.errors import DataError, ShapeError
+from kmbdf.errors import ConfigError, DataError, ShapeError
 from kmbdf.models import (
     LinearForecaster,
     adam_init,
@@ -42,6 +42,18 @@ def per_key_adam(state, params, grads):
         v_hat = state["v"][k] / (1.0 - state["beta2"] ** state["t"])
         out[k] = p - state["lr"] * m_hat / (np.sqrt(v_hat) + state["eps"])
     return out
+
+
+class TestLinearForecaster:
+    @pytest.mark.parametrize("weight, bias, error", [
+        (np.zeros((3, 2)), np.zeros(3), ShapeError),
+        (np.zeros((3, 4)), np.zeros(4), ShapeError),
+        (np.full((3, 4), np.nan), np.zeros(3), ConfigError),
+        (np.zeros((3, 4)), np.array([0.0, np.inf, 0.0]), ConfigError),
+    ], ids=["weight-shape", "bias-shape", "nan-weight", "inf-bias"])
+    def test_parameters_checked(self, weight, bias, error):
+        with pytest.raises(error):
+            LinearForecaster(weight, bias, history_len=4, horizon=3, channels=2)
 
 
 class TestForward:
@@ -164,6 +176,11 @@ class TestBackward:
 
 
 class TestAdam:
+    @pytest.mark.parametrize("lr", [0.0, -1e-3])
+    def test_non_positive_lr_rejected(self, lr):
+        with pytest.raises(ConfigError, match="lr must be > 0"):
+            adam_init({"w": np.zeros(2)}, lr=lr)
+
     def test_zero_gradient_no_move(self):
         params = {"w": np.array([1.0, 2.0])}
         state = adam_init(params, lr=0.1)
@@ -267,7 +284,15 @@ class TestCheckpoint:
     @pytest.mark.parametrize("content", [
         b"{not json", b"\xff\xfe", b"[1, 2]", b'{"version": 1}',
         b'{"version": 1, "H": 2, "T": 1, "D": 1, "weight": [["x", 0]], "bias": [0]}',
-    ], ids=["not-json", "not-utf8", "list", "no-weight", "text-weight"])
+        b'{"version": 1, "H": 3, "T": 1, "D": 1, "weight": [[0, 0]], "bias": [0]}',
+        b'{"version": 1, "H": 2, "T": 1, "D": 1, "weight": [[0, 0]], "bias": [0, 0]}',
+        b'{"version": 1, "H": 2, "T": 1, "D": 1, "weight": [[NaN, 0]], "bias": [0]}',
+        b'{"version": 2, "H": 2, "T": 1, "D": 1, "weight": [[0, 0]], "bias": [0]}',
+        b'{"version": true, "H": 2, "T": 1, "D": 1, "weight": [[0, 0]], "bias": [0]}',
+        b'{"version": 1, "H": 2.9, "T": 1, "D": 1, "weight": [[0, 0]], "bias": [0]}',
+        b'{"version": 1, "H": 2, "T": 1, "D": true, "weight": [[0, 0]], "bias": [0]}',
+    ], ids=["not-json", "not-utf8", "list", "no-weight", "text-weight", "weight-shape",
+            "bias-shape", "nan-weight", "version", "bool-version", "float-dim", "bool-dim"])
     def test_malformed_file_raises_data_error(self, tmp_path, content):
         path = tmp_path / "ckpt.json"
         path.write_bytes(content)

@@ -23,7 +23,7 @@ Two documented ambiguities are kept switchable:
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Literal, NamedTuple
 
 import numpy as np
@@ -75,14 +75,7 @@ class BalanceDiagnostics:
     total: float
 
     def to_dict(self) -> dict:
-        return {
-            "deltas": [float(d) for d in self.deltas],
-            "selected": [int(i) for i in self.selected],
-            "slacks": [float(s) for s in self.slacks],
-            "penalty_term": float(self.penalty_term),
-            "mse_term": float(self.mse_term),
-            "total": float(self.total),
-        }
+        return {f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)}
 
 
 class MmdResult(NamedTuple):
@@ -91,12 +84,14 @@ class MmdResult(NamedTuple):
 
 
 class Scores(NamedTuple):
-    """Informativeness scores and the pair statistic the penalty gradient
-    reads its kernel coefficients from: column k of `cross` pairs anchor k
-    with the N joints of its second kernel sum (see `kernels.joint_stats`)."""
+    """Informativeness scores, and the pair statistic and kernel values the
+    penalty gradient reads its kernel coefficients from: column k of `cross`
+    pairs anchor k with the N joints of its second kernel sum (see
+    `kernels.joint_stats`), and column k of `kernel` holds their K."""
 
     deltas: np.ndarray
     cross: np.ndarray
+    kernel: np.ndarray
 
 
 def label_forecast_stacks(labels, forecasts):
@@ -118,7 +113,8 @@ def _as_stacks(histories, labels, forecasts):
 
 
 def informativeness_scores(cfg: BalanceConfig, histories, labels, forecasts) -> Scores:
-    """Per-anchor first-moment gap delta_k over one batch, with its statistic.
+    """Per-anchor first-moment gap delta_k over one batch, with its
+    statistic and kernel values.
 
     The real joints are (history_n, label_n), the forecast joints
     (history_n, forecast_n).  The history block of the pair statistic is
@@ -138,11 +134,9 @@ def informativeness_scores(cfg: BalanceConfig, histories, labels, forecasts) -> 
         cfg.kernel, xf, yf, f.reshape(n, -1), cfg.anchor_mode == "forecast"
     )
     size = xf.shape[1] + yf.shape[1]
-    deltas = (
-        kernel_from_stat(cfg.kernel, real, size, inplace=True).sum(axis=0)
-        - kernel_from_stat(cfg.kernel, cross, size).sum(axis=0)
-    )
-    return Scores(deltas, cross)
+    real_k = kernel_from_stat(cfg.kernel, real, size)
+    cross_k = kernel_from_stat(cfg.kernel, cross.copy(), size)
+    return Scores(real_k.sum(axis=0) - cross_k.sum(axis=0), cross, cross_k)
 
 
 def select_top_k(deltas: np.ndarray, k: int) -> np.ndarray:
@@ -232,8 +226,8 @@ def kmb_df_grad(cfg: BalanceConfig, histories, labels, forecasts):
     Returns (grads, BalanceDiagnostics) where grads is an (N, T, D) array.
     The penalty gradient touches only the label block of each joint: the
     kernel factors of the anchors whose hinge is active come from the
-    scores' pair statistic as one (N, K) array, contracted with the label
-    differences in one `grad_b_sum` call.
+    scores' pair statistic and kernel values as one (N, K) array,
+    contracted with the label differences in one `grad_b_sum` call.
     """
     x, y, f = _as_stacks(histories, labels, forecasts)
     diag, err, scores = _evaluate(cfg, x, y, f)
@@ -251,7 +245,7 @@ def kmb_df_grad(cfg: BalanceConfig, histories, labels, forecasts):
     size = x[0].size + yf.shape[1]
     # Column k: the factors of anchor sel[k]'s second kernel sum, weighted
     # by the anchor's hinge subgradient.
-    coeffs = grad_coeffs(cfg.kernel, scores.cross[:, sel], size) * w[active]
+    coeffs = grad_coeffs(cfg.kernel, scores.cross[:, sel], scores.kernel[:, sel], size) * w[active]
     if cfg.anchor_mode == "forecast":
         # delta_k depends on forecast k only: d delta_k / d Zhat_k =
         # -sum_n dK(Z_n, Zhat_k)/d Zhat_k.

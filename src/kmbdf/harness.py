@@ -268,8 +268,10 @@ def _test_mmd(model, histories, labels, max_samples: int) -> float:
 def train(config: ExperimentConfig, dataset: dict | None = None) -> TrainReport:
     """Mini-batch Adam training with early stopping on validation MSE, on a
     new dataset or on `dataset` (only read), which `build_dataset` must have
-    made for this config's data, else ConfigError before any step.  `timing`
-    adds build (0.0 if passed in), validation and test seconds."""
+    made for this config's data, else ConfigError before any step.  A
+    non-finite step loss or validation MSE raises DomainError naming its
+    epoch, before anything is written.  `timing` adds build (0.0 if passed
+    in), validation and test seconds."""
     build_s = 0.0
     if dataset is None:
         t0 = time.perf_counter()
@@ -326,6 +328,8 @@ def train(config: ExperimentConfig, dataset: dict | None = None) -> TrainReport:
         t0 = time.perf_counter()
         val_mse, val_mae = evaluate(model, val_w)
         val_s += time.perf_counter() - t0
+        if not math.isfinite(val_mse):
+            raise DomainError(f"non-finite validation MSE at epoch {epoch}: {val_mse!r}")
         epochs.append(
             {
                 "epoch": epoch,
@@ -449,10 +453,10 @@ def timing_probe(
     """Median milliseconds of one `KmbDfObjective.loss_and_grad` call, the
     training loop's objective call, with the default `BalanceConfig` and an
     exponential kernel at the batch's median bandwidth, as
-    `loss_and_grad_ms` and `total_ms`.  One random batch per horizon,
-    evaluated once untimed and then `reps` times, one horizon after the
-    other.  Absolute numbers are machine-dependent; only the trend across
-    horizons is meaningful.
+    `loss_and_grad_ms`.  One random batch per horizon, evaluated once
+    untimed and then `reps` times, one horizon after the other.  Absolute
+    numbers are machine-dependent; only the trend across horizons is
+    meaningful.
     """
     horizons = list(horizons)
     if n < 2:
@@ -477,6 +481,5 @@ def timing_probe(
             t0 = time.perf_counter()
             objective.loss_and_grad(hist, labels, fcs)
             times.append(1e3 * (time.perf_counter() - t0))
-        ms = statistics.median(times)
-        results.append({"horizon": int(t), "loss_and_grad_ms": ms, "total_ms": ms})
+        results.append({"horizon": int(t), "loss_and_grad_ms": statistics.median(times)})
     return results

@@ -75,47 +75,45 @@ class KernelSpec(Node):
         return -1.0 if self.family == "sigmoid" else 0.0
 
 
-def kernel_from_stat(spec: KernelSpec, stat, size: int, inplace: bool = False):
+def kernel_from_stat(spec: KernelSpec, stat: np.ndarray, size: int) -> np.ndarray:
     """K from the pair statistic: the squared distance for the distance
     families, the inner product otherwise; `size` is the flattened length.
-    With `inplace`, K overwrites `stat`, a float array the caller owns."""
+    K overwrites `stat`, a float array the caller owns, and is returned."""
     if spec.is_distance and spec.sigma == "median":
         raise ConfigError("sigma 'median' must be resolved by median_bandwidth first")
-    k = stat if inplace else np.array(stat, dtype=float)
     if spec.is_distance:
         if spec.family == "exponential":
-            np.sqrt(k, out=k)
-        k /= -2.0 * spec.sigma**2
-        return np.exp(k, out=k)
+            np.sqrt(stat, out=stat)
+        stat /= -2.0 * spec.sigma**2
+        return np.exp(stat, out=stat)
     if spec.family == "linear":
-        return k
-    k *= spec.resolved_scale(size)
-    k += spec.resolved_offset()
+        return stat
+    stat *= spec.resolved_scale(size)
+    stat += spec.resolved_offset()
     if spec.family == "polynomial":
-        k **= int(spec.degree)
-        return k
-    return np.tanh(k, out=k)
+        stat **= int(spec.degree)
+        return stat
+    return np.tanh(stat, out=stat)
 
 
-def grad_coeffs(spec: KernelSpec, stat, size: int):
-    """Factor c of dK(a, b)/db from the pair statistic of `kernel_from_stat`.
+def grad_coeffs(spec: KernelSpec, stat, k, size: int):
+    """Factor c of dK(a, b)/db from the pair statistic of `kernel_from_stat`
+    and the kernel values `k` it gives.
 
     dK(a, b)/db = c (a - b) for the distance families and c a for the
     inner-product families.
     """
-    if spec.is_distance:
-        k = kernel_from_stat(spec, stat, size)
-        if spec.family == "exponential":
-            return k / (2.0 * spec.sigma**2 * np.maximum(np.sqrt(stat), EPS_NORM))
+    if spec.family == "exponential":
+        return k / (2.0 * spec.sigma**2 * np.maximum(np.sqrt(stat), EPS_NORM))
+    if spec.family == "gaussian":
         return k / spec.sigma**2
     if spec.family == "linear":
         return np.ones_like(stat)
     s = spec.resolved_scale(size)
-    c = spec.resolved_offset()
     if spec.family == "polynomial":
         deg = int(spec.degree)
-        return deg * (s * stat + c) ** (deg - 1) * s
-    return (1.0 - np.tanh(s * stat + c) ** 2) * s
+        return deg * (s * stat + spec.resolved_offset()) ** (deg - 1) * s
+    return (1.0 - k**2) * s
 
 
 def eval_kernel(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> float:
@@ -123,8 +121,8 @@ def eval_kernel(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> float:
     af, bf = _working_copy([a, b])
     if spec.is_distance:
         d = af - bf
-        return float(kernel_from_stat(spec, np.sum(d * d), af.size))
-    return float(kernel_from_stat(spec, np.sum(af * bf), af.size))
+        return float(kernel_from_stat(spec, np.array(np.sum(d * d)), af.size))
+    return float(kernel_from_stat(spec, np.array(np.sum(af * bf)), af.size))
 
 
 # Squared distances at most this share of ||a||^2 + ||b||^2 are recomputed
@@ -319,7 +317,7 @@ def gram_matrix(spec: KernelSpec, rows, cols, shared=None) -> np.ndarray:
         rf = _working_copy(rows)
         cf = rf if cols is rows else _working_copy(cols, shape=np.shape(rows[0]))
         stat = _pairwise(rf, cf, spec.is_distance, rows, cols)
-    return kernel_from_stat(spec, _add_shared(stat, shared, spec), np.size(rows[0]), inplace=True)
+    return kernel_from_stat(spec, _add_shared(stat, shared, spec), np.size(rows[0]))
 
 
 # Differences per `grad_b_sum` product (2 MB) unless one row is larger.  A
@@ -461,4 +459,4 @@ def median_gram(spec: KernelSpec, joints, shared=None):
     joints[i]) and its `gram_matrix(spec, joints, joints, shared)`, bit for bit."""
     sq = _add_shared(pair_sq_dists(joints), shared, spec)
     spec = replace(spec, sigma=_median_sigma(sq))
-    return spec, kernel_from_stat(spec, sq, np.size(joints[0]), inplace=True)
+    return spec, kernel_from_stat(spec, sq, np.size(joints[0]))

@@ -2,14 +2,14 @@
 
 import numpy as np
 
-from kmbdf.kernels import grad_coeffs
+from kmbdf.kernels import grad_coeffs, kernel_from_stat
 
 
 def kernel_grad_b(spec, a, b):
     """Per-pair reference gradient dK(a, b) / db, shaped like b, from the
     library's kernel factor `grad_coeffs`."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if spec.is_distance:
-        d = a - b
-        return grad_coeffs(spec, np.sum(d * d), a.size) * d
-    return grad_coeffs(spec, np.sum(a * b), a.size) * a
+    d = a - b
+    stat = np.sum(d * d) if spec.is_distance else np.sum(a * b)
+    c = grad_coeffs(spec, stat, kernel_from_stat(spec, np.array(stat), a.size), a.size)
+    return c * d if spec.is_distance else c * a

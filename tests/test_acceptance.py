@@ -275,7 +275,7 @@ class TestCriterion8ComplexityTrend:
     def test_timing_trend(self):
         horizons = [32, 96, 192, 336, 720]
         results = timing_probe(horizons, n=128, channels=21, history_len=96, reps=5, seed=0)
-        totals = [r["total_ms"] for r in results]
+        totals = [r["loss_and_grad_ms"] for r in results]
         ok = totals[-1] > totals[0]
         ok &= totals[-1] / totals[0] <= 25.0
         report(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from kmbdf import balancing, data
+from kmbdf import balancing, data, kernels
 from kmbdf.balancing import (
     ANCHOR_MODES,
     HINGE_MODES,
@@ -22,6 +22,8 @@ from kmbdf.kernels import (
     KernelSpec,
     eval_kernel,
     grad_coeffs,
+    joint_stats,
+    kernel_from_stat,
     median_bandwidth,
     median_gram,
     pair_sq_dists,
@@ -112,11 +114,19 @@ class TestInformativenessScores:
             hist, labels, fcs = random_batch(rng, **shape)
             reals = joints_of(hist, labels)
             fc_joints = joints_of(hist, fcs)
+            stacks = [np.reshape(b, (len(b), -1)) for b in (hist, labels, fcs)]
+            size = stacks[0].shape[1] + stacks[1].shape[1]
             for kernel in ALL_KERNELS:
                 cfg = BalanceConfig(kernel=kernel, anchor_mode=anchor)
-                got = informativeness_scores(cfg, hist, labels, fcs).deltas
+                scores = informativeness_scores(cfg, hist, labels, fcs)
                 want = brute_force_deltas(kernel, reals, fc_joints, anchor)
-                np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=kernel.family)
+                np.testing.assert_allclose(scores.deltas, want, rtol=1e-12, err_msg=kernel.family)
+                # The cross statistic is kept as it was, beside its kernel values.
+                _, cross = joint_stats(kernel, *stacks, anchor == "forecast")
+                np.testing.assert_array_equal(scores.cross, cross)
+                np.testing.assert_array_equal(
+                    scores.kernel, kernel_from_stat(kernel, cross.copy(), size)
+                )
 
     def test_anchor_modes_differ_in_general(self):
         rng = np.random.default_rng(2)
@@ -414,6 +424,24 @@ class TestKmbDfGrad:
         error = np.linalg.norm(penalty - numeric_penalty)
         assert error <= 1e-5 * np.linalg.norm(numeric_penalty) + 1e-8 * (1.0 + diag.total)
 
+    @pytest.mark.parametrize("family", ["exponential", "gaussian"])
+    def test_step_forms_each_kernel_block_once(self, family, monkeypatch):
+        calls = []
+        original = kernels.kernel_from_stat
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "kernel_from_stat", counted)
+        monkeypatch.setattr(balancing, "kernel_from_stat", counted)
+        hist, labels, fcs = random_batch(np.random.default_rng(8), n=6)
+        cfg = BalanceConfig(top_k=3, kernel=KernelSpec(family=family, sigma=1.0))
+        _, _, diag = KmbDfObjective(config=cfg).loss_and_grad(hist, labels, fcs)
+        assert np.all(diag.slacks > 0.0)  # every selected hinge is active
+        # The real block for delta, the cross block for delta and the gradient.
+        assert len(calls) == 2
+
     def test_deadzone_kills_penalty_gradient(self):
         rng = np.random.default_rng(12)
         hist, labels, fcs = random_batch(rng)
@@ -632,7 +660,7 @@ def per_anchor_grads(cfg, hist, labels, fcs):
         w = cfg.alpha * scalar_subgradient(float(scores.deltas[i]), cfg.margin_c, cfg.hinge_mode)
         if w == 0.0:
             continue
-        c = grad_coeffs(spec, scores.cross[:, i], size)
+        c = grad_coeffs(spec, scores.cross[:, i], scores.kernel[:, i], size)
         if cfg.anchor_mode == "forecast":
             gf[i] -= w * (c @ (yf - ff[i]) if spec.is_distance else c @ yf)
         else:

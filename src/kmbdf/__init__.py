@@ -7,7 +7,6 @@ from .balancing import (
     hinge_slack,
     informativeness_scores,
     kmb_df_grad,
-    kmb_df_loss,
     mmd_squared,
     select_top_k,
 )

@@ -169,20 +169,32 @@ def _hinge_subgradient(deltas: np.ndarray, c: float, mode: str) -> np.ndarray:
     return (deltas > lo).astype(float) - (deltas < -c)
 
 
-def _evaluate(cfg, x, y, f, selected=None):
-    """Total, diagnostics, forecast errors and scores (None at alpha=0) of
-    one batch given as validated stacks."""
+def kmb_df_grad(cfg: BalanceConfig, histories, labels, forecasts, selected=None):
+    """d total / d forecast for every sample; top-K selection held constant.
+
+    Returns (grads, BalanceDiagnostics) where grads is an (N, T, D) array
+    and the diagnostics' `total` is the objective's value.  `selected` pins
+    the anchor indices in place of the top-K (gradient checks): distinct
+    integers in [0, N); it is ignored at alpha=0.  The penalty gradient
+    touches only the label block of each joint: the kernel factors of the
+    anchors whose hinge is active come from the scores' pair statistic and
+    kernel values as one (N, K) array, contracted with the label
+    differences in one `grad_b_sum` call.
+    """
+    x, y, f = _as_stacks(histories, labels, forecasts)
     n = len(x)
     if cfg.top_k > n:
         raise ConfigError(f"top_k={cfg.top_k} exceeds batch size {n}")
     err = f - y
     mse = float(np.sum(err * err))
+    grads = err  # scaled in place once the MSE is summed
+    grads *= 2.0 * (1.0 - cfg.alpha)
     if cfg.alpha == 0.0:
         # The penalty carries no weight: no scores, no anchors, no kernel work.
         if not np.isfinite(mse):
             raise DomainError(f"non-finite MSE term {mse!r}: labels and forecasts must be finite")
         empty = np.zeros(0)
-        return BalanceDiagnostics(empty, np.zeros(0, dtype=int), empty, 0.0, mse, mse), err, None
+        return grads, BalanceDiagnostics(empty, np.zeros(0, dtype=int), empty, 0.0, mse, mse)
     scores = informativeness_scores(cfg, x, y, f)
     deltas = scores.deltas
     if selected is None:
@@ -208,39 +220,11 @@ def _evaluate(cfg, x, y, f, selected=None):
         mse_term=mse,
         total=total,
     )
-    return diag, err, scores
-
-
-def kmb_df_loss(cfg: BalanceConfig, histories, labels, forecasts, selected=None):
-    """Composite balancing objective; returns (total, BalanceDiagnostics).
-
-    `selected` pins the anchor indices in place of the top-K (gradient
-    checks): distinct integers in [0, N)."""
-    diag, _, _ = _evaluate(cfg, *_as_stacks(histories, labels, forecasts), selected)
-    return diag.total, diag
-
-
-def kmb_df_grad(cfg: BalanceConfig, histories, labels, forecasts):
-    """d total / d forecast for every sample; top-K selection held constant.
-
-    Returns (grads, BalanceDiagnostics) where grads is an (N, T, D) array.
-    The penalty gradient touches only the label block of each joint: the
-    kernel factors of the anchors whose hinge is active come from the
-    scores' pair statistic and kernel values as one (N, K) array,
-    contracted with the label differences in one `grad_b_sum` call.
-    """
-    x, y, f = _as_stacks(histories, labels, forecasts)
-    diag, err, scores = _evaluate(cfg, x, y, f)
-    grads = err  # `_evaluate`'s own array: scaled in place
-    grads *= 2.0 * (1.0 - cfg.alpha)
-    if scores is None:
-        return grads, diag
-    w = cfg.alpha * _hinge_subgradient(diag.deltas[diag.selected], cfg.margin_c, cfg.hinge_mode)
+    w = cfg.alpha * _hinge_subgradient(deltas[selected], cfg.margin_c, cfg.hinge_mode)
     active = w != 0.0
     if not active.any():
         return grads, diag
-    sel = diag.selected[active]
-    n = len(y)
+    sel = selected[active]
     yf, ff, gf = y.reshape(n, -1), f.reshape(n, -1), grads.reshape(n, -1)
     size = x[0].size + yf.shape[1]
     # Column k: the factors of anchor sel[k]'s second kernel sum, weighted

@@ -27,10 +27,6 @@ from .models import (
 )
 from .objectives import FrequencyL1Objective, KmbDfObjective, MseObjective
 
-ALPHA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
-C_GRID = (0.0005, 0.001, 0.005, 0.01, 0.05)
-K_GRID = (1, 2, 3, 4, 5)
-
 
 def _node(classes: tuple, value, path: str, tag: str | None = None):
     """The config node of one of the frozen dataclasses `classes`, told
@@ -192,7 +188,7 @@ def _data_key(config: ExperimentConfig) -> tuple:
 
 
 def build_dataset(config: ExperimentConfig) -> dict:
-    """Materialize series, splits, and window pairs for one experiment;
+    """Build one experiment's series and materialize its split windows;
     `built_for` holds the config's data, split, history_len and horizon."""
     spec = config.data
     if isinstance(spec, data_mod.CsvSpec):
@@ -207,7 +203,6 @@ def build_dataset(config: ExperimentConfig) -> dict:
     joints = {name: data_mod.joint_windows(series, h + t, rng) for name, rng in ranges.items()}
     return {
         "built_for": _data_key(config),
-        "series": series,
         "stats": stats,
         "windows": {
             name: data_mod.window(series, h, t, rng) for name, rng in ranges.items()
@@ -453,10 +448,11 @@ def timing_probe(
     """Median milliseconds of one `KmbDfObjective.loss_and_grad` call, the
     training loop's objective call, with the default `BalanceConfig` and an
     exponential kernel at the batch's median bandwidth, as
-    `loss_and_grad_ms`.  One random batch per horizon, evaluated once
-    untimed and then `reps` times, one horizon after the other.  Absolute
-    numbers are machine-dependent; only the trend across horizons is
-    meaningful.
+    `loss_and_grad_ms`.  One random batch per horizon, each evaluated once
+    untimed; then `reps` rounds that time one call per horizon in turn, so
+    a stall of the host spreads over all horizons instead of moving one
+    horizon's median.  Absolute numbers are machine-dependent; only the
+    trend across horizons is meaningful.
     """
     horizons = list(horizons)
     if n < 2:
@@ -466,7 +462,7 @@ def timing_probe(
             f"timing needs reps, channels, history_len and horizons >= 1, got reps={reps}, "
             f"channels={channels}, history_len={history_len}, horizons={horizons}"
         )
-    results = []
+    calls = []
     for t in horizons:
         rng = np.random.default_rng(seed)
         hist = rng.normal(size=(n, history_len, channels))
@@ -476,10 +472,14 @@ def timing_probe(
         kernel = KernelSpec(family="exponential", sigma=median_bandwidth(joints))
         objective = KmbDfObjective(config=BalanceConfig(kernel=kernel))
         objective.loss_and_grad(hist, labels, fcs)
-        times = []
-        for _ in range(reps):
+        calls.append((objective, hist, labels, fcs))
+    times = [[] for _ in horizons]
+    for _ in range(reps):
+        for (objective, *batch), own in zip(calls, times):
             t0 = time.perf_counter()
-            objective.loss_and_grad(hist, labels, fcs)
-            times.append(1e3 * (time.perf_counter() - t0))
-        results.append({"horizon": int(t), "loss_and_grad_ms": statistics.median(times)})
-    return results
+            objective.loss_and_grad(*batch)
+            own.append(1e3 * (time.perf_counter() - t0))
+    return [
+        {"horizon": int(t), "loss_and_grad_ms": statistics.median(own)}
+        for t, own in zip(horizons, times)
+    ]

@@ -37,9 +37,10 @@ KERNEL_FAMILIES = ("exponential", "gaussian", "linear", "polynomial", "sigmoid")
 class KernelSpec(Node):
     """A kernel family plus the parameters that family reads.
 
-    Parameters irrelevant to `family` are ignored.  `sigma` is a finite
-    bandwidth > 0 or "median", unresolved: a distance kernel evaluated with
-    it raises ConfigError unless `mmd_squared` or `median_gram` resolves it.
+    Parameters irrelevant to `family` are ignored.  `sigma` is a bandwidth
+    > 0 whose square is a finite float > 0, or "median", unresolved: a
+    distance kernel evaluated with it raises ConfigError unless
+    `mmd_squared` or `median_gram` resolves it.
     `scale` / `offset` may be left as None to use the size-dependent
     defaults described in the module docstring.
     """
@@ -55,6 +56,10 @@ class KernelSpec(Node):
             if self.sigma is None or self.sigma <= 0:
                 raise ConfigError(
                     f"{self.family} kernel requires sigma 'median' or > 0, got {self.sigma}"
+                )
+            if not 0.0 < self.sigma * self.sigma < np.inf:
+                raise ConfigError(
+                    f"{self.family} kernel requires sigma**2 finite and > 0, got {self.sigma}"
                 )
         if self.family == "polynomial":
             if self.degree is None or self.degree < 1:

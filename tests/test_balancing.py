@@ -12,7 +12,6 @@ from kmbdf.balancing import (
     hinge_slack,
     informativeness_scores,
     kmb_df_grad,
-    kmb_df_loss,
     mmd_squared,
     select_top_k,
 )
@@ -256,8 +255,8 @@ class TestKmbDfLoss:
         rng = np.random.default_rng(5)
         cfg = BalanceConfig(alpha=0.5, top_k=2, margin_c=0.0, kernel=EXP)
         hist, labels, _ = random_batch(rng)
-        total, diag = kmb_df_loss(cfg, hist, labels, [y.copy() for y in labels])
-        assert total == 0.0
+        _, diag = kmb_df_grad(cfg, hist, labels, [y.copy() for y in labels])
+        assert diag.total == 0.0
         assert diag.penalty_term == 0.0
         assert diag.mse_term == 0.0
 
@@ -265,7 +264,7 @@ class TestKmbDfLoss:
         rng = np.random.default_rng(6)
         cfg = BalanceConfig(alpha=0.0, top_k=2, kernel=EXP)
         hist, labels, fcs = random_batch(rng)
-        total, _ = kmb_df_loss(cfg, hist, labels, fcs)
+        total = kmb_df_grad(cfg, hist, labels, fcs)[1].total
         expected = sum(float(np.sum((y - f) ** 2)) for y, f in zip(labels, fcs))
         assert total == pytest.approx(expected, rel=1e-12)
 
@@ -293,17 +292,16 @@ class TestKmbDfLoss:
         hist = [np.zeros((0, 1)), np.zeros((0, 1))]
         labels = [np.array([[0.0]]), np.array([[2.0]])]
         fcs = [np.array([[0.0]]), np.array([[4.0]])]
-        total, _ = kmb_df_loss(cfg, hist, labels, fcs)
+        total = kmb_df_grad(cfg, hist, labels, fcs)[1].total
         assert total == pytest.approx(1.0 - np.exp(-2.0))
 
     def test_diagnostics_recompose(self):
         rng = np.random.default_rng(7)
         cfg = BalanceConfig(alpha=0.4, top_k=3, margin_c=0.01, kernel=EXP)
         hist, labels, fcs = random_batch(rng, n=6)
-        total, diag = kmb_df_loss(cfg, hist, labels, fcs)
+        _, diag = kmb_df_grad(cfg, hist, labels, fcs)
         recomposed = 0.4 * diag.penalty_term + 0.6 * diag.mse_term
-        assert total == pytest.approx(recomposed, rel=1e-12)
-        assert diag.total == total
+        assert diag.total == pytest.approx(recomposed, rel=1e-12)
         assert len(set(int(i) for i in diag.selected)) == 3
 
     @pytest.mark.parametrize(
@@ -314,15 +312,15 @@ class TestKmbDfLoss:
         hist, labels, fcs = random_batch(rng, n=3)
         cfg = BalanceConfig(alpha=0.4, top_k=2, kernel=EXP)
         with pytest.raises(ConfigError, match="selected"):
-            kmb_df_loss(cfg, hist, labels, fcs, selected)
+            kmb_df_grad(cfg, hist, labels, fcs, selected)
 
     def test_pinned_selection(self):
         rng = np.random.default_rng(9)
         hist, labels, fcs = random_batch(rng, n=3)
         cfg = BalanceConfig(alpha=0.4, top_k=2, kernel=EXP)
-        _, diag = kmb_df_loss(cfg, hist, labels, fcs)
+        _, diag = kmb_df_grad(cfg, hist, labels, fcs)
         for selected in ([2, 0], np.array([2, 0], dtype=np.uint8), diag.selected):
-            total, pinned = kmb_df_loss(cfg, hist, labels, fcs, selected)
+            _, pinned = kmb_df_grad(cfg, hist, labels, fcs, selected)
             np.testing.assert_array_equal(pinned.selected, selected)
             slacks = hinge_slack(diag.deltas[list(selected)], cfg.margin_c)
             assert pinned.penalty_term == float(np.sum(slacks))
@@ -333,7 +331,7 @@ class TestKmbDfLoss:
         for alpha in (0.3, 0.0):
             cfg = BalanceConfig(alpha=alpha, top_k=10, kernel=EXP)
             with pytest.raises(ConfigError):
-                kmb_df_loss(cfg, hist, labels, fcs)
+                kmb_df_grad(cfg, hist, labels, fcs)
 
 
 class TestKmbDfGrad:
@@ -370,7 +368,7 @@ class TestKmbDfGrad:
         grads, diag = kmb_df_grad(cfg, hist, labels, fcs)
         # Finite differences with the anchor selection pinned.
         numeric = fd_forecast_grads(
-            lambda b: kmb_df_loss(cfg, hist, labels, b, diag.selected)[0], fcs, eps=1e-6
+            lambda b: kmb_df_grad(cfg, hist, labels, b, diag.selected)[1].total, fcs, eps=1e-6
         )
         a = np.concatenate([g.ravel() for g in grads])
         b = np.concatenate([g.ravel() for g in numeric])
@@ -414,7 +412,7 @@ class TestKmbDfGrad:
         arg = np.abs(chosen) if hinge == "canonical" else -chosen
         assume(np.min(np.abs(arg - margin_c)) > 1e-4)
         numeric = fd_forecast_grads(
-            lambda b: kmb_df_loss(cfg, hist, labels, b, diag.selected)[0], fcs, eps=1e-6
+            lambda b: kmb_df_grad(cfg, hist, labels, b, diag.selected)[1].total, fcs, eps=1e-6
         )
         assert np.linalg.norm(grads - numeric) / np.linalg.norm(numeric) < 1e-5
         # The penalty's share alone, which the MSE term can dwarf; the
@@ -423,6 +421,34 @@ class TestKmbDfGrad:
         penalty, numeric_penalty = grads - mse_part, numeric - mse_part
         error = np.linalg.norm(penalty - numeric_penalty)
         assert error <= 1e-5 * np.linalg.norm(numeric_penalty) + 1e-8 * (1.0 + diag.total)
+
+    @pytest.mark.parametrize("family", ["exponential", "gaussian"])
+    @pytest.mark.parametrize("anchor", ANCHOR_MODES)
+    def test_directional_finite_difference_at_paper_scale(self, family, anchor):
+        # N=128, H=96, T=96, D=21: both anchor modes contract the penalty
+        # gradient in several `grad_b_sum` chunks, which the small checks
+        # above reach in one.
+        n, h, t, d = 128, 96, 96, 21
+        assert kernels._DIFF_ELEMENTS < 2 * n * t * d
+        rng = np.random.default_rng(31)
+        hist, labels, fcs = (rng.normal(size=(n, m, d)) for m in (h, t, t))
+        # The median bandwidth puts a median pair at exp(-1/2) for the
+        # exponential kernel; the gaussian, which squares the distance, needs
+        # it squared, or every off-diagonal K underflows and the test is void.
+        sigma = median_bandwidth(np.concatenate([hist, labels], axis=1))
+        sigma = sigma if family == "exponential" else sigma**2
+        cfg = BalanceConfig(alpha=1.0, margin_c=0.0, anchor_mode=anchor,
+                            kernel=KernelSpec(family=family, sigma=sigma))
+        grads, diag = kmb_df_grad(cfg, hist, labels, fcs)
+        assert np.linalg.norm(grads) > 1e-2
+        directions = [v / np.linalg.norm(v) for v in rng.normal(size=(3, n, t, d))]
+        directions.append(grads / np.linalg.norm(grads))
+        eps = 1e-4
+        for v in directions:
+            hi = kmb_df_grad(cfg, hist, labels, fcs + eps * v, diag.selected)[1].total
+            lo = kmb_df_grad(cfg, hist, labels, fcs - eps * v, diag.selected)[1].total
+            analytic = float(np.sum(grads * v))
+            assert abs((hi - lo) / (2 * eps) - analytic) <= 1e-4 * abs(analytic)
 
     @pytest.mark.parametrize("family", ["exponential", "gaussian"])
     def test_step_forms_each_kernel_block_once(self, family, monkeypatch):
@@ -778,11 +804,11 @@ class TestStackedInputs:
         hist, labels, fcs = random_batch(rng, n=4)
         cfg = BalanceConfig(alpha=0.4, top_k=2, kernel=EXP)
         with pytest.raises(ShapeError):
-            kmb_df_loss(cfg, hist[:3], labels, fcs)
+            kmb_df_grad(cfg, hist[:3], labels, fcs)
         with pytest.raises(ShapeError):
-            kmb_df_loss(cfg, hist, labels, [np.zeros((3, 2))] * 4)
+            kmb_df_grad(cfg, hist, labels, [np.zeros((3, 2))] * 4)
         with pytest.raises(ShapeError):
-            kmb_df_loss(cfg, [np.zeros((3, 1))] * 4, labels, fcs)
+            kmb_df_grad(cfg, [np.zeros((3, 1))] * 4, labels, fcs)
 
     def test_nan_forecast_raises(self):
         rng = np.random.default_rng(25)

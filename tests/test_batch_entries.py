@@ -16,7 +16,6 @@ from kmbdf.balancing import (
     BalanceDiagnostics,
     informativeness_scores,
     kmb_df_grad,
-    kmb_df_loss,
     mmd_squared,
 )
 from kmbdf.errors import DomainError, ShapeError
@@ -49,7 +48,6 @@ ENTRIES = {
     "informativeness_scores": Entry(
         lambda *b: informativeness_scores(CFG, *b), BATCH, (0, 1, 2), True, True
     ),
-    "kmb_df_loss": Entry(lambda *b: kmb_df_loss(CFG, *b), BATCH, (0, 1, 2), True, True),
     "kmb_df_grad": Entry(lambda *b: kmb_df_grad(CFG, *b), BATCH, (0, 1, 2), True, True),
     "mse": Entry(MseObjective().loss_and_grad, BATCH, (1, 2), True, False),
     "freq_l1": Entry(FrequencyL1Objective().loss_and_grad, BATCH, (1, 2), True, False),

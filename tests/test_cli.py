@@ -243,6 +243,23 @@ class TestTrainCommand:
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("sigma", ["1e300", "1e-200"])
+    def test_sigma_squaring_outside_floats_fails_before_data(self, config_path, capsys,
+                                                              monkeypatch, sigma):
+        # 1e300**2 raised OverflowError inside the kernel; 1e-200**2 is 0.0.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("data built for an invalid config")
+
+        monkeypatch.setattr(harness, "build_dataset", forbidden)
+        rc = main(["train", "--config", config_path, "--set", "objective.kind=kmb_df",
+                   "--set", f"objective.kernel.sigma={sigma}"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError"
+        assert "sigma" in err["message"]
+
     def test_integer_lr_accepted(self, config_path, capsys):
         assert main(["train", "--config", config_path, "--set", "lr=1"]) == 0
         assert json.loads(capsys.readouterr().out)["config"]["lr"] == 1

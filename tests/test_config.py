@@ -165,7 +165,7 @@ OUT_OF_RANGE = {
     ("objective", "hinge_mode"): ["bogus"],
     ("objective", "beta"): [2.0, -0.5],
     ("objective", "kernel", "family"): ["cosine"],
-    ("objective", "kernel", "sigma"): [-1.0, 0.0, "auto"],
+    ("objective", "kernel", "sigma"): [-1.0, 0.0, "auto", 1e300, 1e-200],  # sigma**2 inf or 0
     ("objective", "kernel", "degree"): [0],
 }
 # Keys whose annotation admits None besides their own type.

@@ -561,3 +561,17 @@ class TestTimingProbe:
         # settings whatever the batch size.
         assert len(calls) == 4
         assert {(c.alpha, c.top_k, c.margin_c) for c in calls} == {(0.3, 3, 0.001)}
+
+    def test_times_the_horizons_round_robin(self, monkeypatch):
+        horizons = []
+        original = KmbDfObjective.loss_and_grad
+
+        def recorded(self, hist, labels, fcs):
+            horizons.append(labels.shape[1])
+            return original(self, hist, labels, fcs)
+
+        monkeypatch.setattr(KmbDfObjective, "loss_and_grad", recorded)
+        timing_probe([4, 8, 2], n=4, channels=2, history_len=3, reps=3, seed=0)
+        # One untimed call per horizon, then one timed call per horizon in
+        # each of the `reps` rounds: a stall spans horizons, not one block.
+        assert horizons == [4, 8, 2] * 4

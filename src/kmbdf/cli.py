@@ -17,7 +17,9 @@ from .balancing import mmd_squared
 from .checks import run_gradcheck
 from .data import SyntheticSpec, generate
 from .errors import ConfigError, KmbdfError
-from .harness import ExperimentConfig, build_dataset, evaluate, run_sweep, timing_probe, train
+from .harness import (
+    SWEEP_PARAMS, ExperimentConfig, build_dataset, evaluate, run_sweep, timing_probe, train,
+)
 from .kernels import KernelSpec
 from .models import load_forecaster
 
@@ -138,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("sweep", parents=[config], help="grid sweep over one balance parameter")
-    p.add_argument("--param", required=True, choices=["alpha", "top_k", "margin_c"])
+    p.add_argument("--param", required=True, choices=SWEEP_PARAMS)
     p.add_argument("--values", required=True, help="comma-separated grid values")
     p.set_defaults(func=_cmd_sweep)
 

@@ -160,29 +160,6 @@ class TrainReport:
         return json.dumps(self.to_dict(include_timing=include_timing), sort_keys=True)
 
 
-class EarlyStopper:
-    """Tracks the best validation metric and signals after `patience`
-    consecutive non-improving epochs."""
-
-    def __init__(self, patience: int):
-        if patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {patience}")
-        self.patience = patience
-        self.best_value = np.inf
-        self.best_epoch = 0
-        self.bad_epochs = 0
-
-    def update(self, epoch: int, value: float) -> bool:
-        """Record one epoch's metric; returns True when training should stop."""
-        if value < self.best_value:
-            self.best_value = value
-            self.best_epoch = epoch
-            self.bad_epochs = 0
-            return False
-        self.bad_epochs += 1
-        return self.bad_epochs >= self.patience
-
-
 def _data_key(config: ExperimentConfig) -> tuple:
     return config.data, config.split, config.history_len, config.horizon
 
@@ -263,10 +240,12 @@ def _test_mmd(model, histories, labels, max_samples: int) -> float:
 def train(config: ExperimentConfig, dataset: dict | None = None) -> TrainReport:
     """Mini-batch Adam training with early stopping on validation MSE, on a
     new dataset or on `dataset` (only read), which `build_dataset` must have
-    made for this config's data, else ConfigError before any step.  A
-    non-finite step loss or validation MSE raises DomainError naming its
-    epoch, before anything is written.  `timing` adds build (0.0 if passed
-    in), validation and test seconds."""
+    made for this config's data, else ConfigError before any step.  Only a
+    strictly lower validation MSE is a new best; after `patience` epochs
+    without one training stops, and the test metrics and checkpoint use the
+    best epoch's parameters.  A non-finite step loss or validation MSE
+    raises DomainError naming its epoch, before anything is written.
+    `timing` adds build (0.0 if passed in), validation and test seconds."""
     build_s = 0.0
     if dataset is None:
         t0 = time.perf_counter()
@@ -296,8 +275,7 @@ def train(config: ExperimentConfig, dataset: dict | None = None) -> TrainReport:
     trace = []
     step_times = []
     val_s = 0.0
-    stopper = EarlyStopper(config.patience)
-    best_params = None
+    best_mse, best_epoch = np.inf, 0
     last_diag = None
     for epoch in range(1, config.max_epochs + 1):
         perm = rng.permutation(n)
@@ -333,14 +311,13 @@ def train(config: ExperimentConfig, dataset: dict | None = None) -> TrainReport:
                 "val_mae": val_mae,
             }
         )
-        should_stop = stopper.update(epoch, val_mse)
-        if stopper.best_epoch == epoch:
+        if val_mse < best_mse:
+            best_mse, best_epoch = val_mse, epoch
             best_params = {k: v.copy() for k, v in params.items()}
-        if should_stop:
+        elif epoch - best_epoch >= config.patience:
             break
 
-    if best_params is not None:
-        model.set_params(best_params)
+    model.set_params(best_params)
     t0 = time.perf_counter()
     test_mse, test_mae = evaluate(model, test_w)
     t1 = time.perf_counter()
@@ -352,7 +329,7 @@ def train(config: ExperimentConfig, dataset: dict | None = None) -> TrainReport:
         config=config.to_dict(),
         seed=config.seed,
         epochs=epochs,
-        best_epoch=stopper.best_epoch,
+        best_epoch=best_epoch,
         test_mse=test_mse,
         test_mae=test_mae,
         test_mmd=test_mmd,
@@ -411,12 +388,9 @@ def run_sweep(base_config: ExperimentConfig, param: str, values, out_dir=None):
         rows.append(("DF", base_mse, base_mae, 0.0, 0.0))
     for v in values:
         label = f"{param}={v}"
-        if param == "alpha" and v == 0:
-            rows.append((label, base_mse, base_mae, 0.0, 0.0))
-            reports[label] = base_report
-            continue
         try:
-            rep = train(variant(**{param: v}), dataset)
+            rep = (base_report if param == "alpha" and v == 0
+                   else train(variant(**{param: v}), dataset))
         except KmbdfError as exc:  # record and continue per sweep contract
             rows.append((label, None, None, None, str(exc)))
             continue

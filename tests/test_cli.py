@@ -346,6 +346,14 @@ class TestSweepCommand:
         assert rows[2][1] is None and "top_k" in rows[2][4]
         assert rows[3][1] is not None
 
+    def test_param_outside_sweep_params_exits_2(self, config_path, capsys):
+        # argparse offers exactly the parameters run_sweep accepts.
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", config_path, "--param", "lr", "--values", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and all(p in err for p in harness.SWEEP_PARAMS)
+
 
 @pytest.mark.parametrize("argv, needle", [
     (["timing", "--horizons", "a"], "--horizons"),

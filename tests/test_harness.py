@@ -13,7 +13,6 @@ from kmbdf.data import SplitSpec, WindowPair
 from kmbdf.balancing import mmd_squared
 from kmbdf.errors import ConfigError, DomainError, ShapeError
 from kmbdf.harness import (
-    EarlyStopper,
     ExperimentConfig,
     build_dataset,
     evaluate,
@@ -159,44 +158,6 @@ class TestTestMmd:
                     rtol=1e-10, atol=0,
                 )
                 assert len(products) == expected_products
-
-
-class TestEarlyStopper:
-    def test_improving_curve_never_stops(self):
-        s = EarlyStopper(patience=2)
-        for epoch, v in enumerate([5.0, 4.0, 3.0, 2.0], start=1):
-            assert s.update(epoch, v) is False
-        assert s.best_epoch == 4
-        assert s.best_value == 2.0
-
-    def test_stops_after_patience(self):
-        s = EarlyStopper(patience=3)
-        script = [5.0, 4.0, 4.5, 4.6, 4.7]
-        stops = [s.update(e, v) for e, v in enumerate(script, start=1)]
-        assert stops == [False, False, False, False, True]
-        assert s.best_epoch == 2
-
-    def test_patience_one(self):
-        s = EarlyStopper(patience=1)
-        assert s.update(1, 3.0) is False
-        assert s.update(2, 3.5) is True
-        assert s.best_epoch == 1
-
-    def test_improvement_resets_counter(self):
-        s = EarlyStopper(patience=2)
-        script = [5.0, 5.5, 4.0, 4.2, 4.3]
-        stops = [s.update(e, v) for e, v in enumerate(script, start=1)]
-        assert stops == [False, False, False, False, True]
-        assert s.best_epoch == 3
-
-    def test_tie_is_not_improvement(self):
-        s = EarlyStopper(patience=1)
-        assert s.update(1, 2.0) is False
-        assert s.update(2, 2.0) is True
-
-    def test_bad_patience(self):
-        with pytest.raises(ConfigError):
-            EarlyStopper(patience=0)
 
 
 class TestBuildDataset:
@@ -414,6 +375,42 @@ class TestTrain:
         rep = train(small_config(max_epochs=300, patience=3, lr=1e-2))
         assert len(rep.epochs) < 300
         assert len(rep.epochs) == rep.best_epoch + 3
+
+    @pytest.mark.parametrize("script, patience, max_epochs, best_epoch", [
+        ([5.0, 4.0, 3.0, 2.0], 2, 4, 4),
+        ([5.0, 4.0, 4.5, 4.6, 4.7], 3, 10, 2),
+        ([3.0, 3.5], 1, 10, 1),
+        ([5.0, 5.5, 4.0, 4.2, 4.3], 2, 10, 3),
+        ([2.0, 2.0], 1, 10, 1),
+    ], ids=["improving", "patience_3", "patience_1", "improvement_resets", "tie"])
+    def test_early_stopping_on_scripted_validation(
+        self, monkeypatch, script, patience, max_epochs, best_epoch
+    ):
+        # Each epoch's validation MSE comes from `script`; a later epoch
+        # would find it empty.  Only a strictly lower MSE is a new best.
+        cfg = small_config(patience=patience, max_epochs=max_epochs, compute_mmd=False)
+        dataset = build_dataset(cfg)
+        scripted, weights, tested = list(script), [], []
+        real_evaluate = harness.evaluate
+
+        def scripted_evaluate(model, windows):
+            if windows is dataset["stacks"]["val"]:
+                weights.append((model.weight.copy(), model.bias.copy()))
+                return scripted.pop(0), 0.0
+            tested.append((model.weight.copy(), model.bias.copy()))
+            return real_evaluate(model, windows)
+
+        monkeypatch.setattr(harness, "evaluate", scripted_evaluate)
+        rep = train(cfg, dataset)
+        assert len(rep.epochs) == len(script) and not scripted
+        assert rep.best_epoch == best_epoch
+        assert [e["val_mse"] for e in rep.epochs] == script
+        # The test split sees the best epoch's parameters, not the last's.
+        (weight, bias), = tested
+        np.testing.assert_array_equal(weight, weights[best_epoch - 1][0])
+        np.testing.assert_array_equal(bias, weights[best_epoch - 1][1])
+        if best_epoch < len(script):
+            assert not np.array_equal(weight, weights[-1][0])
 
     @pytest.mark.parametrize("other", [
         {"horizon": 5},

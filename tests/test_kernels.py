@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -517,6 +519,84 @@ class TestSlidingPath:
             median_bandwidth(stack), median_bandwidth(copy), rtol=1e-12, atol=0
         )
         assert calls == [70, 70]
+
+
+def exact_sq_dists(stack):
+    """Exact squared distances between the samples of a stack, as
+    Fractions: each float is an integer multiple of one power of two."""
+    flats = np.asarray(stack, dtype=float).reshape(len(stack), -1)
+    scale = max(Fraction(v).denominator for v in flats.flat)
+    ints = [[int(Fraction(v) * scale) for v in row] for row in flats]
+    return [[Fraction(sum((a - b) ** 2 for a, b in zip(r, c)), scale**2) for c in ints]
+            for r in ints]
+
+
+def expansion_ratios(flats):
+    """Each pair's squared distance over the sum of its centred squared
+    norms: the share `_sq_dists` compares with NEAR_PAIR_RATIO."""
+    centred = flats - flats.mean(axis=0)
+    norms = np.sum(centred**2, axis=1)
+    sq = np.sum((flats[:, None] - flats[None]) ** 2, axis=-1)
+    return sq / (norms[:, None] + norms[None])
+
+
+def place_near(rng, flats, pairs, ratios):
+    """Set flats[j] = flats[i] + a random step for each (i, j) in `pairs`,
+    scaled until the pair's `expansion_ratios` entry is its `ratios` entry."""
+    i, j = np.array(pairs).T
+    steps = rng.normal(size=(len(pairs), flats.shape[1]))
+    steps /= np.linalg.norm(steps, axis=1)[:, None]
+    for _ in range(10):
+        norms = np.sum((flats - flats.mean(axis=0)) ** 2, axis=1)
+        flats[j] = flats[i] + steps * np.sqrt(np.multiply(ratios, norms[i] + norms[j]))[:, None]
+
+
+class TestDistanceBound:
+    """Every entry of `pair_sq_dists` is within `_pairwise`'s stated
+    relative bound 2e3 P u (u = 2^-53, P elements a sample) of the exact
+    squared distance, on both paths.  Pairs just above NEAR_PAIR_RATIO keep
+    the expansion where its cancellation is worst; near-duplicates below
+    it are recomputed.  All samples sit at a +1e3 offset."""
+
+    @staticmethod
+    def assert_within_bound(sq, stack):
+        p = np.asarray(stack[0]).size
+        bound = Fraction(2e3 * p * 2.0**-53)
+        for i, row in enumerate(exact_sq_dists(stack)):
+            for j, exact in enumerate(row):
+                if exact == 0:
+                    assert sq[i, j] == 0.0, (i, j)
+                else:
+                    assert abs(Fraction(sq[i, j]) - exact) <= bound * exact, (i, j)
+
+    @pytest.mark.parametrize("shape", [(10, 16, 4), (6, 96, 21)], ids=["P=64", "P=2016"])
+    def test_product_path(self, shape):
+        rng = np.random.default_rng(61)
+        n, p = shape[0], shape[1] * shape[2]
+        flats = 1e3 + rng.normal(size=(n, p))
+        place_near(rng, flats, [(0, 1), (2, 3)], [1.5e-3, 1e-9])
+        ratios = expansion_ratios(flats)
+        assert kernels.NEAR_PAIR_RATIO < ratios[0, 1] < 2 * kernels.NEAR_PAIR_RATIO
+        assert 0 < ratios[2, 3] < kernels.NEAR_PAIR_RATIO
+        stack = flats.reshape(shape)
+        assert kernels._window_rows(stack) is None
+        self.assert_within_bound(pair_sq_dists(stack), stack)
+
+    def test_sliding_path(self):
+        # Rows 44..63 repeat rows 4..23 just above the ratio, and rows
+        # 64..79 repeat rows 24..39 far below it: windows of 16 rows at
+        # those starts are near pairs in every row.
+        rng = np.random.default_rng(62)
+        x = 1e3 + ar1_series(80, 4, seed=62)
+        pairs = [(4 + r, 44 + r) for r in range(20)] + [(24 + r, 64 + r) for r in range(16)]
+        place_near(rng, x, pairs, [1.5e-3] * 20 + [1e-9] * 16)
+        i, j = np.array(pairs).T
+        ratios, cut = expansion_ratios(x)[i, j], kernels.NEAR_PAIR_RATIO
+        assert (cut < ratios[:20]).all() and (ratios[:20] < 2 * cut).all()
+        assert (0 < ratios[20:]).all() and (ratios[20:] < cut).all()
+        stack = data.joint_windows(x, 16)
+        assert kernels._window_rows(stack) is not None
+        self.assert_within_bound(pair_sq_dists(stack), stack)
 
 
 def formula(spec, stat, size):

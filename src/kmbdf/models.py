@@ -2,7 +2,7 @@
 
 The forecaster applies one shared T x H map plus bias to every channel
 (channel-independent, DLinear-style).  Gradients are analytic; Adam follows
-the standard bias-corrected update, fused over all parameters.
+the standard bias-corrected update, with its moments kept per parameter.
 """
 
 from __future__ import annotations
@@ -88,58 +88,43 @@ def backward_batch(model: LinearForecaster, xs: np.ndarray, grad_outs: np.ndarra
 
 @dataclass
 class AdamState:
-    """Adam moments of all parameters, each flattened into one vector in the
-    order of `layout`: every parameter's name, shape and [lo, hi) slice."""
+    """Adam moments, kept per parameter: m[k] and v[k] have params[k]'s shape."""
 
     lr: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    layout: tuple = ()
-    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    m: dict = field(default_factory=dict)
+    v: dict = field(default_factory=dict)
 
 
 def adam_init(params: dict[str, np.ndarray], lr: float) -> AdamState:
     if lr <= 0:
         raise ConfigError(f"lr must be > 0, got {lr}")
-    layout, size = [], 0
-    for k, p in params.items():
-        layout.append((k, np.shape(p), size, size + np.size(p)))
-        size += np.size(p)
-    return AdamState(lr=lr, layout=tuple(layout), m=np.zeros(size), v=np.zeros(size))
-
-
-def _flatten(layout, arrays: dict) -> np.ndarray:
-    parts = []
-    for k, shape, _, _ in layout:
-        a = np.asarray(arrays[k], dtype=float)
-        if a.shape != shape:
-            raise ShapeError(f"{k!r} has shape {a.shape}, its parameter {shape}")
-        parts.append(a.ravel())
-    return np.concatenate(parts)
+    m = {k: np.zeros(np.shape(p)) for k, p in params.items()}
+    return AdamState(lr=lr, m=m, v={k: np.zeros_like(z) for k, z in m.items()})
 
 
 def adam_step(state: AdamState, params: dict, grads: dict) -> dict:
-    """One bias-corrected Adam update; mutates state, returns new params.
-
-    All parameters are updated as one flat vector, with the per-element
-    operations of a per-parameter update in the same order, so the result
-    is bit-identical to it.  The new params are views of one new vector.
-    """
-    p = _flatten(state.layout, params)
-    g = _flatten(state.layout, grads)
+    """One bias-corrected Adam update; mutates state, returns new params as
+    new arrays.  A misshaped parameter or gradient raises ShapeError first."""
+    for k, m in state.m.items():
+        if not np.shape(params[k]) == np.shape(grads[k]) == m.shape:
+            raise ShapeError(f"{k!r}: parameter {np.shape(params[k])}, gradient "
+                             f"{np.shape(grads[k])}, moments {m.shape}")
     state.t += 1
-    m, v = state.m, state.v
-    m *= state.beta1
-    m += (1.0 - state.beta1) * g
-    v *= state.beta2
-    v += (1.0 - state.beta2) * g * g
-    m_hat = m / (1.0 - state.beta1**state.t)
-    v_hat = v / (1.0 - state.beta2**state.t)
-    new = p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return {k: new[lo:hi].reshape(shape) for k, shape, lo, hi in state.layout}
+    new = {}
+    for k, m in state.m.items():
+        v, g = state.v[k], np.asarray(grads[k], dtype=float)
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        m_hat = m / (1.0 - state.beta1**state.t)
+        v_hat = v / (1.0 - state.beta2**state.t)
+        new[k] = params[k] - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    return new
 
 
 def save_forecaster(model: LinearForecaster, path) -> None:

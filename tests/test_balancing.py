@@ -425,10 +425,17 @@ class TestKmbDfGrad:
     @pytest.mark.parametrize("family", ["exponential", "gaussian"])
     @pytest.mark.parametrize("anchor", ANCHOR_MODES)
     def test_directional_finite_difference_at_paper_scale(self, family, anchor):
-        # N=128, H=96, T=96, D=21: both anchor modes contract the penalty
+        self.check_directions_at_paper_scale(family, anchor, t=96)
+
+    def test_directional_finite_difference_at_paper_scale_t720(self):
+        self.check_directions_at_paper_scale("exponential", "forecast", t=720)
+
+    @staticmethod
+    def check_directions_at_paper_scale(family, anchor, t):
+        # N=128, H=96, D=21: both anchor modes contract the penalty
         # gradient in several `grad_b_sum` chunks, which the small checks
         # above reach in one.
-        n, h, t, d = 128, 96, 96, 21
+        n, h, d = 128, 96, 21
         assert kernels._DIFF_ELEMENTS < 2 * n * t * d
         rng = np.random.default_rng(31)
         hist, labels, fcs = (rng.normal(size=(n, m, d)) for m in (h, t, t))

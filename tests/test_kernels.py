@@ -521,14 +521,16 @@ class TestSlidingPath:
         assert calls == [70, 70]
 
 
-def exact_sq_dists(stack):
-    """Exact squared distances between the samples of a stack, as
-    Fractions: each float is an integer multiple of one power of two."""
-    flats = np.asarray(stack, dtype=float).reshape(len(stack), -1)
-    scale = max(Fraction(v).denominator for v in flats.flat)
-    ints = [[int(Fraction(v) * scale) for v in row] for row in flats]
-    return [[Fraction(sum((a - b) ** 2 for a, b in zip(r, c)), scale**2) for c in ints]
-            for r in ints]
+def exact_sq_dists(stack, cols=None):
+    """Exact squared distances from the samples of a stack to those of
+    `cols` (default: the stack's own), as Fractions: each float is an
+    integer multiple of one power of two."""
+    rows = np.asarray(stack, dtype=float).reshape(len(stack), -1)
+    cols = rows if cols is None else np.asarray(cols, dtype=float).reshape(len(cols), -1)
+    scale = max(Fraction(v).denominator for v in (*rows.flat, *cols.flat))
+    r_ints, c_ints = ([[int(Fraction(v) * scale) for v in row] for row in a] for a in (rows, cols))
+    return [[Fraction(sum((a - b) ** 2 for a, b in zip(r, c)), scale**2) for c in c_ints]
+            for r in r_ints]
 
 
 def expansion_ratios(flats):
@@ -554,20 +556,21 @@ def place_near(rng, flats, pairs, ratios):
 class TestDistanceBound:
     """Every entry of `pair_sq_dists` is within `_pairwise`'s stated
     relative bound 2e3 P u (u = 2^-53, P elements a sample) of the exact
-    squared distance, on both paths.  Pairs just above NEAR_PAIR_RATIO keep
-    the expansion where its cancellation is worst; near-duplicates below
-    it are recomputed.  All samples sit at a +1e3 offset."""
+    squared distance, on both paths, and every entry of `joint_stats` within
+    2e3 max(P_h, P_t) u of the exact joint distance.  Pairs just above
+    NEAR_PAIR_RATIO keep the expansion where its cancellation is worst;
+    near-duplicates below it are recomputed.  All samples sit at a +1e3
+    offset."""
 
     @staticmethod
-    def assert_within_bound(sq, stack):
-        p = np.asarray(stack[0]).size
+    def assert_within_bound(sq, exact, p):
         bound = Fraction(2e3 * p * 2.0**-53)
-        for i, row in enumerate(exact_sq_dists(stack)):
-            for j, exact in enumerate(row):
-                if exact == 0:
+        for i, row in enumerate(exact):
+            for j, want in enumerate(row):
+                if want == 0:
                     assert sq[i, j] == 0.0, (i, j)
                 else:
-                    assert abs(Fraction(sq[i, j]) - exact) <= bound * exact, (i, j)
+                    assert abs(Fraction(sq[i, j]) - want) <= bound * want, (i, j)
 
     @pytest.mark.parametrize("shape", [(10, 16, 4), (6, 96, 21)], ids=["P=64", "P=2016"])
     def test_product_path(self, shape):
@@ -580,7 +583,7 @@ class TestDistanceBound:
         assert 0 < ratios[2, 3] < kernels.NEAR_PAIR_RATIO
         stack = flats.reshape(shape)
         assert kernels._window_rows(stack) is None
-        self.assert_within_bound(pair_sq_dists(stack), stack)
+        self.assert_within_bound(pair_sq_dists(stack), exact_sq_dists(stack), p)
 
     def test_sliding_path(self):
         # Rows 44..63 repeat rows 4..23 just above the ratio, and rows
@@ -596,7 +599,35 @@ class TestDistanceBound:
         assert (0 < ratios[20:]).all() and (ratios[20:] < cut).all()
         stack = data.joint_windows(x, 16)
         assert kernels._window_rows(stack) is not None
-        self.assert_within_bound(pair_sq_dists(stack), stack)
+        self.assert_within_bound(pair_sq_dists(stack), exact_sq_dists(stack), 64)
+
+    @pytest.mark.parametrize("forecast_anchor", [True, False], ids=["forecast", "real"])
+    def test_joint_stats(self, forecast_anchor):
+        # Histories 0, 1 and 2, 3 coincide, so labels alone set those rows'
+        # joint distances: labels 0, 1 are a kept near pair, 2, 3 a
+        # recomputed one.  Forecasts 0 and 1 equal label 0, so the joints
+        # (hist_0, labels_0) and (hist_1, forecasts_1) coincide, and
+        # forecast 5 is 1e-7 from label 5.
+        rng = np.random.default_rng(64)
+        n, p_h, p_t = 8, 96, 40
+        hist = 1e3 + rng.normal(size=(n, p_h))
+        hist[1], hist[3] = hist[0], hist[2]
+        labels = 1e3 + rng.normal(size=(n, p_t))
+        place_near(rng, labels, [(0, 1), (2, 3)], [1.5e-3, 1e-9])
+        forecasts = 1e3 + rng.normal(size=(n, p_t))
+        forecasts[:2] = labels[0]
+        step = rng.normal(size=p_t)
+        forecasts[5] = labels[5] + 1e-7 * step / np.linalg.norm(step)
+        # joint_stats centres labels and forecasts on their shared mean.
+        ratios = expansion_ratios(np.concatenate([labels, forecasts]))
+        cut = kernels.NEAR_PAIR_RATIO
+        assert cut < ratios[0, 1] < 2 * cut and 0 < ratios[2, 3] < cut
+        real, cross = kernels.joint_stats(ALL_SPECS[0], hist, labels, forecasts, forecast_anchor)
+        z, zhat = np.hstack([hist, labels]), np.hstack([hist, forecasts])
+        self.assert_within_bound(real, exact_sq_dists(z), p_h)
+        want = exact_sq_dists(z, zhat) if forecast_anchor else exact_sq_dists(zhat, z)
+        assert (want[0][1] if forecast_anchor else want[1][0]) == 0
+        self.assert_within_bound(cross, want, p_h)
 
 
 def formula(spec, stat, size):

@@ -217,12 +217,26 @@ class TestAdam:
         assert np.isfinite(params["w"]).all()
 
     def test_shape_mismatch(self):
-        params = {"w": np.zeros(2)}
+        # A misshaped gradient or parameter of "b", checked after "a", raises
+        # before any moment or the step count moves.
+        rng = np.random.default_rng(9)
+        params = {"a": rng.normal(size=(2, 3)), "b": rng.normal(size=4)}
         state = adam_init(params, lr=0.1)
-        with pytest.raises(ShapeError):
-            adam_step(state, params, {"w": np.zeros(3)})
+        for _ in range(3):
+            params = adam_step(state, params, {k: rng.normal(size=p.shape)
+                                               for k, p in params.items()})
+        before = {k: (state.m[k].copy(), state.v[k].copy()) for k in params}
+        grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
+        for bad_params, bad_grads in [(params, {**grads, "b": np.zeros(5)}),
+                                      ({**params, "b": np.zeros(5)}, grads)]:
+            with pytest.raises(ShapeError, match="'b'"):
+                adam_step(state, bad_params, bad_grads)
+            assert state.t == 3
+            for k, (m, v) in before.items():
+                assert state.m[k].tobytes() == m.tobytes()
+                assert state.v[k].tobytes() == v.tobytes()
 
-    def test_fused_matches_per_key_bitwise(self):
+    def test_matches_per_key_reference_bitwise(self):
         rng = np.random.default_rng(7)
         params = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=5), "c": np.array(0.5)}
         state = adam_init(params, lr=3e-3)
@@ -262,7 +276,7 @@ class TestAdam:
             grads = {"weight": rng.normal(size=(3, 4)), "bias": rng.normal(size=3)}
             new = adam_step(state, params, grads)
             for k, p in new.items():
-                for other in (params[k], best[k], state.m, state.v):
+                for other in (params[k], grads[k], best[k], state.m[k], state.v[k]):
                     assert not np.shares_memory(p, other)
             params = new
             m.set_params(params)

@@ -242,6 +242,10 @@ def kmb_df_grad(cfg: BalanceConfig, histories, labels, forecasts, selected=None)
     return grads, diag
 
 
+def _sum_trace(g: np.ndarray) -> tuple[float, float]:
+    return float(g.sum()), float(np.trace(g))
+
+
 def mmd_squared(kernel: KernelSpec, sample_p, sample_q, history=None) -> MmdResult:
     """Two-sample MMD^2 estimate between samples of joint sequences, each a
     list or an (N, L, D) stack.  With `history`, a list, stack or window
@@ -250,7 +254,8 @@ def mmd_squared(kernel: KernelSpec, sample_p, sample_q, history=None) -> MmdResu
     (history_i, q_i); the block's `pair_sq_dists` is added to each Gram's
     statistic.  A distance kernel's sigma "median" is resolved from the
     statistic that then becomes g_pp (`kernels.median_gram`): the same bits
-    as resolving it first.  g_qq and g_pq come from `gram_matrix`.
+    as resolving it first.  g_qq and g_pq come from `gram_matrix`.  One
+    Gram is alive at a time: each is reduced to its sum and trace first.
 
     Unbiased U-statistic when both samples have >= 2 points; for equal-size
     samples the paired form excluding diagonal cross terms is used.  Falls
@@ -268,23 +273,19 @@ def mmd_squared(kernel: KernelSpec, sample_p, sample_q, history=None) -> MmdResu
         kernel, g_pp = median_gram(kernel, p, shared)
     else:
         g_pp = gram_matrix(kernel, p, p, shared)
-    g_qq = gram_matrix(kernel, q, q, shared)
-    g_pq = gram_matrix(kernel, p, q, shared)
+    s_pp, t_pp = _sum_trace(g_pp)
+    del g_pp
+    s_qq, t_qq = _sum_trace(gram_matrix(kernel, q, q, shared))
+    s_pq, t_pq = _sum_trace(gram_matrix(kernel, p, q, shared))
     # After the Grams, which reject non-finite samples.
     if p.shape == q.shape and np.array_equal(p, q):
         return MmdResult(0.0, biased=m == 1)
     if m == n and m > 1:
-        off = (
-            float(g_pp.sum()) - float(np.trace(g_pp))
-            + float(g_qq.sum()) - float(np.trace(g_qq))
-            - 2.0 * (float(g_pq.sum()) - float(np.trace(g_pq)))
-        )
+        off = s_pp - t_pp + s_qq - t_qq - 2.0 * (s_pq - t_pq)
         return MmdResult(off / (m * (m - 1)), biased=False)
-    cross = 2.0 * float(g_pq.sum()) / (m * n)
+    cross = 2.0 * s_pq / (m * n)
     if m > 1 and n > 1:
-        within_p = (float(g_pp.sum()) - float(np.trace(g_pp))) / (m * (m - 1))
-        within_q = (float(g_qq.sum()) - float(np.trace(g_qq))) / (n * (n - 1))
+        within_p = (s_pp - t_pp) / (m * (m - 1))
+        within_q = (s_qq - t_qq) / (n * (n - 1))
         return MmdResult(within_p + within_q - cross, biased=False)
-    within_p = float(g_pp.sum()) / (m * m)
-    within_q = float(g_qq.sum()) / (n * n)
-    return MmdResult(within_p + within_q - cross, biased=True)
+    return MmdResult(s_pp / (m * m) + s_qq / (n * n) - cross, biased=True)

@@ -217,7 +217,8 @@ def evaluate(model: LinearForecaster, windows) -> tuple[float, float]:
     if err.shape != np.shape(ys):
         raise ShapeError(f"labels {np.shape(ys)} do not match forecasts {err.shape}")
     err -= ys
-    return float(np.mean(err * err)), float(np.mean(np.abs(err, out=err)))
+    mae = float(np.mean(np.abs(err, out=err)))
+    return float(np.mean(np.multiply(err, err, out=err))), mae  # |e| |e| == e e
 
 
 def _test_mmd(model, histories, labels, max_samples: int) -> float:

@@ -137,6 +137,8 @@ NEAR_PAIR_RATIO = 1e-3
 # rows at paper scale).  A Gram of one sample against a copy of itself
 # recomputes its whole diagonal, so the chunk's temporaries are kept small.
 _NEAR_PAIR_ELEMENTS = 1 << 16
+# Elements per row block of `_sq_dists`: a training step's (N, N) is one.
+_ROW_BLOCK_ELEMENTS = 1 << 14
 
 
 def _row_sq(a: np.ndarray) -> np.ndarray:
@@ -155,25 +157,31 @@ def _sq_dists(rf, cf, r_sq, c_sq, rows, cols, out=None) -> np.ndarray:
     squared row norms; see `_pairwise`.  Near pairs are recomputed from
     `rows` and `cols`, the caller's uncentred lists or stacks, so a near
     pair loses nothing to the rounding of the centring.  `out`, if given,
-    is a C-contiguous (R, C) array that receives the result."""
-    norms = r_sq[:, None] + c_sq[None, :]
+    is a C-contiguous (R, C) array that receives the result.  The product
+    is one matrix product; the norms, expansion and near-pair mask run in
+    row blocks of `_ROW_BLOCK_ELEMENTS`, the same operations in any blocking."""
     sq = np.matmul(rf, cf.T, out=out)
-    sq *= -2.0
-    sq += norms
-    norms *= NEAR_PAIR_RATIO
-    near = sq <= norms
-    if rows is cols:
-        # Each row against itself: exactly 0, nothing to recompute.  Both
-        # are new C-contiguous arrays, so ravel() is a view.
-        near.ravel()[:: len(near) + 1] = False
-        sq.ravel()[:: len(sq) + 1] = 0.0
-    if not near.any():
-        return sq
-    ii, jj = np.nonzero(near)
-    step = max(1, _NEAR_PAIR_ELEMENTS // (rf.shape[1] or 1))
-    for lo in range(0, ii.size, step):
-        i, j = ii[lo : lo + step], jj[lo : lo + step]
-        sq[i, j] = _row_sq(_take(rows, i) - _take(cols, j))
+    width = sq.shape[1]
+    step = max(1, _ROW_BLOCK_ELEMENTS // (width or 1))
+    for lo in range(0, len(sq), step):
+        block = sq[lo : lo + step]
+        norms = r_sq[lo : lo + step, None] + c_sq
+        block *= -2.0
+        block += norms
+        norms *= NEAR_PAIR_RATIO
+        near = block <= norms
+        if rows is cols:
+            # Each row against itself: exactly 0, nothing to recompute.  The
+            # block's diagonal starts at column lo; ravel() is a view.
+            near.ravel()[lo :: width + 1] = False
+            block.ravel()[lo :: width + 1] = 0.0
+        if not np.count_nonzero(near):  # cheaper than near.any()
+            continue
+        ii, jj = np.nonzero(near)
+        chunk = max(1, _NEAR_PAIR_ELEMENTS // (rf.shape[1] or 1))
+        for k in range(0, ii.size, chunk):
+            i, j = ii[k : k + chunk], jj[k : k + chunk]
+            block[i, j] = _row_sq(_take(rows, i + lo) - _take(cols, j))
     return sq
 
 
@@ -342,9 +350,10 @@ def grad_b_sum(spec: KernelSpec, coeffs, a: np.ndarray, b: np.ndarray) -> np.nda
     accuracy, as (J, M, P) arrays of up to `_DIFF_ELEMENTS` contracted by
     one batched product each; a row rounds the same in any chunk.
 
-    Error bound: c carries the relative error of its pair statistic (see
-    `joint_stats`), scaled by the kernel's sensitivity to it; each row then
-    adds only the rounding of one vector-matrix product over M terms.
+    Error bound: for the c given, entry p of row j is within g(M+1) sum_m
+    |c[m, j] (a_mp - b_jp)| of its exact sum, g(k) = k u / (1 - k u): one
+    rounding per difference, g(M) per product in any order (g(M) and
+    |c[m, j] a_mp| otherwise).  c carries its pair statistic's error.
     """
     if not spec.is_distance:
         return coeffs.T @ a
@@ -451,12 +460,16 @@ def median_bandwidth(joints) -> float:
 
 
 def _median_sigma(sq: np.ndarray) -> float:
+    """sqrt of np.median(np.sqrt(upper triangle of `sq`)), bit for bit: sqrt
+    is monotone, so the triangle is partitioned in place and only its one or
+    two middle values are rooted (a NaN gives NaN, as np.median does)."""
     if len(sq) < 2:
         raise ConfigError("median bandwidth needs at least 2 joint sequences")
-    med = float(np.median(np.sqrt(sq[np.triu_indices(len(sq), k=1)])))
-    if med <= 0.0:
-        return 1.0
-    return float(np.sqrt(med))
+    tri = np.concatenate([row[i + 1 :] for i, row in enumerate(sq[:-1])])
+    lo, hi = (tri.size - 1) // 2, tri.size // 2
+    tri.partition([lo, hi, -1])
+    med = float("nan") if np.isnan(tri[-1]) else (np.sqrt(tri[lo]) + np.sqrt(tri[hi])) / 2
+    return 1.0 if med <= 0.0 else float(np.sqrt(med))
 
 
 def median_gram(spec: KernelSpec, joints, shared=None):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from kmbdf.kernels import (
     KernelSpec,
     eval_kernel,
     grad_coeffs,
+    gram_matrix,
     joint_stats,
     kernel_from_stat,
     median_bandwidth,
@@ -639,6 +641,94 @@ class TestMmdSquared:
         p, q = rng.normal(size=(2, 7, 3, 2))
         values = {mmd_squared(replace(spec, sigma=sigma), p, q) for sigma in ("median", 0.4, 9.0)}
         assert len(values) == 1
+
+
+def three_gram_mmd(kernel, sample_p, sample_q, history=None):
+    """The estimator with its three Grams alive together, in the order and
+    arithmetic that `mmd_squared` keeps while it reduces one at a time."""
+    p, q = np.asarray(sample_p, dtype=float), np.asarray(sample_q, dtype=float)
+    m, n = len(p), len(q)
+    shared = None if history is None else pair_sq_dists(history)
+    if kernel.is_distance and kernel.sigma == "median":
+        kernel, g_pp = median_gram(kernel, p, shared)
+    else:
+        g_pp = gram_matrix(kernel, p, p, shared)
+    g_qq = gram_matrix(kernel, q, q, shared)
+    g_pq = gram_matrix(kernel, p, q, shared)
+    if p.shape == q.shape and np.array_equal(p, q):
+        return 0.0, m == 1
+    if m == n and m > 1:
+        off = (
+            float(g_pp.sum()) - float(np.trace(g_pp))
+            + float(g_qq.sum()) - float(np.trace(g_qq))
+            - 2.0 * (float(g_pq.sum()) - float(np.trace(g_pq)))
+        )
+        return off / (m * (m - 1)), False
+    cross = 2.0 * float(g_pq.sum()) / (m * n)
+    if m > 1 and n > 1:
+        within_p = (float(g_pp.sum()) - float(np.trace(g_pp))) / (m * (m - 1))
+        within_q = (float(g_qq.sum()) - float(np.trace(g_qq))) / (n * (n - 1))
+        return within_p + within_q - cross, False
+    within_p = float(g_pp.sum()) / (m * m)
+    within_q = float(g_qq.sum()) / (n * n)
+    return within_p + within_q - cross, True
+
+
+def mmd_reference_cases():
+    """(name, p, q, history) as lists, stacks and window views; paired with
+    and without a history, unpaired, and singletons."""
+    rng = np.random.default_rng(46)
+    joints = data.joint_windows(np.cumsum(rng.normal(size=(60, 2)), axis=0), 9)
+    hist, lab = joints[:, :5], joints[:, 5:]
+    fc = lab + 0.3 * rng.normal(size=lab.shape)
+    stack_h, stack_p, stack_q = (z.copy() for z in (hist, lab, fc))
+    for history in (None, "history"):
+        pick = lambda h: None if history is None else h
+        yield f"list {history}", list(lab), list(fc), pick(list(hist))
+        yield f"stack {history}", stack_p, stack_q, pick(stack_h)
+        yield f"window view {history}", lab, fc, pick(hist)
+        yield f"coinciding {history}", lab, stack_p, pick(hist)
+    yield "m != n", stack_p, stack_q[:17], None
+    yield "window view m != n", lab[5:], lab[:30] + 0.1, None
+    yield "singleton p", stack_p[:1], stack_q, None
+    yield "singleton q", list(lab), [fc[3]], None
+    yield "singletons", stack_p[:1], stack_q[:1], None
+    yield "coinciding singletons", stack_p[:1], lab[:1], None
+
+
+class TestMmdOneGramAtATime:
+    @pytest.mark.parametrize("kernel", ALL_KERNELS + [KernelSpec(family="exponential"),
+                                                      KernelSpec(family="gaussian")],
+                             ids=lambda k: f"{k.family}-{k.sigma}")
+    def test_equals_three_gram_reference(self, kernel):
+        for name, p, q, history in mmd_reference_cases():
+            if history is not None and not kernel.is_distance:
+                continue
+            if kernel.sigma == "median" and len(p) < 2:
+                continue
+            got = mmd_squared(kernel, p, q, history)
+            assert got == three_gram_mmd(kernel, p, q, history), name
+            if name.startswith("coinciding"):
+                assert got.value == 0.0, name
+
+    @pytest.mark.parametrize("sample", ["stack", "list"])
+    def test_peak_memory_is_about_two_grams(self, sample):
+        # n = 512 paired samples that share a history block, with the
+        # median bandwidth: the history statistic and one Gram stay alive,
+        # plus the median's upper triangle, for at most 3 n^2 doubles.
+        n = 512
+        rng = np.random.default_rng(47)
+        hist, lab = np.cumsum(rng.normal(size=(2, n, 6, 2)), axis=2)
+        fc = lab + 0.1 * rng.normal(size=lab.shape)
+        args = (lab, fc, hist) if sample == "stack" else (list(lab), list(fc), list(hist))
+        mmd_squared(KernelSpec(family="exponential"), *args)
+        tracemalloc.start()
+        try:
+            mmd_squared(KernelSpec(family="exponential"), *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * n * n * 8
 
 
 class TestBalanceConfig:

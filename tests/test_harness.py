@@ -59,6 +59,16 @@ class TestEvaluate:
         mse, mae = evaluate(model, [w])
         assert mse == 0.0 and mae == 0.0
 
+    def test_squares_the_absolute_errors_exactly(self):
+        # The MSE squares |e| in place: the same bits as e * e at signed
+        # zeros, an underflowing square and a large error.
+        model = LinearForecaster(np.zeros((5, 1)), np.zeros(5), 1, 5, 1)
+        labels = np.array([0.0, -0.0, 1e-160, -1e150, 3.0]).reshape(1, 5, 1)
+        err = 0.0 - labels
+        assert evaluate(model, (np.zeros((1, 1, 1)), labels)) == (
+            float(np.mean(err * err)), float(np.mean(np.abs(err)))
+        )
+
     def test_empty_rejected(self):
         model = LinearForecaster(np.zeros((1, 1)), np.zeros(1), 1, 1, 1)
         with pytest.raises(ConfigError):

@@ -262,6 +262,31 @@ class TestGradBSum:
         monkeypatch.setattr(kernels, "_DIFF_ELEMENTS", budget)
         np.testing.assert_array_equal(grad_b_sum(spec, coeffs, a, b), whole)
 
+    @pytest.mark.parametrize("spec", [ALL_SPECS[0], ALL_SPECS[2]], ids=lambda s: s.family)
+    def test_within_stated_bound(self, monkeypatch, spec):
+        # Every entry against its exact sum, in four products of two rows
+        # (the last of one).  Rows sit at +1e3; b_3 is 1e-9 from a_2 and b_5
+        # equals a_4, so some differences are tiny or exactly 0.
+        rng = np.random.default_rng(10)
+        m, j, p = 6, 7, 9
+        a, b = 1e3 + rng.normal(size=(m, p)), 1e3 + rng.normal(size=(j, p))
+        b[3], b[5] = a[2] + 1e-9, a[4]
+        coeffs = rng.normal(size=(m, j))
+        monkeypatch.setattr(kernels, "_DIFF_ELEMENTS", 2 * m * p)
+        got = grad_b_sum(spec, coeffs, a, b)
+        k = m + 1 if spec.is_distance else m
+        gamma = k * Fraction(2.0**-53) / (1 - k * Fraction(2.0**-53))
+        for jj in range(j):
+            for pp in range(p):
+                terms = [
+                    Fraction(coeffs[mm, jj])
+                    * (Fraction(a[mm, pp]) - Fraction(b[jj, pp]) if spec.is_distance
+                       else Fraction(a[mm, pp]))
+                    for mm in range(m)
+                ]
+                error = abs(Fraction(got[jj, pp]) - sum(terms))
+                assert error <= gamma * sum(abs(t) for t in terms), (jj, pp)
+
 
 class TestKernelSpec:
     def test_sigma_required_positive(self):
@@ -329,6 +354,26 @@ class TestMedianBandwidth:
     def test_needs_two_points(self):
         with pytest.raises(ConfigError):
             median_bandwidth([np.ones((2, 2))])
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 9])
+    def test_bitwise_equal_to_np_median(self, n):
+        # 1, 3, 6, 10, 15 and 36 pairs: odd and even counts.  Integer points
+        # tie many distances, repeated points tie them at 0, and
+        # all-equal points fall back to 1.0.
+        rng = np.random.default_rng(n)
+        random = rng.normal(size=(n, 5, 2))
+        grid = rng.integers(0, 3, size=(n, 2, 2)).astype(float)
+        repeated = random.copy()
+        repeated[1::2] = repeated[: n // 2 * 2 : 2]
+        for stack in (random, grid, repeated, np.ones((n, 3, 2))):
+            sq = pair_sq_dists(stack)
+            med = np.median(np.sqrt(sq[np.triu_indices(n, k=1)]))
+            want = 1.0 if med <= 0.0 else float(np.sqrt(med))
+            assert median_bandwidth(stack).hex() == want.hex()
+        assert median_bandwidth(np.ones((n, 3, 2))) == 1.0
+        sq = pair_sq_dists(random)
+        sq[0, -1] = sq[-1, 0] = np.nan
+        assert np.isnan(kernels._median_sigma(sq))
 
 
 def shared_block_cases():
@@ -519,6 +564,48 @@ class TestSlidingPath:
             median_bandwidth(stack), median_bandwidth(copy), rtol=1e-12, atol=0
         )
         assert calls == [70, 70]
+
+
+def row_block_cases():
+    """(name, call, width) with near pairs in rows far apart: `call` runs
+    `_sq_dists` on blocks of `width` columns.  Rows 1 and 8 and rows 0
+    and 6 of each product stack are pairs 1e-9 apart, and rows 4 and 9
+    coincide; `joint_stats` also gets histories whose rows 1 and 8
+    coincide and forecasts (the stack reversed) that equal its labels at
+    rows 1 and 8."""
+    rng = np.random.default_rng(71)
+    stack = rng.normal(size=(10, 4, 3))
+    stack[6], stack[8], stack[9] = stack[0] + 1e-9, stack[1] + 1e-9, stack[4]
+    yield "product", lambda: pair_sq_dists(stack), 10
+    x = ar1_series(40, 2, seed=72)
+    x[25:34] = x[3:12]
+    windows = data.joint_windows(x, 6)
+    yield "sliding", lambda: pair_sq_dists(windows), len(x)
+    other = rng.normal(size=(7, 4, 3))
+    other[5], other[6] = stack[1], stack[8] + 1e-9
+    spec = KernelSpec(sigma=1.5)
+    yield "gram", lambda: gram_matrix(spec, stack, other), 7
+    flats = [z.reshape(10, -1) for z in (rng.normal(size=(10, 6)), stack, stack[::-1].copy())]
+    flats[0][8] = flats[0][1]
+    flats[2][[1, 8]] = flats[1][[1, 8]]
+    for anchor in (True, False):
+        yield f"joint_stats {anchor}", lambda a=anchor: kernels.joint_stats(spec, *flats, a), 10
+
+
+class TestRowBlocks:
+    """`_sq_dists` forms the norms, expansion and near-pair mask in row
+    blocks: any block size gives the same bytes as one block."""
+
+    @pytest.mark.parametrize("name, call, width", list(row_block_cases()),
+                             ids=[c[0] for c in row_block_cases()])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_blocks_give_the_same_bytes(self, monkeypatch, name, call, width, rows):
+        whole = call()
+        monkeypatch.setattr(kernels, "_ROW_BLOCK_ELEMENTS", rows * width)
+        assert np.asarray(call()).tobytes() == np.asarray(whole).tobytes()
+
+    def test_training_shapes_are_one_block(self):
+        assert 128 * 128 <= kernels._ROW_BLOCK_ELEMENTS
 
 
 def exact_sq_dists(stack, cols=None):

@@ -1,0 +1,93 @@
+"""Print the SHA-256 of 18 deterministic outputs as one JSON object.
+
+Each hash covers one `TrainReport.to_json(include_timing=False)` or one
+`kmbdf mmd-test` stdout:
+
+* the README quick start;
+* both reports (alpha=0 and alpha=0.3) of the desk sweep, seeds 1 and 2;
+* the paper-scale config (N=128, H=96, T=96, D=21, one epoch);
+* two-epoch runs on a 1,500-row series of each kernel family (polynomial at
+  degree 2) in both anchor modes;
+* `kmbdf mmd-test` at its defaults and at `--samples 400 --window 16`.
+
+A change that must keep every report byte-identical prints the same object
+as its parent, at one BLAS thread and at two.  Run from the repository root:
+
+    PYTHONPATH=src python3 scripts/report_hashes.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+
+from kmbdf import ExperimentConfig, run_sweep, train
+from kmbdf.balancing import ANCHOR_MODES
+from kmbdf.cli import main
+from kmbdf.kernels import KERNEL_FAMILIES
+
+KMB_DF = {
+    "kind": "kmb_df", "alpha": 0.3, "top_k": 3, "margin_c": 0.001,
+    "kernel": {"family": "exponential", "sigma": "median"},
+}
+# The README quick start.
+QUICK_START = {
+    "data": {"source": "synthetic", "kind": "ar", "length": 5000,
+             "channels": 2, "seed": 100, "coeffs": [0.9]},
+    "history_len": 24,
+    "horizon": 12,
+    "objective": KMB_DF,
+    "lr": 1e-3, "batch_size": 32, "max_epochs": 30, "patience": 5,
+}
+
+
+def config(base: dict = QUICK_START, data: dict | None = None, objective: dict | None = None,
+           **top) -> ExperimentConfig:
+    return ExperimentConfig.from_dict({
+        **base, **top,
+        "data": {**base["data"], **(data or {})},
+        "objective": {**base["objective"], **(objective or {})},
+    })
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def report_hash(report) -> str:
+    return digest(report.to_json(include_timing=False))
+
+
+def mmd_test_hash(*args: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        if main(["mmd-test", *args]) != 0:
+            raise SystemExit(f"kmbdf mmd-test {' '.join(args)} failed")
+    return digest(out.getvalue())
+
+
+def hashes() -> dict[str, str]:
+    out = {"quick_start": report_hash(train(config()))}
+    for seed in (1, 2):
+        desk = config(max_epochs=5, patience=5, seed=seed)
+        _, reports = run_sweep(desk, "alpha", [0.3])
+        for label, report in reports.items():
+            out[f"desk_sweep/seed={seed}/{label}"] = report_hash(report)
+    paper = config(data={"length": 3016, "channels": 21, "seed": 200}, history_len=96,
+                   horizon=96, batch_size=128, max_epochs=1, patience=1)
+    out["paper_t96"] = report_hash(train(paper))
+    for family in KERNEL_FAMILIES:
+        kernel = {"family": family, **({"degree": 2} if family == "polynomial" else {})}
+        for mode in ANCHOR_MODES:
+            run = config(data={"length": 1500}, objective={"kernel": kernel, "anchor_mode": mode},
+                         max_epochs=2)
+            out[f"kernel/{family}/{mode}"] = report_hash(train(run))
+    out["mmd_test/defaults"] = mmd_test_hash()
+    out["mmd_test/samples=400,window=16"] = mmd_test_hash("--samples", "400", "--window", "16")
+    return out
+
+
+if __name__ == "__main__":
+    print(json.dumps(hashes(), indent=1))

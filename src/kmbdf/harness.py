@@ -15,7 +15,7 @@ import numpy as np
 from . import data as data_mod
 from .balancing import BalanceConfig, mmd_squared
 from .errors import ConfigError, DomainError, KmbdfError, Node, ShapeError, node_fields
-from .kernels import KernelSpec, median_bandwidth
+from .kernels import KernelSpec, as_stack, median_bandwidth
 from .models import (
     LinearForecaster,
     adam_init,
@@ -207,15 +207,16 @@ def _resolve_objective(config: ExperimentConfig, joints):
 def evaluate(model: LinearForecaster, windows) -> tuple[float, float]:
     """Per-element mean squared / absolute error, formed in place in the
     forecasts, over all windows: a list of `WindowPair`s, or (n, H, D) and
-    (n, T, D) stacks such as `build_dataset`'s read-only views, unmodified."""
-    if len(windows) == 0 or not isinstance(windows[0], np.ndarray):
-        windows = np.array([w.history for w in windows]), np.array([w.label for w in windows])
+    (n, T, D) batches such as `build_dataset`'s read-only views, unmodified.
+    No window raises ConfigError, an empty, ragged or mismatched batch ShapeError."""
+    if len(windows) == 0 or isinstance(windows[0], data_mod.WindowPair):
+        windows = [w.history for w in windows], [w.label for w in windows]
     xs, ys = windows
-    if len(xs) == 0:
+    if len(xs) == len(ys) == 0:
         raise ConfigError("evaluate requires at least one window")
-    err = forward_batch(model, xs)
-    if err.shape != np.shape(ys):
-        raise ShapeError(f"labels {np.shape(ys)} do not match forecasts {err.shape}")
+    err, ys = forward_batch(model, xs), as_stack(ys)
+    if err.shape != ys.shape:
+        raise ShapeError(f"labels {ys.shape} do not match forecasts {err.shape}")
     err -= ys
     mae = float(np.mean(np.abs(err, out=err)))
     return float(np.mean(np.multiply(err, err, out=err))), mae  # |e| |e| == e e
@@ -291,9 +292,8 @@ def train(config: ExperimentConfig, dataset: dict | None = None) -> TrainReport:
                 raise DomainError(
                     f"non-finite loss at epoch {epoch}, step {len(step_times)}: {loss!r}"
                 )
-            gw, gb = backward_batch(model, xb, grads)
-            params = adam_step(state, params, {"weight": gw, "bias": gb})
-            model.set_params(params)
+            backward_batch(model, xb, grads)
+            adam_step(state, params, model.grad)  # in place: params is the model's vector
             step_times.append(time.perf_counter() - t0)
             epoch_loss += loss
             trace.append((len(step_times), epoch, loss))
@@ -314,11 +314,11 @@ def train(config: ExperimentConfig, dataset: dict | None = None) -> TrainReport:
         )
         if val_mse < best_mse:
             best_mse, best_epoch = val_mse, epoch
-            best_params = {k: v.copy() for k, v in params.items()}
+            best_params = params.flat.copy()
         elif epoch - best_epoch >= config.patience:
             break
 
-    model.set_params(best_params)
+    params.flat[:] = best_params
     t0 = time.perf_counter()
     test_mse, test_mae = evaluate(model, test_w)
     t1 = time.perf_counter()

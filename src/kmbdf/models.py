@@ -2,19 +2,38 @@
 
 The forecaster applies one shared T x H map plus bias to every channel
 (channel-independent, DLinear-style).  Gradients are analytic; Adam follows
-the standard bias-corrected update, with its moments kept per parameter.
+the standard bias-corrected update.  The parameters (`weight` row by row,
+then `bias`), their batch gradient `grad` and Adam's two moments are each one
+float64 `ParamVector` of that layout, which a training step updates in place.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
+from .kernels import as_stack
 
 CHECKPOINT_VERSION = 1
+
+
+class ParamVector(dict):
+    """Named views of one float64 vector `flat`, laid out in the key order
+    of `shapes` ({name: shape}), holding a copy of `values` if given (else
+    zeros).  The views are never rebound."""
+
+    def __init__(self, shapes: dict, values=None):
+        self.shapes, self.flat = shapes, np.zeros(sum(math.prod(s) for s in shapes.values()))
+        lo = 0
+        for k, s in shapes.items():
+            self[k] = self.flat[lo : lo + math.prod(s)].reshape(s)
+            lo += self[k].size
+            if values is not None:
+                self[k][...] = values[k]
 
 
 @dataclass
@@ -26,23 +45,24 @@ class LinearForecaster:
     channels: int
 
     def __post_init__(self):
-        self.weight = np.asarray(self.weight, dtype=float)
-        self.bias = np.asarray(self.bias, dtype=float)
-        if self.weight.shape != (self.horizon, self.history_len):
-            raise ShapeError(
-                f"weight shape {self.weight.shape} != ({self.horizon}, {self.history_len})"
-            )
-        if self.bias.shape != (self.horizon,):
-            raise ShapeError(f"bias shape {self.bias.shape} != ({self.horizon},)")
-        if not (np.isfinite(self.weight).all() and np.isfinite(self.bias).all()):
+        shapes = {"weight": (self.horizon, self.history_len), "bias": (self.horizon,)}
+        self._params, self.grad = ParamVector(shapes), ParamVector(shapes)
+        self.set_params({"weight": self.weight, "bias": self.bias})
+        self.weight, self.bias = self._params.values()
+        if not np.isfinite(self._params.flat).all():
             raise ConfigError("model parameters must be finite")
 
-    def params(self) -> dict[str, np.ndarray]:
-        return {"weight": self.weight, "bias": self.bias}
+    def params(self) -> ParamVector:
+        return self._params
 
     def set_params(self, params: dict[str, np.ndarray]) -> None:
-        self.weight = np.asarray(params["weight"], dtype=float)
-        self.bias = np.asarray(params["bias"], dtype=float)
+        """Copy `params` into the model's vector, never aliasing them; a
+        misshaped entry raises ShapeError before anything is copied."""
+        for k, own in self._params.items():
+            if np.shape(params[k]) != own.shape:
+                raise ShapeError(f"{k} shape {np.shape(params[k])} != {own.shape}")
+        for k, own in self._params.items():
+            own[...] = params[k]
 
 
 def init_forecaster(history_len: int, horizon: int, channels: int, seed: int = 0) -> LinearForecaster:
@@ -59,9 +79,9 @@ def init_forecaster(history_len: int, horizon: int, channels: int, seed: int = 0
     )
 
 
-def forward_batch(model: LinearForecaster, xs: np.ndarray) -> np.ndarray:
-    """Forecast a (N, H, D) stack: Yhat_n[:, d] = W @ X_n[:, d] + bias; returns (N, T, D)."""
-    xs = np.asarray(xs, dtype=float)
+def forward_batch(model: LinearForecaster, xs) -> np.ndarray:
+    """Forecast a (N, H, D) batch: Yhat_n[:, d] = W @ X_n[:, d] + bias; returns (N, T, D)."""
+    xs = as_stack(xs)
     if xs.ndim != 3 or xs.shape[1:] != (model.history_len, model.channels):
         raise ShapeError(
             f"batch shape {xs.shape} incompatible with ({model.history_len}, {model.channels})"
@@ -71,60 +91,70 @@ def forward_batch(model: LinearForecaster, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def backward_batch(model: LinearForecaster, xs: np.ndarray, grad_outs: np.ndarray):
+def backward_batch(model: LinearForecaster, xs, grad_outs):
     """Parameter gradients summed over a batch, given d loss / d forecast as
-    a (N, T, D) stack: one product over the (sample, channel) pairs."""
-    xs = np.asarray(xs, dtype=float)
-    grad_outs = np.asarray(grad_outs, dtype=float)
-    if xs.ndim != 3 or grad_outs.ndim != 3 or xs.shape[::2] != grad_outs.shape[::2]:
-        raise ShapeError(
-            f"input batch {xs.shape} and output gradients {grad_outs.shape} differ "
-            "in batch size or channels"
-        )
-    g = grad_outs.transpose(1, 0, 2).reshape(grad_outs.shape[1], -1)
-    x = xs.transpose(0, 2, 1).reshape(-1, xs.shape[1])
-    return g @ x, grad_outs.sum(axis=(0, 2))
+    a (N, T, D) batch: one product over the (sample, channel) pairs, written
+    into `model.grad`, whose (weight, bias) views it returns."""
+    xs, grad_outs = as_stack(xs), as_stack(grad_outs)
+    h, t = model.history_len, model.horizon
+    if xs.ndim != 3 or xs.shape[1] != h or grad_outs.shape != (len(xs), t, xs.shape[2]):
+        raise ShapeError(f"input batch {xs.shape} and output gradients "
+                         f"{grad_outs.shape} do not fit ({h}, D) and ({t}, D)")
+    g = grad_outs.transpose(1, 0, 2).reshape(t, -1)
+    x = xs.transpose(0, 2, 1).reshape(-1, h)
+    gw, gb = model.grad.values()
+    return np.matmul(g, x, out=gw), np.add.reduce(grad_outs, axis=(0, 2), out=gb)
 
 
 @dataclass
 class AdamState:
-    """Adam moments, kept per parameter: m[k] and v[k] have params[k]'s shape."""
+    """Adam moments as two vectors: m[k] and v[k] have params[k]'s shape."""
 
     lr: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: ParamVector = field(default_factory=lambda: ParamVector({}))
+    v: ParamVector = field(default_factory=lambda: ParamVector({}))
+    work: np.ndarray = field(init=False, repr=False)  # the update's two temporaries
+
+    def __post_init__(self):
+        self.work = np.empty((2, self.m.flat.size))
 
 
 def adam_init(params: dict[str, np.ndarray], lr: float) -> AdamState:
     if lr <= 0:
         raise ConfigError(f"lr must be > 0, got {lr}")
-    m = {k: np.zeros(np.shape(p)) for k, p in params.items()}
-    return AdamState(lr=lr, m=m, v={k: np.zeros_like(z) for k, z in m.items()})
+    shapes = {k: np.shape(p) for k, p in params.items()}
+    return AdamState(lr=lr, m=ParamVector(shapes), v=ParamVector(shapes))
 
 
 def adam_step(state: AdamState, params: dict, grads: dict) -> dict:
-    """One bias-corrected Adam update; mutates state, returns new params as
-    new arrays.  A misshaped parameter or gradient raises ShapeError first."""
-    for k, m in state.m.items():
-        if not np.shape(params[k]) == np.shape(grads[k]) == m.shape:
-            raise ShapeError(f"{k!r}: parameter {np.shape(params[k])}, gradient "
-                             f"{np.shape(grads[k])}, moments {m.shape}")
+    """One bias-corrected Adam update of whole vectors; mutates state.  Given
+    `ParamVector`s of the moments' layout (a model's `params()` and `grad`),
+    it updates `params` in place and returns it; any other dicts are copied
+    into new vectors after a shape check (ShapeError before the state moves)
+    and answered with new arrays, by the same arithmetic."""
+    shapes = state.m.shapes
+    if not (isinstance(params, ParamVector) and isinstance(grads, ParamVector)
+            and params.shapes == grads.shapes == shapes):
+        for k, m in state.m.items():
+            if not np.shape(params[k]) == np.shape(grads[k]) == m.shape:
+                raise ShapeError(f"{k!r}: parameter {np.shape(params[k])}, gradient "
+                                 f"{np.shape(grads[k])}, moments {m.shape}")
+        params, grads = ParamVector(shapes, params), ParamVector(shapes, grads)
     state.t += 1
-    new = {}
-    for k, m in state.m.items():
-        v, g = state.v[k], np.asarray(grads[k], dtype=float)
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**state.t)
-        v_hat = v / (1.0 - state.beta2**state.t)
-        new[k] = params[k] - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return new
+    (p, g, m, v), (a, b) = (params.flat, grads.flat, state.m.flat, state.v.flat), state.work
+    m *= state.beta1
+    m += np.multiply(g, 1.0 - state.beta1, out=a)
+    v *= state.beta2
+    v += np.multiply(np.multiply(g, 1.0 - state.beta2, out=a), g, out=a)
+    np.divide(m, 1.0 - state.beta1**state.t, out=b)  # m_hat
+    np.divide(v, 1.0 - state.beta2**state.t, out=a)  # v_hat
+    b *= state.lr
+    p -= np.divide(b, np.add(np.sqrt(a, out=a), state.eps, out=a), out=b)
+    return params
 
 
 def save_forecaster(model: LinearForecaster, path) -> None:

@@ -19,7 +19,9 @@ from kmbdf.balancing import (
     mmd_squared,
 )
 from kmbdf.errors import DomainError, ShapeError
+from kmbdf.harness import evaluate
 from kmbdf.kernels import KernelSpec, eval_kernel, gram_matrix, median_bandwidth, pair_sq_dists
+from kmbdf.models import backward_batch, forward_batch, init_forecaster
 from kmbdf.objectives import FrequencyL1Objective, KmbDfObjective, MseObjective
 
 EXP = KernelSpec(family="exponential", sigma=1.3)
@@ -27,6 +29,7 @@ LIN = KernelSpec(family="linear")
 CFG = BalanceConfig(alpha=0.4, top_k=2, margin_c=0.01, kernel=EXP)
 BATCH = [(5, 3, 2), (5, 2, 2), (5, 2, 2)]  # histories, labels, forecasts
 PAIR = [(5, 3, 2), (4, 3, 2)]  # two samples of joints
+MODEL = init_forecaster(history_len=3, horizon=2, channels=2, seed=0)
 
 
 class Entry(NamedTuple):
@@ -52,6 +55,9 @@ ENTRIES = {
     "mse": Entry(MseObjective().loss_and_grad, BATCH, (1, 2), True, False),
     "freq_l1": Entry(FrequencyL1Objective().loss_and_grad, BATCH, (1, 2), True, False),
     "kmb_df": Entry(KmbDfObjective(config=CFG).loss_and_grad, BATCH, (0, 1, 2), True, True),
+    "forward_batch": Entry(lambda x: forward_batch(MODEL, x), BATCH[:1], (0,), False, False),
+    "backward_batch": Entry(lambda x, g: backward_batch(MODEL, x, g), BATCH[:2], (0, 1), True, False),
+    "evaluate": Entry(lambda x, y: evaluate(MODEL, (x, y)), BATCH[:2], (0, 1), True, False),
 }
 
 

@@ -1,3 +1,4 @@
+import collections
 import csv
 import json
 from dataclasses import FrozenInstanceError, replace
@@ -8,7 +9,7 @@ import pytest
 from types import SimpleNamespace
 
 from kmbdf import data as data_mod
-from kmbdf import harness, kernels
+from kmbdf import balancing, harness, kernels
 from kmbdf.data import SplitSpec, WindowPair
 from kmbdf.balancing import mmd_squared
 from kmbdf.errors import ConfigError, DomainError, ShapeError
@@ -68,6 +69,14 @@ class TestEvaluate:
         assert evaluate(model, (np.zeros((1, 1, 1)), labels)) == (
             float(np.mean(err * err)), float(np.mean(np.abs(err)))
         )
+
+    def test_ragged_window_pairs_raise_shape_error(self):
+        model = LinearForecaster(np.zeros((2, 3)), np.zeros(2), 3, 2, 1)
+        good = WindowPair(np.zeros((3, 1)), np.zeros((2, 1)))
+        for bad in (WindowPair(np.zeros((2, 1)), np.zeros((2, 1))),
+                    WindowPair(np.zeros((3, 1)), np.zeros((1, 1)))):
+            with pytest.raises(ShapeError):
+                evaluate(model, [good, bad])
 
     def test_empty_rejected(self):
         model = LinearForecaster(np.zeros((1, 1)), np.zeros(1), 1, 1, 1)
@@ -436,6 +445,45 @@ class TestTrain:
         monkeypatch.setattr(harness, "forward_batch", forbidden)
         with pytest.raises(ConfigError, match="dataset was built for another"):
             train(small_config(), dataset)
+
+    def test_calls_what_the_benchmark_traces(self, monkeypatch):
+        # The benchmark's tracer patches these names in `kmbdf.harness` and
+        # `kmbdf.balancing`, and its step clock times a step from one
+        # `harness.adam_step` return to the next: every training step calls
+        # forward, backward and Adam once each through the harness module,
+        # and the test MMD^2 reaches `mmd_squared` and `gram_matrix`.
+        calls, active = collections.Counter(), []
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name, "evaluation" if active else "loop"] += 1
+                active.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    active.pop()
+
+            monkeypatch.setattr(module, name, counted)
+
+        for name in ("forward_batch", "backward_batch", "adam_step", "evaluate", "_test_mmd",
+                     "mmd_squared"):
+            count(harness, name)
+        count(balancing, "gram_matrix")
+        rep = train(small_config(objective={
+            "kind": "kmb_df", "alpha": 0.3, "top_k": 3, "margin_c": 0.001,
+            "kernel": {"family": "exponential", "sigma": "median"},
+        }))
+        steps = rep.timing["steps"]
+        assert steps == 17 * len(rep.epochs) > 0  # 269 training windows in batches of 16
+        for name in ("forward_batch", "backward_batch", "adam_step"):
+            assert calls[name, "loop"] == steps, name
+        assert calls["evaluate", "loop"] == len(rep.epochs) + 1
+        assert calls["_test_mmd", "loop"] == 1
+        assert calls["mmd_squared", "evaluation"] == 1
+        assert calls["gram_matrix", "evaluation"] >= 1
+        assert calls["backward_batch", "evaluation"] == calls["adam_step", "evaluation"] == 0
 
     def test_timing_phases_outside_payload(self):
         cfg = small_config()

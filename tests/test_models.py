@@ -285,6 +285,83 @@ class TestAdam:
         assert not np.array_equal(m.weight, before["weight"])
 
 
+class TestInPlacePath:
+    """The training loop's path: adam_step updates the model's own vector
+    from its `grad` vector, which backward_batch fills."""
+
+    def test_adam_matches_per_key_reference_bitwise(self):
+        rng = np.random.default_rng(10)
+        model = init_forecaster(5, 3, 2, seed=3)
+        params, grad, weight = model.params(), model.grad, model.weight
+        state = adam_init(params, lr=3e-3)
+        ref_state = {
+            "lr": 3e-3, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "t": 0,
+            "m": {k: np.zeros_like(p) for k, p in params.items()},
+            "v": {k: np.zeros_like(p) for k, p in params.items()},
+        }
+        ref = {k: p.copy() for k, p in params.items()}
+        for step in range(200):
+            # Mixed scales and exact zeros exercise every rounding path.
+            for g in grad.values():
+                g[...] = rng.normal(size=g.shape) * 10.0 ** rng.integers(-6, 3)
+            grad["bias"][step % 3] = 0.0
+            grad["weight"][step % 3, step % 5] = 0.0
+            assert adam_step(state, params, grad) is params
+            ref = per_key_adam(ref_state, ref, {k: g.copy() for k, g in grad.items()})
+            for k in ref:
+                assert params[k].tobytes() == ref[k].tobytes(), (step, k)
+                assert state.m[k].tobytes() == ref_state["m"][k].tobytes(), (step, k)
+                assert state.v[k].tobytes() == ref_state["v"][k].tobytes(), (step, k)
+        assert state.t == ref_state["t"] == 200
+        assert model.weight is weight and model.params() is params
+        np.testing.assert_array_equal(model.weight, ref["weight"])
+
+    @pytest.mark.parametrize("n, h, t, d", [(32, 24, 12, 2), (128, 96, 96, 21)],
+                             ids=["desk", "paper"])
+    def test_backward_writes_the_plain_products(self, n, h, t, d):
+        rng = np.random.default_rng(11)
+        model = init_forecaster(h, t, d, seed=0)
+        xs, gouts = rng.normal(size=(n, h, d)), rng.normal(size=(n, t, d))
+        gw, gb = backward_batch(model, xs, gouts)
+        g = gouts.transpose(1, 0, 2).reshape(t, -1)
+        x = xs.transpose(0, 2, 1).reshape(-1, h)
+        assert gw.tobytes() == (g @ x).tobytes()
+        assert gb.tobytes() == gouts.sum(axis=(0, 2)).tobytes()
+        assert gw.base is gb.base is model.grad.flat
+
+    def test_misshaped_set_params_changes_nothing(self):
+        model = init_forecaster(4, 3, 2, seed=5)
+        before = model.params().flat.copy()
+        for bad in ({"weight": np.ones((3, 4)), "bias": np.ones(4)},
+                    {"weight": np.ones((4, 3)), "bias": np.ones(3)}):
+            with pytest.raises(ShapeError):
+                model.set_params(bad)
+            assert model.params().flat.tobytes() == before.tobytes()
+
+    def test_restored_best_copy_survives_later_steps(self):
+        rng = np.random.default_rng(12)
+        model = init_forecaster(4, 3, 2, seed=6)
+        params, grad = model.params(), model.grad
+        state = adam_init(params, lr=1e-2)
+
+        def step():
+            for g in grad.values():
+                g[...] = rng.normal(size=g.shape)
+            adam_step(state, params, grad)
+
+        step()
+        best = {k: p.copy() for k, p in params.items()}
+        kept = {k: p.copy() for k, p in best.items()}
+        step()
+        model.set_params(best)
+        np.testing.assert_array_equal(model.weight, kept["weight"])
+        step()
+        for k, p in best.items():
+            assert p.tobytes() == kept[k].tobytes()
+            assert not np.shares_memory(p, params.flat)
+        assert not np.array_equal(model.weight, kept["weight"])
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         m = init_forecaster(4, 3, 2, seed=7)

@@ -13,6 +13,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigError, DataError, Node, ShapeError
 
 AR_BURN_IN = 200
+# Below this many channels the AR recursion runs per channel on Python floats:
+# measured, 0.3-0.45 us an element beat NumPy's 2-6 us a row up to 8-13 channels.
+AR_SCALAR_CHANNELS = 10
 
 
 class WindowPair(NamedTuple):
@@ -67,20 +70,31 @@ def _check_stationary(coeffs) -> None:
 
 
 def generate(spec: SyntheticSpec) -> np.ndarray:
-    """Deterministic (length, channels) series for the given spec + seed."""
+    """Deterministic (length, channels) series for the given spec + seed.
+
+    AR(p) runs in place on the drawn noise through one loop body, per channel
+    on Python floats below `AR_SCALAR_CHANNELS` channels, else on NumPy row
+    views: both add x_t's lags to its noise one at a time, phi_1 x_{t-1}
+    first (t of them while t < p), so both give the same bytes.  White noise is the noise.
+    """
     rng = np.random.default_rng(spec.seed)
     if spec.kind == "seasonal_trend":
         t = np.arange(spec.length)
         base = spec.amplitude * np.sin(2.0 * np.pi * t / spec.period) + spec.slope * t
         noise = rng.normal(0.0, spec.noise_std, size=(spec.length, spec.channels))
         return base[:, None] + noise
-    phi = np.asarray(spec.coeffs, dtype=float)
     out = rng.normal(0.0, spec.noise_std, size=(spec.length + AR_BURN_IN, spec.channels))
-    # In place on the noise: the rows before t already hold the series, and
-    # white noise (no lags) is the noise itself.
-    for t, row in enumerate(out if phi.size else ()):
-        for i in range(min(phi.size, t)):
-            row += phi[i] * out[t - 1 - i]
+    p, lags = len(spec.coeffs), list(enumerate(map(float, spec.coeffs), 1))  # (k, phi_k)
+    scalar = p and spec.channels < AR_SCALAR_CHANNELS
+    series = out.T.tolist() if scalar else [list(out)] if p else []
+    for seq in series:
+        for t in range(1, len(seq)):
+            x = seq[t]
+            for k, c in lags if t >= p else lags[:t]:
+                x += c * seq[t - k]
+            seq[t] = x  # a float's write-back; `+=` updated a row view in place
+    if scalar:
+        out.T[...] = series
     return out[AR_BURN_IN:]
 
 

@@ -9,6 +9,7 @@ import os
 import statistics
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from operator import length_hint
 
 import numpy as np
 
@@ -212,7 +213,7 @@ def evaluate(model: LinearForecaster, windows) -> tuple[float, float]:
     if len(windows) == 0 or isinstance(windows[0], data_mod.WindowPair):
         windows = [w.history for w in windows], [w.label for w in windows]
     xs, ys = windows
-    if len(xs) == len(ys) == 0:
+    if length_hint(xs, 1) == length_hint(ys, 1) == 0:  # a scalar counts as 1
         raise ConfigError("evaluate requires at least one window")
     err, ys = forward_batch(model, xs), as_stack(ys)
     if err.shape != ys.shape:

@@ -20,6 +20,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import length_hint
 from typing import Literal
 
 import numpy as np
@@ -264,10 +265,10 @@ def as_stack(batch, copy: bool = False) -> np.ndarray:
     """A batch as one float array; a list of same-shaped arrays is stacked.
 
     A float ndarray passes through without a copy unless `copy` is set; a
-    copy is C-contiguous.
+    copy is C-contiguous.  A scalar or empty batch raises ShapeError.
     """
-    if len(batch) == 0:
-        raise ShapeError("empty batch")
+    if length_hint(batch) == 0:  # also a float or a 0-d array, which have no length
+        raise ShapeError(f"a batch needs a samples axis and a sample, got shape {np.shape(batch)}")
     try:
         if copy:
             return np.array(batch, dtype=float, order="C")
@@ -399,10 +400,11 @@ def _sliding_sq_dists(rows, n: int, length: int) -> np.ndarray:
     is within a relative (2e3 D + length - 1) u <= 2e3 L D u, `_pairwise`'s
     bound, and no entry needs recomputing.  The result is exactly
     symmetric with an exactly-zero diagonal, and coincident windows give
-    exactly 0: their terms of E are recomputed zeros.
+    exactly 0: their terms of E are recomputed zeros.  It is formed in E's
+    buffer, so besides E only (length, n) block sums are allocated.
     """
     m = len(rows)
-    blocks = -(-m // length)
+    blocks = -(-n // length) + 1  # the blocks that windows start in, and one more
     step = m + 1  # flat offset from E(r, r+k) to E(r+1, r+1+k)
     # E is the head of `buf`; the zero tail keeps the diagonal view below,
     # which wraps into E's lower triangle past row m-1-k, inside the buffer.
@@ -410,28 +412,32 @@ def _sliding_sq_dists(rows, n: int, length: int) -> np.ndarray:
     buf[m * m :] = 0.0
     centred = rows - rows.sum(axis=0) / m
     r_sq = _row_sq(centred)
-    _sq_dists(centred, centred, r_sq, r_sq, rows, rows, out=buf[: m * m].reshape(m, m))
+    e = buf[: m * m].reshape(m, m)
+    _sq_dists(centred, centred, r_sq, r_sq, rows, rows, out=e)
     it = buf.itemsize
-    # diag[b, o, k] = E(b*length + o, b*length + o + k).
+    # diag[b, o, k] = E(b*length + o, b*length + o + k).  Block by block, the
+    # window i = b*length + o of diagonal k lands in place on E(i, i+k).
     diag = as_strided(buf, (blocks, length, n), (length * step * it, step * it, it))
-    head = -(-n // length)
-    sums = np.empty((head, length, n))
-    np.cumsum(diag[:head, ::-1], axis=1, out=sums[:, ::-1])
-    sums[:, 0] = 0.0
-    np.cumsum(diag, axis=1, out=diag)
-    # Window pair (i, i+k): the suffix at row i plus the prefix at row
-    # i+length-1 of diagonal k.
-    sums = sums.reshape(-1, n)[:n]
-    sums += as_strided(buf[(length - 1) * step :], (n, n), (step * it, it))
-    del buf, diag
-    out = np.empty(n * n + n)
-    # out[i, i+k] = sums[i, k]; past the last column this wraps into the
-    # lower triangle, which is then overwritten.
-    as_strided(out, (n, n), ((n + 1) * it, it))[...] = sums
-    del sums
-    sq = out[: n * n].reshape(n, n)
-    strict = np.triu(sq, 1)
-    return np.add(strict, strict.T, out=sq)
+    after, total = np.cumsum(diag[0], axis=0), np.empty(n)
+    for b in range(blocks - 1):
+        total[...] = after[-1]
+        np.cumsum(diag[b + 1], axis=0, out=after)
+        np.cumsum(diag[b, ::-1], axis=0, out=diag[b, ::-1])
+        diag[b, 0] = total
+        diag[b, 1:] += after[:-1]
+    # Into the head of `buf` in row blocks (NumPy copies an overlapping source
+    # first), each mirrored from the rows above.  The rest is cut off with no
+    # view left, unchecked: a tracer's snapshot of this frame would count one.
+    sq = buf[: n * n].reshape(n, n)
+    for lo in range(0, n, 64):
+        hi = min(lo + 64, n)
+        sq[lo:hi, lo:] = e[lo:hi, lo:n]
+        sq[lo:hi, :lo] = sq[:lo, lo:hi].T
+        block = sq[lo:hi, lo:hi]
+        np.copyto(block, block.T, where=np.tri(hi - lo, k=-1, dtype=bool))
+    del diag, e, sq, block
+    buf.resize(n * n, refcheck=False)
+    return buf.reshape(n, n)
 
 
 def pair_sq_dists(stack) -> np.ndarray:

@@ -52,6 +52,9 @@ class LinearForecaster:
         if not np.isfinite(self._params.flat).all():
             raise ConfigError("model parameters must be finite")
 
+    def __reduce__(self):  # a copy or unpickled model rebuilds its vector and views
+        return type(self), (self.weight, self.bias, self.history_len, self.horizon, self.channels)
+
     def params(self) -> ParamVector:
         return self._params
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
+from operator import length_hint
 from typing import ClassVar
 
 import numpy as np
@@ -76,10 +77,10 @@ class KmbDfObjective(Node):
 
     def loss_and_grad(self, histories, labels, forecasts):
         # Trailing partial batches may be smaller than top_k; clamp rather
-        # than reject so the final windows still contribute.  An empty batch
-        # is left to raise ShapeError.
+        # than reject so the final windows still contribute.  An empty or
+        # scalar batch (no length) is left to raise ShapeError.
         cfg = self.config
-        if cfg.top_k > len(histories) > 0:
+        if cfg.top_k > length_hint(histories) > 0:
             cfg = replace(cfg, top_k=len(histories))
         # Through the module, so that a patched `kmb_df_grad` is the one called.
         grads, diag = balancing.kmb_df_grad(cfg, histories, labels, forecasts)

@@ -1,8 +1,9 @@
 """Every public entry point that takes a batch validates it the same way.
 
-A list of per-sample arrays and its stack give bit-identical results; empty,
-ragged or mismatched input raises ShapeError; NaN raises DomainError wherever
-the entry checks finiteness.  None of them may emit a RuntimeWarning.
+A list of per-sample arrays and its stack give bit-identical results;
+scalar, empty, ragged or mismatched input raises ShapeError; NaN raises
+DomainError wherever the entry checks finiteness.  None of them may emit a
+RuntimeWarning.
 """
 
 import warnings
@@ -84,6 +85,11 @@ def bits(result) -> list:
     return [(a.shape, a.dtype.str, a.tobytes())]
 
 
+def listed(batch):
+    """A batch as a list of its samples; a scalar, which has none, as itself."""
+    return list(batch) if getattr(batch, "ndim", 1) and hasattr(batch, "__len__") else batch
+
+
 def replaced(args, i, value):
     return [value if j == i else a for j, a in enumerate(args)]
 
@@ -94,6 +100,8 @@ def shape_faults(entry):
     for i in entry.reads:
         ragged = list(args[i])
         ragged[1] = ragged[1][:-1]
+        yield replaced(args, i, 5.0)  # no samples axis: `listed` keeps it as it is
+        yield replaced(args, i, np.array(5.0))
         yield replaced(args, i, [])
         yield replaced(args, i, args[i][:0])
         yield replaced(args, i, ragged)
@@ -116,7 +124,7 @@ def test_list_and_stack_give_identical_bits(name):
 def test_empty_ragged_or_mismatched_input_raises_shape_error(name):
     entry = ENTRIES[name]
     for args in shape_faults(entry):
-        for form in (args, [list(a) for a in args]):
+        for form in (args, [listed(a) for a in args]):
             with pytest.raises(ShapeError):
                 call(entry, form)
 

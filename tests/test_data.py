@@ -3,6 +3,7 @@ import pytest
 
 from kmbdf.data import (
     AR_BURN_IN,
+    AR_SCALAR_CHANNELS,
     SplitSpec,
     SyntheticSpec,
     generate,
@@ -39,8 +40,11 @@ def reference_ar(spec):
 
 
 class TestGenerate:
+    # Both recursion forms: per channel below AR_SCALAR_CHANNELS, per row from it.
     @pytest.mark.parametrize("coeffs", [(), (0.9,), (0.5, -0.3, 0.2)])
-    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize(
+        "channels", [1, 3, AR_SCALAR_CHANNELS - 1, AR_SCALAR_CHANNELS, AR_SCALAR_CHANNELS + 1, 21]
+    )
     def test_ar_bytes_match_reference(self, coeffs, channels):
         spec = SyntheticSpec(
             kind="ar", length=600, channels=channels, seed=12, coeffs=coeffs, noise_std=1.3

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -460,6 +461,7 @@ def sliding_cases():
     flat = x.copy()
     flat[20:45] = flat[20]
     yield "flat segment", data.joint_windows(flat, 6)
+    yield "L=1", data.joint_windows(x, 1)
     yield "L=2", data.joint_windows(x[:, :1], 2)
     yield "N=2", data.joint_windows(x, 79)
     yield "D=1", data.joint_windows(x[:, 1:2], 5)
@@ -479,6 +481,24 @@ class TestSlidingPath:
         assert (sq >= 0).all()
         np.testing.assert_allclose(sq, pair_sq_dists(stack.copy()), rtol=1e-12, atol=0)
         np.testing.assert_allclose(sq, loop_sq_dists(stack), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n, length", [(512, 8), (384, 32)])
+    def test_peak_memory_is_about_the_row_distances(self, n, length):
+        # The window sums fill the buffer of the (m, m) row distances in place,
+        # m = n+length-1: besides it only (length, n) block sums and row-block
+        # temporaries are allocated.  A separate (n, n) result (2.1-2.3 n^2 at
+        # these sizes) fails.
+        stack = data.joint_windows(ar1_series(n + length - 1, 3, seed=47), length)
+        pair_sq_dists(stack)
+        tracemalloc.start()
+        try:
+            sq = pair_sq_dists(stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m = n + length - 1
+        assert sq.shape == (n, n)
+        assert peak <= 8 * (m * m + 0.5 * n * n), peak / (8 * n * n)
 
     def test_coincident_windows_exactly_zero(self):
         cases = dict(sliding_cases())

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -360,6 +363,23 @@ class TestInPlacePath:
             assert p.tobytes() == kept[k].tobytes()
             assert not np.shares_memory(p, params.flat)
         assert not np.array_equal(model.weight, kept["weight"])
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+                             ids=["deepcopy", "pickle"])
+    def test_copy_keeps_its_views(self, clone):
+        rng = np.random.default_rng(13)
+        model = init_forecaster(4, 3, 2, seed=7)
+        twin = clone(model)
+        for k in ("weight", "bias"):
+            assert np.shares_memory(getattr(twin, k), twin.params().flat)
+            assert not np.shares_memory(getattr(twin, k), model.params().flat)
+            assert getattr(twin, k).tobytes() == getattr(model, k).tobytes()
+        xs = rng.normal(size=(5, 4, 2))
+        before = forward_batch(model, xs)
+        backward_batch(twin, xs, rng.normal(size=(5, 3, 2)))
+        adam_step(adam_init(twin.params(), lr=0.1), twin.params(), twin.grad)
+        assert not np.array_equal(forward_batch(twin, xs), before)
+        assert forward_batch(model, xs).tobytes() == before.tobytes()
 
 
 class TestCheckpoint:

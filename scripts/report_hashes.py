@@ -1,4 +1,4 @@
-"""Print the SHA-256 of 18 deterministic outputs as one JSON object.
+"""Print the SHA-256 of 19 deterministic outputs as one JSON object.
 
 Each hash covers one `TrainReport.to_json(include_timing=False)` or one
 `kmbdf mmd-test` stdout:
@@ -8,6 +8,8 @@ Each hash covers one `TrainReport.to_json(include_timing=False)` or one
 * the paper-scale config (N=128, H=96, T=96, D=21, one epoch);
 * two-epoch runs on a 1,500-row series of each kernel family (polynomial at
   degree 2) in both anchor modes;
+* a two-epoch run read from a CSV file with a date column, through
+  `load_csv`;
 * `kmbdf mmd-test` at its defaults and at `--samples 400 --window 16`.
 
 A change that must keep every report byte-identical prints the same object
@@ -19,11 +21,15 @@ as its parent, at one BLAS thread and at two.  Run from the repository root:
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
+import os
+import tempfile
+from datetime import datetime, timedelta
 
-from kmbdf import ExperimentConfig, run_sweep, train
+from kmbdf import ExperimentConfig, SyntheticSpec, generate, run_sweep, train
 from kmbdf.balancing import ANCHOR_MODES
 from kmbdf.cli import main
 from kmbdf.kernels import KERNEL_FAMILIES
@@ -68,6 +74,27 @@ def mmd_test_hash(*args: str) -> str:
     return digest(out.getvalue())
 
 
+def csv_hash() -> str:
+    """A two-epoch run on a seeded 3-channel series written, after an hourly
+    date column, to `series.csv` in a temporary working directory: the
+    config names that relative path, so its report does not depend on where
+    this script runs."""
+    series = generate(SyntheticSpec(length=1500, channels=3, seed=400, coeffs=(0.6, 0.2)))
+    start, cwd = datetime(2016, 7, 1), os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with open("series.csv", "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["date", "a", "b", "c"])
+                writer.writerows([str(start + timedelta(hours=i)), *map(repr, row)]
+                                 for i, row in enumerate(series.tolist()))
+            run = {**QUICK_START, "data": {"source": "csv", "path": "series.csv"}, "max_epochs": 2}
+            return report_hash(train(ExperimentConfig.from_dict(run)))
+        finally:
+            os.chdir(cwd)
+
+
 def hashes() -> dict[str, str]:
     out = {"quick_start": report_hash(train(config()))}
     for seed in (1, 2):
@@ -84,6 +111,7 @@ def hashes() -> dict[str, str]:
             run = config(data={"length": 1500}, objective={"kernel": kernel, "anchor_mode": mode},
                          max_epochs=2)
             out[f"kernel/{family}/{mode}"] = report_hash(train(run))
+    out["csv"] = csv_hash()
     out["mmd_test/defaults"] = mmd_test_hash()
     out["mmd_test/samples=400,window=16"] = mmd_test_hash("--samples", "400", "--window", "16")
     return out

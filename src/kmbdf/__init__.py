@@ -10,7 +10,7 @@ from .balancing import (
     mmd_squared,
     select_top_k,
 )
-from .data import CsvSpec, SplitSpec, SyntheticSpec, WindowPair, generate, load_csv, standardize, window
+from .data import CsvSpec, SplitSpec, SyntheticSpec, WindowPair, Windows, generate, load_csv, standardize, window
 from .errors import ConfigError, DataError, DomainError, KmbdfError, ShapeError
 from .harness import ExperimentConfig, TrainReport, evaluate, run_sweep, timing_probe, train
 from .kernels import (

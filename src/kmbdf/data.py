@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import ClassVar, Literal, NamedTuple
 
@@ -196,11 +198,26 @@ def joint_windows(series: np.ndarray, length: int, rows_range=None) -> np.ndarra
     return np.moveaxis(sliding_window_view(series[start:stop], length, axis=0), -1, 1)
 
 
-def window(series: np.ndarray, history_len: int, horizon: int, rows_range=None):
-    """Stride-1 (history, label) pairs: read-only views of the two blocks of
-    each row of `joint_windows`."""
-    joints = joint_windows(series, history_len + horizon, rows_range)
-    return [WindowPair(x, y) for x, y in zip(joints[:, :history_len], joints[:, history_len:])]
+class Windows(Sequence):
+    """Read-only `WindowPair`s of the rows of an (n, H+T, D) joint-window view,
+    each built when read; a slice is a `Windows` of the sliced view."""
+
+    def __init__(self, joints: np.ndarray, history_len: int):
+        self.joints, self.history_len = joints, history_len
+
+    def __len__(self) -> int:
+        return len(self.joints)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Windows(self.joints[i], self.history_len)
+        joint = self.joints[operator.index(i)]
+        return WindowPair(joint[: self.history_len], joint[self.history_len :])
+
+
+def window(series: np.ndarray, history_len: int, horizon: int, rows_range=None) -> Windows:
+    """Stride-1 (history, label) pairs of `joint_windows`, as `Windows`."""
+    return Windows(joint_windows(series, history_len + horizon, rows_range), history_len)
 
 
 @dataclass(frozen=True)

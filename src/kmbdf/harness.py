@@ -166,7 +166,7 @@ def _data_key(config: ExperimentConfig) -> tuple:
 
 
 def build_dataset(config: ExperimentConfig) -> dict:
-    """Build one experiment's series and materialize its split windows;
+    """Build one experiment's series and read-only views of its split windows;
     `built_for` holds the config's data, split, history_len and horizon."""
     spec = config.data
     if isinstance(spec, data_mod.CsvSpec):
@@ -182,11 +182,7 @@ def build_dataset(config: ExperimentConfig) -> dict:
     return {
         "built_for": _data_key(config),
         "stats": stats,
-        "windows": {
-            name: data_mod.window(series, h, t, rng) for name, rng in ranges.items()
-        },
-        # Read-only (n, H+T, D) views of the same windows, and their
-        # (histories, labels) blocks.
+        "windows": {name: data_mod.Windows(j, h) for name, j in joints.items()},
         "joints": joints,
         "stacks": {name: (j[:, :h], j[:, h:]) for name, j in joints.items()},
     }
@@ -207,9 +203,11 @@ def _resolve_objective(config: ExperimentConfig, joints):
 
 def evaluate(model: LinearForecaster, windows) -> tuple[float, float]:
     """Per-element mean squared / absolute error, formed in place in the
-    forecasts, over all windows: a list of `WindowPair`s, or (n, H, D) and
-    (n, T, D) batches such as `build_dataset`'s read-only views, unmodified.
-    No window raises ConfigError, an empty, ragged or mismatched batch ShapeError."""
+    forecasts, over all windows: `WindowPair`s, such as `Windows`, or (n, H, D)
+    and (n, T, D) batches such as `build_dataset`'s read-only views, unmodified.
+    No window raises ConfigError; a scalar, empty, ragged or mismatched batch ShapeError."""
+    if length_hint(windows, -1) < 0:  # a scalar, which has no length
+        raise ShapeError(f"evaluate needs windows or a batch pair, got shape {np.shape(windows)}")
     if len(windows) == 0 or isinstance(windows[0], data_mod.WindowPair):
         windows = [w.history for w in windows], [w.label for w in windows]
     xs, ys = windows

@@ -138,3 +138,10 @@ def test_nan_raises_domain_error(name):
         for form in (args, [list(a) for a in args]):
             with pytest.raises(DomainError):
                 call(entry, form)
+
+
+@pytest.mark.parametrize("windows", [5.0, None, np.float64(2.0)], ids=repr)
+def test_evaluate_rejects_a_scalar_as_its_windows(windows):
+    with warnings.catch_warnings(), pytest.raises(ShapeError):
+        warnings.simplefilter("error", RuntimeWarning)
+        evaluate(MODEL, windows)

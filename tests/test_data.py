@@ -6,7 +6,10 @@ from kmbdf.data import (
     AR_SCALAR_CHANNELS,
     SplitSpec,
     SyntheticSpec,
+    WindowPair,
+    Windows,
     generate,
+    joint_windows,
     load_csv,
     split_ranges,
     standardize,
@@ -258,6 +261,52 @@ class TestWindow:
     def test_too_short(self):
         with pytest.raises(ShapeError):
             window(np.zeros((5, 1)), history_len=4, horizon=2)
+
+    @staticmethod
+    def joints_and_windows():
+        """33 joint windows of 8 rows and their (5-row history, label) pairs."""
+        series = np.random.default_rng(0).normal(size=(40, 2))
+        return joint_windows(series, 8), window(series, 5, 3)
+
+    @pytest.mark.parametrize("i", [0, 7, -1, -32, np.int64(4), np.intp(-2), np.uint8(32)])
+    def test_integer_index_reads_that_joint_row(self, i):
+        joints, pairs = self.joints_and_windows()
+        pair = pairs[i]
+        assert isinstance(pair, WindowPair)
+        assert pair.history.tobytes() == joints[int(i), :5].tobytes()
+        assert pair.label.tobytes() == joints[int(i), 5:].tobytes()
+        assert np.shares_memory(pair.history, joints) and np.shares_memory(pair.label, joints)
+
+    def test_slice_is_windows_sharing_the_joint_view(self):
+        joints, pairs = self.joints_and_windows()
+        part = pairs[3:20:4]
+        assert isinstance(part, Windows)
+        assert np.shares_memory(part.joints, joints)
+        assert len(part) == len(range(3, 20, 4)) == 5
+        assert part[-1].history.tobytes() == pairs[19].history.tobytes()
+        assert len(pairs[100:]) == 0
+
+    @pytest.mark.parametrize("i", [33, -34, 10**20])
+    def test_out_of_range_index_raises_index_error(self, i):
+        _, pairs = self.joints_and_windows()
+        assert len(pairs) == 33
+        with pytest.raises(IndexError):
+            pairs[i]
+
+    @pytest.mark.parametrize("i", [1.0, np.float64(2.0), [1, 2], None])
+    def test_float_or_list_index_raises_type_error(self, i):
+        _, pairs = self.joints_and_windows()
+        with pytest.raises(TypeError):
+            pairs[i]
+
+    def test_iteration_yields_the_joint_blocks_byte_for_byte(self):
+        joints, pairs = self.joints_and_windows()
+        want = list(zip(joints[:, :5], joints[:, 5:]))
+        got = list(pairs)
+        assert len(got) == len(want) == 33
+        for (h, y), (wh, wy) in zip(got, want):
+            assert (h.shape, h.strides, h.tobytes()) == (wh.shape, wh.strides, wh.tobytes())
+            assert (y.shape, y.strides, y.tobytes()) == (wy.shape, wy.strides, wy.tobytes())
 
 
 class TestSplitRanges:

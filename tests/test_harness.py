@@ -207,6 +207,27 @@ class TestBuildDataset:
                 with pytest.raises(ValueError):
                     view[0, 0, 0] = 1.0
 
+    def test_builds_no_window_pair(self, monkeypatch):
+        made = []
+
+        def counted(*args):
+            made.append(args)
+            return WindowPair(*args)
+
+        monkeypatch.setattr(data_mod, "WindowPair", counted)
+        ds = build_dataset(small_config())
+        assert made == []
+        ds["windows"]["val"][0]  # built when read
+        assert len(made) == 1
+
+    def test_windows_share_memory_with_joints(self):
+        ds = build_dataset(small_config())
+        for name, joints in ds["joints"].items():
+            windows = ds["windows"][name]
+            assert len(windows) == len(joints)
+            assert np.shares_memory(windows.joints, joints)
+            assert np.shares_memory(windows[-1].label, joints)
+
     def test_standardize_off(self):
         cfg = small_config(split={"standardize": False})
         ds = build_dataset(cfg)

@@ -15,7 +15,6 @@ from .errors import ConfigError, DataError, DomainError, KmbdfError, ShapeError
 from .harness import ExperimentConfig, TrainReport, evaluate, run_sweep, timing_probe, train
 from .kernels import (
     KernelSpec,
-    eval_kernel,
     gram_matrix,
     median_bandwidth,
 )

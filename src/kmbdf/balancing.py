@@ -79,8 +79,9 @@ class BalanceDiagnostics:
 
 
 class MmdResult(NamedTuple):
+    """`mmd_squared`'s estimate; perfbench reads `.value`."""
+
     value: float
-    biased: bool
 
 
 class Scores(NamedTuple):
@@ -121,9 +122,9 @@ def informativeness_scores(cfg: BalanceConfig, histories, labels, forecasts) -> 
     computed once and shared by both kernel sums; the label-label and
     label-forecast blocks come from one centring of the label and forecast
     stacks.  Each block keeps `_pairwise`'s error bound for its own width
-    (H*D or T*D), so delta agrees with the per-pair `eval_kernel` sums to
-    rtol 1e-12 in the tests, and forecasts equal to the labels give delta
-    exactly 0.  Inputs must be finite.
+    (H*D or T*D), so delta agrees with sums of the per-pair reference
+    kernel in `tests/kernel_reference.py` to rtol 1e-12, and forecasts
+    equal to the labels give delta exactly 0.  Inputs must be finite.
     """
     x, y, f = _as_stacks(histories, labels, forecasts)
     if not (np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(f).all()):
@@ -247,27 +248,29 @@ def _sum_trace(g: np.ndarray) -> tuple[float, float]:
 
 
 def mmd_squared(kernel: KernelSpec, sample_p, sample_q, history=None) -> MmdResult:
-    """Two-sample MMD^2 estimate between samples of joint sequences, each a
-    list or an (N, L, D) stack.  With `history`, a list, stack or window
-    view of the block that p_i and q_i share (distance kernels and paired
-    samples only), the samples are the joints (history_i, p_i) and
-    (history_i, q_i); the block's `pair_sq_dists` is added to each Gram's
-    statistic.  A distance kernel's sigma "median" is resolved from the
-    statistic that then becomes g_pp (`kernels.median_gram`): the same bits
-    as resolving it first.  g_qq and g_pq come from `gram_matrix`.  One
-    Gram is alive at a time: each is reduced to its sum and trace first.
+    """Paired two-sample MMD^2 U-statistic between n >= 2 pairs (p_i, q_i)
+    of joint sequences, each sample a list or an (n, L, D) stack:
+    sum_{i != j} h_ij / (n (n - 1)), with h_ij = k(p_i, p_j) + k(q_i, q_j)
+    - k(p_i, q_j) - k(p_j, q_i) (Gretton et al., JMLR 2012).  Samples of
+    other sizes raise ShapeError before any distance is formed.  With
+    `history`, a list, stack or window view of the block that p_i and q_i
+    share (distance kernels only), the samples are the joints (history_i,
+    p_i) and (history_i, q_i); the block's `pair_sq_dists` is added to each
+    Gram's statistic.  A distance kernel's sigma "median" is resolved from
+    the statistic that then becomes g_pp (`kernels.median_gram`): the same
+    bits as resolving it first.  g_qq and g_pq come from `gram_matrix`.
+    One Gram is alive at a time: each is reduced to its sum and trace first.
 
-    Unbiased U-statistic when both samples have >= 2 points; for equal-size
-    samples the paired form excluding diagonal cross terms is used.  Falls
-    back to the biased V-statistic (flagged) when either sample is a
-    singleton.  Samples that coincide give exactly 0: they are recognised,
-    because the within-sample Grams are symmetric products, which round
-    differently from the cross product.
+    Samples that coincide give exactly 0: they are recognised, because the
+    within-sample Grams are symmetric products, which round differently
+    from the cross product.
     """
     if history is not None and not kernel.is_distance:
         raise ConfigError(f"a shared history needs a distance kernel, got {kernel.family}")
     p, q = as_stack(sample_p), as_stack(sample_q)
-    m, n = len(p), len(q)
+    n = len(p)
+    if not len(q) == n >= 2:
+        raise ShapeError(f"the MMD^2 needs n >= 2 pairs, got samples of {n} and {len(q)}")
     shared = None if history is None else pair_sq_dists(history)
     if kernel.is_distance and kernel.sigma == "median":
         kernel, g_pp = median_gram(kernel, p, shared)
@@ -278,14 +281,6 @@ def mmd_squared(kernel: KernelSpec, sample_p, sample_q, history=None) -> MmdResu
     s_qq, t_qq = _sum_trace(gram_matrix(kernel, q, q, shared))
     s_pq, t_pq = _sum_trace(gram_matrix(kernel, p, q, shared))
     # After the Grams, which reject non-finite samples.
-    if p.shape == q.shape and np.array_equal(p, q):
-        return MmdResult(0.0, biased=m == 1)
-    if m == n and m > 1:
-        off = s_pp - t_pp + s_qq - t_qq - 2.0 * (s_pq - t_pq)
-        return MmdResult(off / (m * (m - 1)), biased=False)
-    cross = 2.0 * s_pq / (m * n)
-    if m > 1 and n > 1:
-        within_p = (s_pp - t_pp) / (m * (m - 1))
-        within_q = (s_qq - t_qq) / (n * (n - 1))
-        return MmdResult(within_p + within_q - cross, biased=False)
-    return MmdResult(s_pp / (m * m) + s_qq / (n * n) - cross, biased=True)
+    if np.array_equal(p, q):
+        return MmdResult(0.0)
+    return MmdResult((s_pp - t_pp + s_qq - t_qq - 2.0 * (s_pq - t_pq)) / (n * (n - 1)))

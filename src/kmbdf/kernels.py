@@ -122,15 +122,6 @@ def grad_coeffs(spec: KernelSpec, stat, k, size: int):
     return (1.0 - k**2) * s
 
 
-def eval_kernel(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> float:
-    """Evaluate K(a, b) for two same-shaped matrices."""
-    af, bf = _working_copy([a, b])
-    if spec.is_distance:
-        d = af - bf
-        return float(kernel_from_stat(spec, np.array(np.sum(d * d)), af.size))
-    return float(kernel_from_stat(spec, np.array(np.sum(af * bf)), af.size))
-
-
 # Squared distances at most this share of ||a||^2 + ||b||^2 are recomputed
 # from the difference: there the expansion loses its relative accuracy.
 NEAR_PAIR_RATIO = 1e-3
@@ -313,11 +304,10 @@ def gram_matrix(spec: KernelSpec, rows, cols, shared=None) -> np.ndarray:
     it takes its squared distances from `pair_sq_dists(z)`, so a stride-1
     window stack takes the sliding path instead.  Either way the result is
     exactly symmetric, and for the distance families its diagonal is
-    exactly K(z_i, z_i) = 1.  Against the sequential double loop over
-    `eval_kernel` the entries agree to rtol
-    1e-12 in the tests, including near-duplicate points and points at a
-    large common offset; see `_pairwise` for the bound.  Identical inputs
-    give bit-identical results.
+    exactly K(z_i, z_i) = 1.  Against the per-pair reference kernel in
+    `tests/kernel_reference.py` the entries agree to rtol 1e-12, including
+    near-duplicate points and points at a large common offset; see
+    `_pairwise` for the bound.  Identical inputs give bit-identical results.
 
     `shared` (R, C), for the distance families only, holds the squared
     distances of a block that rows and columns share: the Gram is then that

@@ -19,6 +19,8 @@ from .errors import ConfigError, DataError, ShapeError
 from .kernels import as_stack
 
 CHECKPOINT_VERSION = 1
+# Adam's moment decay rates and the denominator's guard.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class ParamVector(dict):
@@ -114,9 +116,6 @@ class AdamState:
     """Adam moments as two vectors: m[k] and v[k] have params[k]'s shape."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: ParamVector = field(default_factory=lambda: ParamVector({}))
     v: ParamVector = field(default_factory=lambda: ParamVector({}))
@@ -149,14 +148,14 @@ def adam_step(state: AdamState, params: dict, grads: dict) -> dict:
         params, grads = ParamVector(shapes, params), ParamVector(shapes, grads)
     state.t += 1
     (p, g, m, v), (a, b) = (params.flat, grads.flat, state.m.flat, state.v.flat), state.work
-    m *= state.beta1
-    m += np.multiply(g, 1.0 - state.beta1, out=a)
-    v *= state.beta2
-    v += np.multiply(np.multiply(g, 1.0 - state.beta2, out=a), g, out=a)
-    np.divide(m, 1.0 - state.beta1**state.t, out=b)  # m_hat
-    np.divide(v, 1.0 - state.beta2**state.t, out=a)  # v_hat
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+    v *= ADAM_BETA2
+    v += np.multiply(np.multiply(g, 1.0 - ADAM_BETA2, out=a), g, out=a)
+    np.divide(m, 1.0 - ADAM_BETA1**state.t, out=b)  # m_hat
+    np.divide(v, 1.0 - ADAM_BETA2**state.t, out=a)  # v_hat
     b *= state.lr
-    p -= np.divide(b, np.add(np.sqrt(a, out=a), state.eps, out=a), out=b)
+    p -= np.divide(b, np.add(np.sqrt(a, out=a), ADAM_EPS, out=a), out=b)
     return params
 
 

@@ -5,6 +5,16 @@ import numpy as np
 from kmbdf.kernels import grad_coeffs, kernel_from_stat
 
 
+def eval_kernel(spec, a, b):
+    """Per-pair reference K(a, b) for two same-shaped matrices, from the
+    library's kernel formula `kernel_from_stat`."""
+    af, bf = (np.asarray(z, dtype=float).ravel() for z in (a, b))
+    if spec.is_distance:
+        d = af - bf
+        return float(kernel_from_stat(spec, np.array(np.sum(d * d)), af.size))
+    return float(kernel_from_stat(spec, np.array(np.sum(af * bf)), af.size))
+
+
 def kernel_grad_b(spec, a, b):
     """Per-pair reference gradient dK(a, b) / db, shaped like b, from the
     library's kernel factor `grad_coeffs`."""

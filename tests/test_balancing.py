@@ -20,7 +20,6 @@ from kmbdf.checks import fd_forecast_grads
 from kmbdf.errors import ConfigError, DomainError, ShapeError
 from kmbdf.kernels import (
     KernelSpec,
-    eval_kernel,
     grad_coeffs,
     gram_matrix,
     joint_stats,
@@ -31,7 +30,7 @@ from kmbdf.kernels import (
 )
 from kmbdf.objectives import KmbDfObjective, MseObjective, make_objective
 
-from kernel_reference import kernel_grad_b
+from kernel_reference import eval_kernel, kernel_grad_b
 
 EXP = KernelSpec(family="exponential", sigma=1.0)
 
@@ -518,9 +517,7 @@ class TestMmdSquared:
         def check(kernel, stack):
             sample = list(stack)
             for p, q in ((stack, stack.copy()), (sample, [z.copy() for z in sample])):
-                result = mmd_squared(kernel, p, q)
-                assert result.value == 0.0, (stack.shape, kernel.family)
-                assert not result.biased
+                assert mmd_squared(kernel, p, q).value == 0.0, (stack.shape, kernel.family)
 
         for seed in range(32):
             rng = np.random.default_rng(seed)
@@ -550,17 +547,48 @@ class TestMmdSquared:
             values.append(mmd_squared(kernel, pool[:50], pool[50:]).value)
         assert abs(np.mean(values)) < 0.05
 
-    def test_v_statistic_nonnegative(self):
-        rng = np.random.default_rng(16)
-        p = [rng.normal(size=(2, 1))]
-        q = [rng.normal(size=(2, 1)) for _ in range(4)]
-        result = mmd_squared(EXP, p, q)
-        assert result.biased
-        assert result.value >= 0.0
-
     def test_empty_sample(self):
         with pytest.raises(ShapeError):
             mmd_squared(EXP, [], [np.zeros((1, 1))])
+
+    @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.family)
+    @pytest.mark.parametrize("n", [2, 7])
+    def test_matches_per_pair_definition(self, kernel, n):
+        # sum_{i != j} h_ij / (n (n - 1)), with h_ij = k(p_i, p_j) +
+        # k(q_i, q_j) - k(p_i, q_j) - k(p_j, q_i); with a history, on the
+        # concatenated joints.  The scale keeps the gaussian's off-diagonal
+        # K well above rounding beside its unit diagonal.
+        rng = np.random.default_rng(48 + n)
+        hist, lab, fc = 0.3 * rng.normal(size=(3, n, 3, 2))
+        cases = [(lab, fc, None, lab, fc)]
+        if kernel.is_distance:
+            joints = [np.concatenate([hist, z], axis=1) for z in (lab, fc)]
+            cases.append((lab, fc, hist, *joints))
+        k = lambda a, b: eval_kernel(kernel, a, b)
+        for p, q, history, jp, jq in cases:
+            h = [k(jp[i], jp[j]) + k(jq[i], jq[j]) - k(jp[i], jq[j]) - k(jp[j], jq[i])
+                 for i in range(n) for j in range(n) if i != j]
+            got = mmd_squared(kernel, p, q, history).value
+            np.testing.assert_allclose(got, sum(h) / (n * (n - 1)), rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("sizes", [(5, 4), (1, 5), (5, 1), (1, 1)],
+                             ids=["m != n", "singleton p", "singleton q", "singletons"])
+    def test_unpaired_or_singleton_raises_before_any_gram(self, sizes, monkeypatch):
+        calls = []
+        for name in ("gram_matrix", "median_gram", "pair_sq_dists"):
+            def counted(*args, _f=getattr(balancing, name), _name=name):
+                calls.append(_name)
+                return _f(*args)
+            monkeypatch.setattr(balancing, name, counted)
+        rng = np.random.default_rng(49)
+        p, q = rng.normal(size=(sizes[0], 3, 2)), rng.normal(size=(sizes[1], 3, 2))
+        hist = rng.normal(size=(sizes[0], 4, 2))
+        for kernel in (EXP, KernelSpec(family="exponential")):
+            for history in (None, hist, list(hist)):
+                for form in (lambda z: z, list):
+                    with pytest.raises(ShapeError, match="n >= 2 pairs"):
+                        mmd_squared(kernel, form(p), form(q), history)
+        assert calls == []
 
     @pytest.mark.parametrize("family", ["exponential", "gaussian"])
     def test_shared_block_matches_concatenated_joints(self, family):
@@ -630,10 +658,11 @@ class TestMmdSquared:
 
     @pytest.mark.parametrize("family", ["exponential", "gaussian"])
     def test_unresolved_median_needs_two_real_points(self, family):
-        rng = np.random.default_rng(44)
-        q = [rng.normal(size=(2, 1)) for _ in range(4)]
+        joint = np.random.default_rng(44).normal(size=(2, 1))
         with pytest.raises(ConfigError, match="at least 2"):
-            mmd_squared(KernelSpec(family=family), [rng.normal(size=(2, 1))], q)
+            median_bandwidth([joint])
+        with pytest.raises(ConfigError, match="at least 2"):
+            median_gram(KernelSpec(family=family), [joint])
 
     @pytest.mark.parametrize("spec", ALL_KERNELS[2:], ids=lambda s: s.family)
     def test_inner_product_families_ignore_sigma(self, spec):
@@ -647,7 +676,7 @@ def three_gram_mmd(kernel, sample_p, sample_q, history=None):
     """The estimator with its three Grams alive together, in the order and
     arithmetic that `mmd_squared` keeps while it reduces one at a time."""
     p, q = np.asarray(sample_p, dtype=float), np.asarray(sample_q, dtype=float)
-    m, n = len(p), len(q)
+    n = len(p)
     shared = None if history is None else pair_sq_dists(history)
     if kernel.is_distance and kernel.sigma == "median":
         kernel, g_pp = median_gram(kernel, p, shared)
@@ -655,28 +684,19 @@ def three_gram_mmd(kernel, sample_p, sample_q, history=None):
         g_pp = gram_matrix(kernel, p, p, shared)
     g_qq = gram_matrix(kernel, q, q, shared)
     g_pq = gram_matrix(kernel, p, q, shared)
-    if p.shape == q.shape and np.array_equal(p, q):
-        return 0.0, m == 1
-    if m == n and m > 1:
-        off = (
-            float(g_pp.sum()) - float(np.trace(g_pp))
-            + float(g_qq.sum()) - float(np.trace(g_qq))
-            - 2.0 * (float(g_pq.sum()) - float(np.trace(g_pq)))
-        )
-        return off / (m * (m - 1)), False
-    cross = 2.0 * float(g_pq.sum()) / (m * n)
-    if m > 1 and n > 1:
-        within_p = (float(g_pp.sum()) - float(np.trace(g_pp))) / (m * (m - 1))
-        within_q = (float(g_qq.sum()) - float(np.trace(g_qq))) / (n * (n - 1))
-        return within_p + within_q - cross, False
-    within_p = float(g_pp.sum()) / (m * m)
-    within_q = float(g_qq.sum()) / (n * n)
-    return within_p + within_q - cross, True
+    if np.array_equal(p, q):
+        return 0.0
+    off = (
+        float(g_pp.sum()) - float(np.trace(g_pp))
+        + float(g_qq.sum()) - float(np.trace(g_qq))
+        - 2.0 * (float(g_pq.sum()) - float(np.trace(g_pq)))
+    )
+    return off / (n * (n - 1))
 
 
 def mmd_reference_cases():
-    """(name, p, q, history) as lists, stacks and window views; paired with
-    and without a history, unpaired, and singletons."""
+    """(name, p, q, history) as lists, stacks and window views, with and
+    without a history."""
     rng = np.random.default_rng(46)
     joints = data.joint_windows(np.cumsum(rng.normal(size=(60, 2)), axis=0), 9)
     hist, lab = joints[:, :5], joints[:, 5:]
@@ -688,12 +708,6 @@ def mmd_reference_cases():
         yield f"stack {history}", stack_p, stack_q, pick(stack_h)
         yield f"window view {history}", lab, fc, pick(hist)
         yield f"coinciding {history}", lab, stack_p, pick(hist)
-    yield "m != n", stack_p, stack_q[:17], None
-    yield "window view m != n", lab[5:], lab[:30] + 0.1, None
-    yield "singleton p", stack_p[:1], stack_q, None
-    yield "singleton q", list(lab), [fc[3]], None
-    yield "singletons", stack_p[:1], stack_q[:1], None
-    yield "coinciding singletons", stack_p[:1], lab[:1], None
 
 
 class TestMmdOneGramAtATime:
@@ -704,12 +718,10 @@ class TestMmdOneGramAtATime:
         for name, p, q, history in mmd_reference_cases():
             if history is not None and not kernel.is_distance:
                 continue
-            if kernel.sigma == "median" and len(p) < 2:
-                continue
-            got = mmd_squared(kernel, p, q, history)
+            got = mmd_squared(kernel, p, q, history).value
             assert got == three_gram_mmd(kernel, p, q, history), name
             if name.startswith("coinciding"):
-                assert got.value == 0.0, name
+                assert got == 0.0, name
 
     @pytest.mark.parametrize("sample", ["stack", "list"])
     def test_peak_memory_is_about_two_grams(self, sample):

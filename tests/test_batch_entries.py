@@ -21,7 +21,7 @@ from kmbdf.balancing import (
 )
 from kmbdf.errors import DomainError, ShapeError
 from kmbdf.harness import evaluate
-from kmbdf.kernels import KernelSpec, eval_kernel, gram_matrix, median_bandwidth, pair_sq_dists
+from kmbdf.kernels import KernelSpec, gram_matrix, median_bandwidth, pair_sq_dists
 from kmbdf.models import backward_batch, forward_batch, init_forecaster
 from kmbdf.objectives import FrequencyL1Objective, KmbDfObjective, MseObjective
 
@@ -42,13 +42,12 @@ class Entry(NamedTuple):
 
 
 ENTRIES = {
-    "eval_kernel": Entry(lambda a, b: eval_kernel(EXP, a, b), [(3, 2), (3, 2)], (0, 1), True, True),
     "gram_matrix": Entry(lambda r, c: gram_matrix(EXP, r, c), PAIR, (0, 1), False, True),
     "gram_matrix_linear": Entry(lambda r, c: gram_matrix(LIN, r, c), PAIR, (0, 1), False, True),
     "gram_matrix_within": Entry(lambda z: gram_matrix(EXP, z, z), [(5, 3, 2)], (0,), False, True),
     "pair_sq_dists": Entry(pair_sq_dists, [(5, 3, 2)], (0,), False, True),
     "median_bandwidth": Entry(median_bandwidth, [(5, 3, 2)], (0,), False, True),
-    "mmd_squared": Entry(lambda p, q: mmd_squared(EXP, p, q), PAIR, (0, 1), False, True),
+    "mmd_squared": Entry(lambda p, q: mmd_squared(EXP, p, q), [(5, 3, 2)] * 2, (0, 1), True, True),
     "informativeness_scores": Entry(
         lambda *b: informativeness_scores(CFG, *b), BATCH, (0, 1, 2), True, True
     ),

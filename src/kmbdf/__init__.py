@@ -4,11 +4,8 @@ from .balancing import (
     BalanceConfig,
     BalanceDiagnostics,
     MmdResult,
-    hinge_slack,
-    informativeness_scores,
     kmb_df_grad,
     mmd_squared,
-    select_top_k,
 )
 from .data import CsvSpec, SplitSpec, SyntheticSpec, WindowPair, Windows, generate, load_csv, standardize, window
 from .errors import ConfigError, DataError, DomainError, KmbdfError, ShapeError

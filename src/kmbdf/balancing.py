@@ -22,7 +22,6 @@ Two documented ambiguities are kept switchable:
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field, fields
 from typing import Literal, NamedTuple
 
@@ -113,9 +112,10 @@ def _as_stacks(histories, labels, forecasts):
     return x, y, f
 
 
-def informativeness_scores(cfg: BalanceConfig, histories, labels, forecasts) -> Scores:
+def informativeness_scores(cfg: BalanceConfig, x, y, f) -> Scores:
     """Per-anchor first-moment gap delta_k over one batch, with its
-    statistic and kernel values.
+    statistic and kernel values; a stage of `kmb_df_grad`, which passes its
+    checked, finite (N, H, D), (N, T, D) and (N, T, D) float stacks.
 
     The real joints are (history_n, label_n), the forecast joints
     (history_n, forecast_n).  The history block of the pair statistic is
@@ -124,11 +124,8 @@ def informativeness_scores(cfg: BalanceConfig, histories, labels, forecasts) -> 
     stacks.  Each block keeps `_pairwise`'s error bound for its own width
     (H*D or T*D), so delta agrees with sums of the per-pair reference
     kernel in `tests/kernel_reference.py` to rtol 1e-12, and forecasts
-    equal to the labels give delta exactly 0.  Inputs must be finite.
+    equal to the labels give delta exactly 0.
     """
-    x, y, f = _as_stacks(histories, labels, forecasts)
-    if not (np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(f).all()):
-        raise DomainError("histories, labels and forecasts must be finite")
     n = len(x)
     xf, yf = x.reshape(n, -1), y.reshape(n, -1)
     real, cross = joint_stats(
@@ -142,26 +139,16 @@ def informativeness_scores(cfg: BalanceConfig, histories, labels, forecasts) -> 
 
 def select_top_k(deltas: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest |delta|, descending |delta|, ties by index;
-    k is an integer in [1, N]."""
-    deltas = np.asarray(deltas, dtype=float)
-    if not isinstance(k, numbers.Integral) or isinstance(k, bool) or not 1 <= k <= deltas.size:
-        raise ConfigError(f"top_k must be an integer in [1, {deltas.size}], got {k!r}")
+    a stage of `kmb_df_grad`, which passes its float scores and k in [1, N]."""
     return np.argsort(-np.abs(deltas), kind="stable")[:k]
 
 
-def hinge_slack(delta: float | np.ndarray, c: float, mode: str = "canonical"):
-    """Soft-margin slack of informativeness scores, elementwise: a float for
-    a scalar delta, an array for an array of them."""
-    if c < 0.0:
-        raise ConfigError(f"margin must be >= 0, got {c}")
-    d = np.asarray(delta, dtype=float)
+def hinge_slack(deltas: np.ndarray, c: float, mode: str) -> np.ndarray:
+    """Elementwise soft-margin slack of float scores; a stage of
+    `kmb_df_grad`, which passes the config's checked margin and mode."""
     if mode == "canonical":
-        xi = np.maximum(0.0, np.abs(d) - c)
-    elif mode == "paper_literal":
-        xi = np.maximum(0.0, -c - d) + np.maximum(0.0, d + c)
-    else:
-        raise ConfigError(f"unknown hinge mode {mode!r}")
-    return float(xi) if xi.ndim == 0 else xi
+        return np.maximum(0.0, np.abs(deltas) - c)
+    return np.maximum(0.0, -c - deltas) + np.maximum(0.0, deltas + c)
 
 
 def _hinge_subgradient(deltas: np.ndarray, c: float, mode: str) -> np.ndarray:
@@ -196,6 +183,8 @@ def kmb_df_grad(cfg: BalanceConfig, histories, labels, forecasts, selected=None)
             raise DomainError(f"non-finite MSE term {mse!r}: labels and forecasts must be finite")
         empty = np.zeros(0)
         return grads, BalanceDiagnostics(empty, np.zeros(0, dtype=int), empty, 0.0, mse, mse)
+    if not (np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(f).all()):
+        raise DomainError("histories, labels and forecasts must be finite")
     scores = informativeness_scores(cfg, x, y, f)
     deltas = scores.deltas
     if selected is None:

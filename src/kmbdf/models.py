@@ -126,8 +126,8 @@ class AdamState:
 
 
 def adam_init(params: dict[str, np.ndarray], lr: float) -> AdamState:
-    if lr <= 0:
-        raise ConfigError(f"lr must be > 0, got {lr}")
+    if not 0 < lr < np.inf:
+        raise ConfigError(f"lr must be > 0 and finite, got {lr}")
     shapes = {k: np.shape(p) for k, p in params.items()}
     return AdamState(lr=lr, m=ParamVector(shapes), v=ParamVector(shapes))
 

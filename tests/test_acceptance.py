@@ -295,8 +295,7 @@ class TestCriterion9CrossModule:
             total = kmb_df_grad(cfg, hist, labels, fcs)[1].total
             ref = MSE.loss_and_grad(hist, labels, fcs)[0]
             ok &= abs(total - ref) <= 1e-12 * max(abs(ref), 1.0)
-        for _ in range(1000):
-            delta = float(rng.normal(scale=2.0))
-            c = float(rng.uniform(0.0, 1.0))
-            ok &= hinge_slack(delta, c, "paper_literal") == abs(delta + c)
+        pairs = [(float(rng.normal(scale=2.0)), float(rng.uniform(0.0, 1.0))) for _ in range(1000)]
+        delta, c = np.array(pairs).T
+        ok &= bool(np.all(hinge_slack(delta, c, "paper_literal") == np.abs(delta + c)))
         report("criterion 9: alpha=0 equals MSE; two-sided hinge equals |delta+C|", ok)

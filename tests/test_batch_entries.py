@@ -15,7 +15,6 @@ import pytest
 from kmbdf.balancing import (
     BalanceConfig,
     BalanceDiagnostics,
-    informativeness_scores,
     kmb_df_grad,
     mmd_squared,
 )
@@ -48,9 +47,6 @@ ENTRIES = {
     "pair_sq_dists": Entry(pair_sq_dists, [(5, 3, 2)], (0,), False, True),
     "median_bandwidth": Entry(median_bandwidth, [(5, 3, 2)], (0,), False, True),
     "mmd_squared": Entry(lambda p, q: mmd_squared(EXP, p, q), [(5, 3, 2)] * 2, (0, 1), True, True),
-    "informativeness_scores": Entry(
-        lambda *b: informativeness_scores(CFG, *b), BATCH, (0, 1, 2), True, True
-    ),
     "kmb_df_grad": Entry(lambda *b: kmb_df_grad(CFG, *b), BATCH, (0, 1, 2), True, True),
     "mse": Entry(MseObjective().loss_and_grad, BATCH, (1, 2), True, False),
     "freq_l1": Entry(FrequencyL1Objective().loss_and_grad, BATCH, (1, 2), True, False),

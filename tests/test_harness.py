@@ -472,15 +472,18 @@ class TestTrain:
         # `kmbdf.balancing`, and its step clock times a step from one
         # `harness.adam_step` return to the next: every training step calls
         # forward, backward and Adam once each through the harness module,
-        # and the test MMD^2 reaches `mmd_squared` and `gram_matrix`.
+        # its objective stacks the batch once and runs the score, top-K and
+        # hinge stages once each through the balancing module, and the test
+        # MMD^2 reaches `mmd_squared` and `gram_matrix`.
+        # A call counts as "evaluation" inside `evaluate` or `_test_mmd`.
         calls, active = collections.Counter(), []
 
         def count(module, name):
             fn = getattr(module, name)
 
             def counted(*args, **kwargs):
-                calls[name, "evaluation" if active else "loop"] += 1
-                active.append(name)
+                calls[name, "evaluation" if any(active) else "loop"] += 1
+                active.append(name in ("evaluate", "_test_mmd"))
                 try:
                     return fn(*args, **kwargs)
                 finally:
@@ -491,14 +494,17 @@ class TestTrain:
         for name in ("forward_batch", "backward_batch", "adam_step", "evaluate", "_test_mmd",
                      "mmd_squared"):
             count(harness, name)
-        count(balancing, "gram_matrix")
+        for name in ("gram_matrix", "_as_stacks", "informativeness_scores", "select_top_k",
+                     "hinge_slack"):
+            count(balancing, name)
         rep = train(small_config(objective={
             "kind": "kmb_df", "alpha": 0.3, "top_k": 3, "margin_c": 0.001,
             "kernel": {"family": "exponential", "sigma": "median"},
         }))
         steps = rep.timing["steps"]
         assert steps == 17 * len(rep.epochs) > 0  # 269 training windows in batches of 16
-        for name in ("forward_batch", "backward_batch", "adam_step"):
+        for name in ("forward_batch", "backward_batch", "adam_step", "_as_stacks",
+                     "informativeness_scores", "select_top_k", "hinge_slack"):
             assert calls[name, "loop"] == steps, name
         assert calls["evaluate", "loop"] == len(rep.epochs) + 1
         assert calls["_test_mmd", "loop"] == 1

@@ -179,7 +179,7 @@ class TestBackward:
 
 
 class TestAdam:
-    @pytest.mark.parametrize("lr", [0.0, -1e-3])
+    @pytest.mark.parametrize("lr", [0.0, -1e-3, np.nan, np.inf])
     def test_non_positive_lr_rejected(self, lr):
         with pytest.raises(ConfigError, match="lr must be > 0"):
             adam_init({"w": np.zeros(2)}, lr=lr)

@@ -5,11 +5,11 @@ same runs) on this tree's `src` and on the `src` of a `git worktree` of the
 base revision, at one and at two BLAS threads.  Any hash that differs between
 the two trees at the same thread count fails the check, unless its name is
 listed in `scripts/report_hashes_allowed.txt` (one name a line; `#` starts a
-comment), which is how a change that means to alter a report says so.  A listed
-name fails the check too when `report_hashes.py` prints no such output or its
-hash equals the base's at both thread counts, so a stale entry cannot hide a
-later change.  A hash of this tree that differs between one and two threads
-always fails.  Run from a git checkout with the base revision fetched:
+comment), which is how a change that means to alter or remove a report says
+so.  A listed name fails the check too when neither tree prints such an output
+or its hash equals the base's at both thread counts, so a stale entry cannot
+hide a later change.  A hash of this tree that differs between one and two
+threads always fails.  Run from a git checkout with the base revision fetched:
 
     python3 scripts/check_report_hashes.py BASE_REVISION
 """
@@ -57,7 +57,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", help="the revision to compare with, e.g. origin/main or HEAD~1")
     args = parser.parse_args(argv)
-    allowed, failed, heads, changed = allowed_names(), False, [], set()
+    allowed, failed, heads, changed, names = allowed_names(), False, [], set(), set()
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "base"
         subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", str(tree), args.base],
@@ -67,6 +67,7 @@ def main(argv=None) -> int:
                 head = report_hashes(ROOT / "src", threads, tmp)
                 heads.append(head)
                 base = report_hashes(tree / "src", threads, tmp)
+                names |= head.keys() | base.keys()
                 diff = differing(head, base)
                 changed.update(diff)
                 unexpected = [k for k in diff if k not in allowed]
@@ -77,8 +78,8 @@ def main(argv=None) -> int:
             subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],
                            check=True)
     by_threads = differing(*heads)
-    unknown = sorted(allowed - heads[0].keys())
-    unchanged = sorted((allowed & heads[0].keys()) - changed)
+    unknown = sorted(allowed - names)
+    unchanged = sorted((allowed & names) - changed)
     print(json.dumps({"differ_between_threads": by_threads,
                       "allowed_unknown": unknown, "allowed_unchanged": unchanged}))
     failed |= bool(by_threads or unknown or unchanged)

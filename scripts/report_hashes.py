@@ -1,13 +1,16 @@
-"""Print the SHA-256 of 19 deterministic outputs as one JSON object.
+"""Print the SHA-256 of 20 deterministic outputs as one JSON object.
 
-Each hash covers one `TrainReport.to_json(include_timing=False)` or one
-`kmbdf mmd-test` stdout:
+Each hash covers one `TrainReport.to_json(include_timing=False)`, the three
+reports of one sweep, or one `kmbdf mmd-test` stdout:
 
 * the README quick start;
 * both reports (alpha=0 and alpha=0.3) of the desk sweep, seeds 1 and 2;
 * the paper-scale config (N=128, H=96, T=96, D=21, one epoch);
 * two-epoch runs on a 1,500-row series of each kernel family (polynomial at
   degree 2) in both anchor modes;
+* the three reports of a two-epoch sweep over alpha in {0.1, 0.3} on that
+  series: its 289 test windows fit under `mmd_max_samples`, so the later two
+  runs reuse the first run's test MMD^2 real side on the sliding path;
 * a two-epoch run read from a CSV file with a date column, through
   `load_csv`;
 * `kmbdf mmd-test` at its defaults and at `--samples 400 --window 16`.
@@ -111,6 +114,10 @@ def hashes() -> dict[str, str]:
             run = config(data={"length": 1500}, objective={"kernel": kernel, "anchor_mode": mode},
                          max_epochs=2)
             out[f"kernel/{family}/{mode}"] = report_hash(train(run))
+    _, reports = run_sweep(config(data={"length": 1500}, max_epochs=2), "alpha", [0.1, 0.3])
+    out["sweep/length=1500"] = digest(json.dumps(
+        {label: report.to_dict(include_timing=False) for label, report in reports.items()},
+        sort_keys=True))
     out["csv"] = csv_hash()
     out["mmd_test/defaults"] = mmd_test_hash()
     out["mmd_test/samples=400,window=16"] = mmd_test_hash("--samples", "400", "--window", "16")

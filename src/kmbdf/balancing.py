@@ -22,6 +22,7 @@ Two documented ambiguities are kept switchable:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Literal, NamedTuple
 
@@ -167,7 +168,9 @@ def kmb_df_grad(cfg: BalanceConfig, histories, labels, forecasts, selected=None)
     touches only the label block of each joint: the kernel factors of the
     anchors whose hinge is active come from the scores' pair statistic and
     kernel values as one (N, K) array, contracted with the label
-    differences in one `grad_b_sum` call.
+    differences in one `grad_b_sum` call.  A non-finite `total`, as from
+    finite inputs whose pair statistics overflow, raises DomainError; with
+    warnings as errors, NumPy's overflow warning is raised first.
     """
     x, y, f = _as_stacks(histories, labels, forecasts)
     n = len(x)
@@ -202,6 +205,8 @@ def kmb_df_grad(cfg: BalanceConfig, histories, labels, forecasts, selected=None)
     slacks = hinge_slack(deltas[selected], cfg.margin_c, cfg.hinge_mode)
     penalty = float(np.sum(slacks))
     total = cfg.alpha * penalty + (1.0 - cfg.alpha) * mse
+    if not math.isfinite(total):
+        raise DomainError(f"non-finite objective {total!r}: the batch's statistics overflow")
     diag = BalanceDiagnostics(
         deltas=deltas,
         selected=selected,
@@ -232,6 +237,31 @@ def kmb_df_grad(cfg: BalanceConfig, histories, labels, forecasts, selected=None)
     return grads, diag
 
 
+class RealSide(NamedTuple):
+    """The half of `mmd_squared` that reads no forecast; see `real_side`."""
+
+    kernel: KernelSpec
+    history: object
+    shared: np.ndarray | None
+    sample: np.ndarray
+    pp: float
+
+
+def real_side(kernel: KernelSpec, sample_p, history=None) -> RealSide:
+    """`mmd_squared`'s terms of p and `history` alone, for forecast samples to
+    share: the kernel (sigma "median" resolved from the statistic that becomes
+    g_pp, `kernels.median_gram`), the history, its pair statistic, p's stack
+    and g_pp's off-diagonal sum."""
+    p = as_stack(sample_p)
+    shared = None if history is None else pair_sq_dists(history)
+    if kernel.is_distance and kernel.sigma == "median":
+        kernel, g_pp = median_gram(kernel, p, shared)
+    else:
+        g_pp = gram_matrix(kernel, p, p, shared)
+    s_pp, t_pp = _sum_trace(g_pp)
+    return RealSide(kernel, history, shared, p, s_pp - t_pp)
+
+
 def _sum_trace(g: np.ndarray) -> tuple[float, float]:
     return float(g.sum()), float(np.trace(g))
 
@@ -245,31 +275,28 @@ def mmd_squared(kernel: KernelSpec, sample_p, sample_q, history=None) -> MmdResu
     `history`, a list, stack or window view of the block that p_i and q_i
     share (distance kernels only), the samples are the joints (history_i,
     p_i) and (history_i, q_i); the block's `pair_sq_dists` is added to each
-    Gram's statistic.  A distance kernel's sigma "median" is resolved from
-    the statistic that then becomes g_pp (`kernels.median_gram`): the same
-    bits as resolving it first.  g_qq and g_pq come from `gram_matrix`.
-    One Gram is alive at a time: each is reduced to its sum and trace first.
+    Gram's statistic.  The terms of p alone come from `real_side`, or from
+    a `RealSide` passed as `sample_p` with its resolved kernel and no
+    history (the same bits); g_qq and g_pq from `gram_matrix`.  One Gram is
+    alive at a time: each is reduced to its sum and trace first.
 
     Samples that coincide give exactly 0: they are recognised, because the
     within-sample Grams are symmetric products, which round differently
     from the cross product.
     """
+    real = sample_p if isinstance(sample_p, RealSide) else None
+    if real is not None and (history is not None or kernel != real.kernel):
+        raise ConfigError("a RealSide brings its history, and needs its resolved kernel")
     if history is not None and not kernel.is_distance:
         raise ConfigError(f"a shared history needs a distance kernel, got {kernel.family}")
-    p, q = as_stack(sample_p), as_stack(sample_q)
+    p, q = as_stack(sample_p) if real is None else real.sample, as_stack(sample_q)
     n = len(p)
     if not len(q) == n >= 2:
         raise ShapeError(f"the MMD^2 needs n >= 2 pairs, got samples of {n} and {len(q)}")
-    shared = None if history is None else pair_sq_dists(history)
-    if kernel.is_distance and kernel.sigma == "median":
-        kernel, g_pp = median_gram(kernel, p, shared)
-    else:
-        g_pp = gram_matrix(kernel, p, p, shared)
-    s_pp, t_pp = _sum_trace(g_pp)
-    del g_pp
-    s_qq, t_qq = _sum_trace(gram_matrix(kernel, q, q, shared))
-    s_pq, t_pq = _sum_trace(gram_matrix(kernel, p, q, shared))
+    real = real_side(kernel, p, history) if real is None else real
+    s_qq, t_qq = _sum_trace(gram_matrix(real.kernel, q, q, real.shared))
+    s_pq, t_pq = _sum_trace(gram_matrix(real.kernel, p, q, real.shared))
     # After the Grams, which reject non-finite samples.
     if np.array_equal(p, q):
         return MmdResult(0.0)
-    return MmdResult((s_pp - t_pp + s_qq - t_qq - 2.0 * (s_pq - t_pq)) / (n * (n - 1)))
+    return MmdResult((real.pp + s_qq - t_qq - 2.0 * (s_pq - t_pq)) / (n * (n - 1)))

@@ -14,7 +14,7 @@ from operator import length_hint
 import numpy as np
 
 from . import data as data_mod
-from .balancing import BalanceConfig, mmd_squared
+from .balancing import BalanceConfig, mmd_squared, real_side
 from .errors import ConfigError, DomainError, KmbdfError, Node, ShapeError, node_fields
 from .kernels import KernelSpec, as_stack, median_bandwidth
 from .models import (
@@ -167,7 +167,8 @@ def _data_key(config: ExperimentConfig) -> tuple:
 
 def build_dataset(config: ExperimentConfig) -> dict:
     """Build one experiment's series and read-only views of its split windows;
-    `built_for` holds the config's data, split, history_len and horizon."""
+    `built_for` holds the config's data, split, history_len and horizon, and
+    `mmd_real`, empty, is the memo of `_test_mmd`'s real sides."""
     spec = config.data
     if isinstance(spec, data_mod.CsvSpec):
         series = data_mod.load_csv(spec.path, date_column=spec.date_column)
@@ -185,6 +186,7 @@ def build_dataset(config: ExperimentConfig) -> dict:
         "windows": {name: data_mod.Windows(j, h) for name, j in joints.items()},
         "joints": joints,
         "stacks": {name: (j[:, :h], j[:, h:]) for name, j in joints.items()},
+        "mmd_real": {},
     }
 
 
@@ -221,32 +223,32 @@ def evaluate(model: LinearForecaster, windows) -> tuple[float, float]:
     return float(np.mean(np.multiply(err, err, out=err))), mae  # |e| |e| == e e
 
 
-def _test_mmd(model, histories, labels, max_samples: int) -> float:
+def _test_mmd(model, histories, labels, max_samples: int, memo: dict) -> float:
     """MMD^2 between the real and forecast joints of up to `max_samples`
-    evenly spaced test windows, which share their history block:
-    `mmd_squared` takes it beside the labels and forecasts, so no joint is
-    concatenated.  With every window in use (n <= max_samples) the stacks
-    are not copied, so window views take the kernels' sliding-window path
-    for the history block and the labels, whose distances give both the
-    bandwidth and g_pp; over the cap the evenly spaced picks are copies."""
-    n = len(histories)
-    picks = slice(None)
-    if n > max_samples:
-        picks = np.unique(np.linspace(0, n - 1, max_samples).astype(int))
-    hist = histories[picks]
-    fcs = forward_batch(model, hist)
-    return float(mmd_squared(KernelSpec(family="exponential"), labels[picks], fcs, hist).value)
+    evenly spaced test windows, which share their history block.  With every
+    window in use the stacks are not copied, so window views take the kernels'
+    sliding path for the history block and the labels; over the cap the picks
+    are copies.  Their `real_side` is kept in `memo[max_samples]` for later calls."""
+    if max_samples not in memo:
+        picks = slice(None)
+        if len(histories) > max_samples:
+            picks = np.unique(np.linspace(0, len(histories) - 1, max_samples).astype(int))
+        memo[max_samples] = real_side(KernelSpec(), labels[picks], histories[picks])
+    real = memo[max_samples]
+    fcs = forward_batch(model, real.history)
+    return float(mmd_squared(real.kernel, real, fcs).value)
 
 
 def train(config: ExperimentConfig, dataset: dict | None = None) -> TrainReport:
     """Mini-batch Adam training with early stopping on validation MSE, on a
-    new dataset or on `dataset` (only read), which `build_dataset` must have
-    made for this config's data, else ConfigError before any step.  Only a
-    strictly lower validation MSE is a new best; after `patience` epochs
-    without one training stops, and the test metrics and checkpoint use the
-    best epoch's parameters.  A non-finite step loss or validation MSE
-    raises DomainError naming its epoch, before anything is written.
-    `timing` adds build (0.0 if passed in), validation and test seconds."""
+    new dataset or on `dataset` (its views never written, its `mmd_real`
+    filled), which `build_dataset` must have made for this config's data,
+    else ConfigError before any step.  Only a strictly lower validation MSE
+    is a new best; after `patience` epochs without one training stops, and
+    the test metrics and checkpoint use the best epoch's parameters.  A
+    non-finite step loss or validation MSE raises DomainError naming its
+    epoch, before anything is written.  `timing` adds build (0.0 if passed
+    in), validation and test seconds."""
     build_s = 0.0
     if dataset is None:
         t0 = time.perf_counter()
@@ -323,7 +325,7 @@ def train(config: ExperimentConfig, dataset: dict | None = None) -> TrainReport:
     t1 = time.perf_counter()
     test_mmd = None
     if config.compute_mmd:
-        test_mmd = _test_mmd(model, *test_w, config.mmd_max_samples)
+        test_mmd = _test_mmd(model, *test_w, config.mmd_max_samples, dataset["mmd_real"])
     t2 = time.perf_counter()
     report = TrainReport(
         config=config.to_dict(),
@@ -358,7 +360,8 @@ SWEEP_PARAMS = ("alpha", "top_k", "margin_c")
 
 
 def run_sweep(base_config: ExperimentConfig, param: str, values, out_dir=None):
-    """One train() per grid value plus an alpha=0 reference run, on one dataset.
+    """One train() per grid value plus an alpha=0 reference run, on one dataset
+    and its test MMD^2 real side; each report equals a separate train()'s.
 
     Returns (rows, reports).  Each row is (label, mse, mae, dmse_pct,
     dmae_pct) with deltas against the alpha=0 run; failed runs carry an

@@ -312,8 +312,8 @@ def gram_matrix(spec: KernelSpec, rows, cols, shared=None) -> np.ndarray:
     `shared` (R, C), for the distance families only, holds the squared
     distances of a block that rows and columns share: the Gram is then that
     of the joints (shared block, rows[i]) against (shared block, cols[j]),
-    and each block keeps its own `_pairwise` bound.  Only `mmd_squared`
-    passes it, as `pair_sq_dists` of the history block it is given.
+    and each block keeps its own `_pairwise` bound.  Only `balancing`'s test
+    MMD^2 passes it, as `pair_sq_dists` of the history block it is given.
     """
     if spec.is_distance and cols is rows:
         stat = pair_sq_dists(rows)

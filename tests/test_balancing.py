@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from kmbdf.balancing import (
     informativeness_scores,
     kmb_df_grad,
     mmd_squared,
+    real_side,
     select_top_k,
 )
 from kmbdf.checks import fd_forecast_grads
@@ -645,6 +647,32 @@ class TestMmdSquared:
         with pytest.raises(ConfigError, match="at least 2"):
             median_gram(KernelSpec(family=family), [joint])
 
+    @pytest.mark.parametrize("kernel", ALL_KERNELS + [KernelSpec(family="exponential"),
+                                                      KernelSpec(family="gaussian")],
+                             ids=lambda k: f"{k.family}-{k.sigma}")
+    def test_real_side_gives_the_same_bits(self, kernel):
+        # One real side serves several forecast samples, each with the bits
+        # of its own call on the samples and history.
+        for name, p, q, history in mmd_reference_cases():
+            if history is not None and not kernel.is_distance:
+                continue
+            real = real_side(kernel, p, history)
+            for fc in (q, np.asarray(q) + 0.1, p):
+                want = mmd_squared(kernel, p, fc, history)
+                assert mmd_squared(real.kernel, real, fc) == want, name
+
+    def test_real_side_needs_its_kernel_and_no_history(self):
+        z = np.random.default_rng(48).normal(size=(5, 3, 2))
+        real = real_side(KernelSpec(family="exponential"), z, z)
+        assert real.kernel.sigma != "median"
+        for kernel, history in ((KernelSpec(family="exponential"), None), (real.kernel, z)):
+            with pytest.raises(ConfigError, match="RealSide"):
+                mmd_squared(kernel, real, z + 1.0, history)
+        with pytest.raises(ShapeError):
+            mmd_squared(real.kernel, real, z[:4] + 1.0)
+        with pytest.raises(ConfigError):
+            real_side(KernelSpec(family="linear"), z, z)
+
     @pytest.mark.parametrize("spec", ALL_KERNELS[2:], ids=lambda s: s.family)
     def test_inner_product_families_ignore_sigma(self, spec):
         rng = np.random.default_rng(45)
@@ -904,6 +932,24 @@ class TestStackedInputs:
             kmb_df_grad(cfg, [np.zeros((3, 1))] * 4, labels, fcs)
         with pytest.raises(ConfigError, match="top_k"):
             kmb_df_grad(replace(cfg, top_k=5), hist, labels, fcs)
+
+    @pytest.mark.parametrize("kernel, scale", [
+        (KernelSpec(family="exponential", sigma=1.0), 1e160),
+        (KernelSpec(family="linear"), 1e160),
+        (KernelSpec(family="sigmoid"), 1e160),
+        (KernelSpec(family="polynomial", degree=2), 1e80),
+    ], ids=["exponential", "linear", "sigmoid", "polynomial"])
+    def test_overflowing_pair_statistics_raise(self, kernel, scale):
+        # Finite inputs whose pair statistics overflow made a NaN total and
+        # NaN deltas, with a gradient that had no penalty part.
+        rng = np.random.default_rng(26)
+        hist, labels, fcs = (scale * z for z in rng.normal(size=(3, 4, 3, 2)))
+        cfg = BalanceConfig(alpha=0.4, top_k=2, kernel=kernel)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert np.isfinite(hist).all() and np.isfinite(fcs).all()
+            with pytest.raises(DomainError, match="non-finite objective"):
+                kmb_df_grad(cfg, hist, labels, fcs)
 
     def test_nan_forecast_raises(self):
         rng = np.random.default_rng(25)

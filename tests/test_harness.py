@@ -1,4 +1,5 @@
 import collections
+import copy
 import csv
 import json
 from dataclasses import FrozenInstanceError, replace
@@ -135,7 +136,7 @@ class TestTestMmd:
                 kernel = KernelSpec(family="exponential", sigma=median_bandwidth(reals))
                 expected = mmd_squared(kernel, reals, fcs).value
                 np.testing.assert_allclose(
-                    harness._test_mmd(model, hist, labels, max_samples), expected,
+                    harness._test_mmd(model, hist, labels, max_samples, {}), expected,
                     rtol=1e-10, atol=0,
                 )
 
@@ -173,10 +174,83 @@ class TestTestMmd:
                 expected = mmd_squared(kernel, reals, fcs).value
                 products.clear()
                 np.testing.assert_allclose(
-                    harness._test_mmd(model, hist, labels, max_samples), expected,
+                    harness._test_mmd(model, hist, labels, max_samples, {}), expected,
                     rtol=1e-10, atol=0,
                 )
                 assert len(products) == expected_products
+
+
+KMB_DF = {
+    "kind": "kmb_df", "alpha": 0.3, "top_k": 3, "margin_c": 0.001,
+    "kernel": {"family": "exponential", "sigma": "median"},
+}
+
+
+class TestTestMmdReuse:
+    """A dataset's test MMD^2 real side is formed by its first run and
+    reused by every later one.  small_config's test split holds 77 windows:
+    a cap of 100 keeps them all (the sliding path), 32 picks copies."""
+
+    @staticmethod
+    def config(cap, **overrides):
+        return small_config(max_epochs=2, objective=KMB_DF, mmd_max_samples=cap, **overrides)
+
+    @staticmethod
+    def recorded(monkeypatch, module, name, products):
+        """Calls of `module.name` as (args, result, `_pairwise` products)."""
+        calls, fn = [], getattr(module, name)
+
+        def record(*args, **kwargs):
+            before = len(products)
+            out = fn(*args, **kwargs)
+            calls.append((copy.deepcopy(args), out, len(products) - before))
+            return out
+
+        monkeypatch.setattr(module, name, record)
+        return calls
+
+    @pytest.mark.parametrize("cap", [100, 32], ids=["sliding", "over the cap"])
+    def test_sweep_forms_one_real_side(self, cap, monkeypatch):
+        datasets, build = [], harness.build_dataset
+        monkeypatch.setattr(harness, "build_dataset",
+                            lambda c: datasets.append(build(c)) or datasets[-1])
+        products, pairwise = [], kernels._pairwise
+        monkeypatch.setattr(kernels, "_pairwise", lambda *a: products.append(1) or pairwise(*a))
+        medians = self.recorded(monkeypatch, balancing, "median_gram", products)
+        tests = self.recorded(monkeypatch, harness, "_test_mmd", products)
+        _, reports = run_sweep(self.config(cap), "alpha", [0.1, 0.3])
+        assert list(reports) == ["DF", "alpha=0.1", "alpha=0.3"]
+        assert len(medians) == 1
+        (dataset,) = datasets
+        assert list(dataset["mmd_real"]) == [cap]
+        # Every later run forms only g_qq and g_pq; over the cap the first
+        # also forms the history block and the labels' distances.
+        assert [count for *_, count in tests] == [2 if cap > 77 else 4, 2, 2]
+        for report, ((model, hist, labels, *_), value, _) in zip(
+            reports.values(), tests
+        ):
+            picks = slice(None) if cap > 77 else np.unique(np.linspace(0, 76, cap).astype(int))
+            fcs = forward_batch(model, hist[picks])
+            fresh = mmd_squared(KernelSpec(family="exponential"), labels[picks], fcs, hist[picks])
+            assert report.test_mmd == value == fresh.value
+            alone = train(ExperimentConfig.from_dict(report.config))
+            assert alone.to_json(include_timing=False) == report.to_json(include_timing=False)
+
+    def test_each_cap_has_its_own_real_side(self):
+        dataset = build_dataset(self.config(32))
+        fresh = {name: [z.copy() for z in views] for name, views in dataset["stacks"].items()}
+        train(self.config(32, compute_mmd=False), dataset)
+        assert dataset["mmd_real"] == {}
+        reports = [train(self.config(cap, seed=seed), dataset)
+                   for cap, seed in ((32, 0), (100, 1), (32, 2))]
+        real = dataset["mmd_real"]
+        assert sorted(real) == [32, 100]
+        assert (len(real[32].sample), len(real[100].sample)) == (32, 77)
+        assert reports[2].test_mmd == train(self.config(32, seed=2)).test_mmd
+        for name, views in dataset["stacks"].items():
+            for z, before in zip(views, fresh[name]):
+                assert not z.flags.writeable
+                np.testing.assert_array_equal(z, before)
 
 
 class TestBuildDataset:

@@ -3,11 +3,10 @@
 from .balancing import (
     BalanceConfig,
     BalanceDiagnostics,
-    MmdResult,
     kmb_df_grad,
     mmd_squared,
 )
-from .data import CsvSpec, SplitSpec, SyntheticSpec, WindowPair, Windows, generate, load_csv, standardize, window
+from .data import CsvSpec, SplitSpec, SyntheticSpec, generate, load_csv, standardize
 from .errors import ConfigError, DataError, DomainError, KmbdfError, ShapeError
 from .harness import ExperimentConfig, TrainReport, evaluate, run_sweep, timing_probe, train
 from .kernels import (
@@ -24,6 +23,5 @@ from .models import (
     load_forecaster,
     save_forecaster,
 )
-from .objectives import make_objective
 
 __version__ = "0.1.0"

@@ -47,10 +47,13 @@ HINGE_MODES = ("canonical", "paper_literal")
 
 @dataclass(frozen=True)
 class BalanceConfig(Node):
+    """The objective's settings.  `kernel` defaults to `KernelSpec()`, the
+    exponential at sigma "median", built directly or parsed without the key."""
+
     alpha: float = 0.3
     top_k: int = 3
     margin_c: float = 0.001
-    kernel: KernelSpec = field(default_factory=lambda: KernelSpec(sigma=1.0))
+    kernel: KernelSpec = field(default_factory=KernelSpec)
     anchor_mode: Literal[ANCHOR_MODES] = "forecast"
     hinge_mode: Literal[HINGE_MODES] = "canonical"
 

@@ -10,11 +10,12 @@ Conventions:
     exponential:  K(a, b) = exp(-||a - b|| / (2 sigma^2))     (UNsquared norm)
     gaussian:     K(a, b) = exp(-||a - b||^2 / (2 sigma^2))
     linear:       K(a, b) = <a, b>
-    polynomial:   K(a, b) = (scale * <a, b> + offset)^degree
-    sigmoid:      K(a, b) = tanh(scale * <a, b> + offset)
+    polynomial:   K(a, b) = (<a, b> / P)^degree
+    sigmoid:      K(a, b) = tanh(<a, b> / P - 1)
 
-||.|| is the Frobenius norm of the flattened difference.  `scale` defaults to
-1/len(flattened), `offset` defaults to 0 (polynomial) or -1 (sigmoid).
+||.|| is the Frobenius norm of the flattened difference and P its length.
+The inner-product scale 1/P and offsets (0 polynomial, -1 sigmoid) are fixed:
+a config that names `scale` or `offset` fails at parse with ConfigError.
 """
 
 from __future__ import annotations
@@ -42,19 +43,15 @@ class KernelSpec(Node):
     > 0 whose square is a finite float > 0, or "median", unresolved: a
     distance kernel evaluated with it raises ConfigError unless
     `mmd_squared` or `median_gram` resolves it.
-    `scale` / `offset` may be left as None to use the size-dependent
-    defaults described in the module docstring.
     """
 
     family: Literal[KERNEL_FAMILIES] = "exponential"
-    sigma: float | Literal["median"] | None = "median"
+    sigma: float | Literal["median"] = "median"
     degree: int | None = None
-    scale: float | None = None
-    offset: float | None = None
 
     def _check(self):
         if self.is_distance and self.sigma != "median":
-            if self.sigma is None or self.sigma <= 0:
+            if self.sigma <= 0:
                 raise ConfigError(
                     f"{self.family} kernel requires sigma 'median' or > 0, got {self.sigma}"
                 )
@@ -72,14 +69,6 @@ class KernelSpec(Node):
     def is_distance(self) -> bool:
         return self.family in ("exponential", "gaussian")
 
-    def resolved_scale(self, size: int) -> float:
-        return 1.0 / size if self.scale is None else float(self.scale)
-
-    def resolved_offset(self) -> float:
-        if self.offset is not None:
-            return float(self.offset)
-        return -1.0 if self.family == "sigmoid" else 0.0
-
 
 def kernel_from_stat(spec: KernelSpec, stat: np.ndarray, size: int) -> np.ndarray:
     """K from the pair statistic: the squared distance for the distance
@@ -94,8 +83,8 @@ def kernel_from_stat(spec: KernelSpec, stat: np.ndarray, size: int) -> np.ndarra
         return np.exp(stat, out=stat)
     if spec.family == "linear":
         return stat
-    stat *= spec.resolved_scale(size)
-    stat += spec.resolved_offset()
+    stat *= 1.0 / size
+    stat += 0.0 if spec.family == "polynomial" else -1.0
     if spec.family == "polynomial":
         stat **= int(spec.degree)
         return stat
@@ -115,10 +104,10 @@ def grad_coeffs(spec: KernelSpec, stat, k, size: int):
         return k / spec.sigma**2
     if spec.family == "linear":
         return np.ones_like(stat)
-    s = spec.resolved_scale(size)
+    s = 1.0 / size
     if spec.family == "polynomial":
         deg = int(spec.degree)
-        return deg * (s * stat + spec.resolved_offset()) ** (deg - 1) * s
+        return deg * (s * stat + 0.0) ** (deg - 1) * s  # offset 0, as in kernel_from_stat
     return (1.0 - k**2) * s
 
 
@@ -285,8 +274,8 @@ def _add_shared(stat: np.ndarray, shared, spec: KernelSpec) -> np.ndarray:
     if shared is None:
         return stat
     if not spec.is_distance:
-        # The inner-product families' default scale is 1/len of the whole
-        # joint, which a label block alone does not know.
+        # The inner-product families' scale is 1/len of the whole joint,
+        # which a label block alone does not know.
         raise ConfigError(f"a shared block needs a distance kernel, got {spec.family}")
     if np.shape(shared) != stat.shape:
         raise ShapeError(f"shared statistic {np.shape(shared)} does not match {stat.shape}")

@@ -355,6 +355,10 @@ class TestSweepCommand:
         assert "invalid choice" in err and all(p in err for p in harness.SWEEP_PARAMS)
 
 
+# Stands for the `config_path` fixture's file in an argv below.
+CONFIG = object()
+
+
 @pytest.mark.parametrize("argv, needle", [
     (["timing", "--horizons", "a"], "--horizons"),
     (["timing", "--reps", "0"], "reps=0"),
@@ -367,9 +371,13 @@ class TestSweepCommand:
     (["timing", "--batch", "1"], "--batch"),
     (["mmd-test", "--samples", "10", "--window", "20"], "--samples 10 and --window 20"),
     (["mmd-test", "--samples", "30", "--window", "20"], "--samples 30 and --window 20"),
+    (["train", "--config", CONFIG, "--set", "objective.kind=kmb_df",
+      "--set", "objective.kernel.scale=0.5"], "unknown objective.kernel keys: ['scale']"),
+    (["train", "--config", CONFIG, "--set", "objective.kind=kmb_df",
+      "--set", "objective.kernel.offset=1"], "unknown objective.kernel keys: ['offset']"),
 ])
-def test_out_of_range_argument_exits_with_json(capsys, argv, needle):
-    assert main(argv) == 2
+def test_out_of_range_argument_exits_with_json(capsys, config_path, argv, needle):
+    assert main([config_path if arg is CONFIG else arg for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     err = json.loads(captured.err)

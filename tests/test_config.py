@@ -3,9 +3,10 @@ config replays its run, and every single-key mutation of a valid config
 into a wrong type, a wrong range or an unknown key fails at parse, and
 fails the same way when the node is built directly or by `replace`."""
 
+import copy
 import json
 import math
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import MISSING, fields, is_dataclass, replace
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from kmbdf import data as data_mod
 from kmbdf.balancing import ANCHOR_MODES, HINGE_MODES, BalanceConfig
-from kmbdf.errors import ConfigError
+from kmbdf.errors import ConfigError, node_fields
 from kmbdf.harness import ExperimentConfig, train
 from kmbdf.kernels import KernelSpec
 from kmbdf.objectives import MseObjective
@@ -28,14 +29,8 @@ kernels = st.one_of(
         {"family": st.sampled_from(["exponential", "gaussian"])},
         optional={"sigma": st.one_of(st.just("median"), st.floats(0.01, 100.0))},
     ),
-    st.fixed_dictionaries(
-        {"family": st.just("polynomial"), "degree": st.integers(1, 4)},
-        optional={"scale": numbers, "offset": numbers},
-    ),
-    st.fixed_dictionaries(
-        {"family": st.sampled_from(["linear", "sigmoid"])},
-        optional={"scale": numbers, "offset": numbers},
-    ),
+    st.fixed_dictionaries({"family": st.just("polynomial"), "degree": st.integers(1, 4)}),
+    st.fixed_dictionaries({"family": st.sampled_from(["linear", "sigmoid"])}),
 )
 objectives = st.one_of(
     st.fixed_dictionaries({}, optional={"kind": st.just("mse")}),
@@ -127,8 +122,7 @@ def explicit(objective, data=None):
 BASES = {
     "ar-kmb_df-exponential": explicit({"kind": "kmb_df"}),
     "seasonal-kmb_df-polynomial": explicit(
-        {"kind": "kmb_df", "kernel": {"family": "polynomial", "degree": 2, "scale": 0.5,
-                                      "offset": 1.0}},
+        {"kind": "kmb_df", "kernel": {"family": "polynomial", "degree": 2}},
         {"kind": "seasonal_trend", "length": 300, "coeffs": [0.5, 0.2]},
     ),
     "csv-freq_l1": explicit({"kind": "freq_l1"}, {"source": "csv", "path": "x.csv"}),
@@ -169,7 +163,7 @@ OUT_OF_RANGE = {
     ("objective", "kernel", "degree"): [0],
 }
 # Keys whose annotation admits None besides their own type.
-OPTIONAL = {"out", "degree", "scale", "offset", "sigma"}
+OPTIONAL = {"out", "degree"}
 # Every valid choice of a string key: random text must not hit one.
 CHOICES = {
     "synthetic", "csv", "ar", "seasonal_trend", "extended", "strict", "mse", "freq_l1",
@@ -383,11 +377,47 @@ def test_every_array_is_rejected_however_built(name, build):
     assert accepted == []
 
 
+def missing_node_cases(cls, attrs=(), keys=(), picks=None):
+    """(config dict, attribute path, Python default) for every field below
+    the node class `cls` whose annotation is config nodes.  The dict picks
+    each union member on the way by its tag and leaves the field's key out;
+    a flattened field without a default has its class at its own defaults."""
+    picks = {} if picks is None else picks
+    for f, members in node_fields(cls):
+        if not all(is_dataclass(m) for m in members):
+            continue
+        factory = members[0] if f.default_factory is MISSING else f.default_factory
+        yield picks, attrs + (f.name,), factory()
+        sub = keys if f.metadata.get("flatten") else keys + (f.name,)
+        tag = f.metadata.get("tag")
+        for member in members:
+            d = copy.deepcopy(picks)
+            node = d
+            for key in sub:
+                node = node.setdefault(key, {})
+            if tag:
+                node[tag] = getattr(member, tag)
+            yield from missing_node_cases(member, attrs + (f.name,), sub, d)
+
+
+def test_missing_node_parses_to_its_python_default():
+    # A node left out of a dict parses to the node that Python builds when
+    # its field is left out, at every depth (BalanceConfig's kernel too).
+    cases = list(missing_node_cases(ExperimentConfig))
+    assert [".".join(path) for _, path, _ in cases] == [
+        "data", "split", "objective", "objective.config", "objective.config.kernel"]
+    for d, path, default in cases:
+        node = ExperimentConfig.from_dict(d)
+        for name in path:
+            node = getattr(node, name)
+        assert node == default, (d, path)
+
+
 def test_direct_construction_normalises_values():
-    kernel = KernelSpec(family="polynomial", degree=np.int64(2), scale=1, offset=np.float32(0.5))
+    kernel = KernelSpec(family="polynomial", degree=np.int64(2), sigma=1)
     assert kernel.family == "polynomial"
-    assert (kernel.degree, kernel.scale, kernel.offset) == (2, 1.0, 0.5)
-    assert [type(v) for v in (kernel.degree, kernel.scale, kernel.offset)] == [int, float, float]
+    assert (kernel.degree, kernel.sigma) == (2, 1.0)
+    assert [type(v) for v in (kernel.degree, kernel.sigma)] == [int, float]
     balance = BalanceConfig(alpha=1, top_k=np.int32(2), margin_c=np.float64(0.0), kernel=kernel)
     assert [type(v) for v in (balance.alpha, balance.top_k, balance.margin_c)] == [
         float, int, float]

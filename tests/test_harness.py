@@ -362,6 +362,10 @@ class TestBuildDataset:
         {"seed": -1},
         {"lr": 10**400},
         {"data": {1: 2, "lenght": 400}},
+        # The inner-product scale and offset are fixed: no config names them.
+        {"objective": {"kind": "kmb_df", "kernel": {"family": "sigmoid", "scale": 0.5}}},
+        {"objective": {"kind": "kmb_df", "kernel": {"family": "polynomial", "degree": 2,
+                                                    "offset": 1.0}}},
     ])
     def test_rejected_at_parse(self, monkeypatch, overrides):
         def forbidden(*args, **kwargs):

@@ -8,6 +8,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from kmbdf import data, kernels
 from kmbdf.errors import ConfigError, DomainError, ShapeError
 from kmbdf.kernels import (
+    KERNEL_FAMILIES,
     KernelSpec,
     grad_b_sum,
     gram_matrix,
@@ -282,8 +283,9 @@ class TestKernelSpec:
     def test_sigma_required_positive(self):
         with pytest.raises(ConfigError):
             KernelSpec(family="exponential", sigma=0.0)
-        with pytest.raises(ConfigError):
-            KernelSpec(family="gaussian", sigma=None)
+        for family in KERNEL_FAMILIES:  # None is no sigma, even where the family ignores it
+            with pytest.raises(ConfigError, match="sigma must be"):
+                KernelSpec(family=family, sigma=None, degree=2)
 
     def test_polynomial_degree_required(self):
         with pytest.raises(ConfigError):
@@ -292,7 +294,7 @@ class TestKernelSpec:
             KernelSpec(family="polynomial", degree=0)
 
     def test_irrelevant_params_ignored(self):
-        spec = KernelSpec(family="linear", sigma=None, degree=None)
+        spec = KernelSpec(family="linear", sigma=2.0, degree=3)
         assert eval_kernel(spec, [[1.0]], [[2.0]]) == 2.0
 
     def test_default_scale_and_offset(self):
@@ -734,14 +736,14 @@ def formula(spec, stat, size):
         return np.exp(-stat / (2.0 * spec.sigma**2))
     if spec.family == "linear":
         return stat
-    s, c = spec.resolved_scale(size), spec.resolved_offset()
+    s, c = 1.0 / size, 0.0 if spec.family == "polynomial" else -1.0
     if spec.family == "polynomial":
         return (s * stat + c) ** int(spec.degree)
     return np.tanh(s * stat + c)
 
 
 INPLACE_SPECS = ALL_SPECS + [
-    KernelSpec(family="polynomial", degree=2, scale=0.3, offset=1.0),
+    KernelSpec(family="polynomial", degree=2),
     KernelSpec(family="exponential", sigma=0.37),
 ]
 

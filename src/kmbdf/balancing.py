@@ -252,15 +252,13 @@ class RealSide(NamedTuple):
 
 def real_side(kernel: KernelSpec, sample_p, history=None) -> RealSide:
     """`mmd_squared`'s terms of p and `history` alone, for forecast samples to
-    share: the kernel (sigma "median" resolved from the statistic that becomes
-    g_pp, `kernels.median_gram`), the history, its pair statistic, p's stack
-    and g_pp's off-diagonal sum."""
+    share: the distance kernel (sigma "median" resolved from the statistic
+    that becomes g_pp, `kernels.median_gram`), the history, its pair
+    statistic, p's stack and g_pp's off-diagonal sum."""
+    kernel.require_distance()
     p = as_stack(sample_p)
     shared = None if history is None else pair_sq_dists(history)
-    if kernel.is_distance and kernel.sigma == "median":
-        kernel, g_pp = median_gram(kernel, p, shared)
-    else:
-        g_pp = gram_matrix(kernel, p, p, shared)
+    kernel, g_pp = median_gram(kernel, p, shared)
     s_pp, t_pp = _sum_trace(g_pp)
     return RealSide(kernel, history, shared, p, s_pp - t_pp)
 
@@ -273,25 +271,25 @@ def mmd_squared(kernel: KernelSpec, sample_p, sample_q, history=None) -> MmdResu
     """Paired two-sample MMD^2 U-statistic between n >= 2 pairs (p_i, q_i)
     of joint sequences, each sample a list or an (n, L, D) stack:
     sum_{i != j} h_ij / (n (n - 1)), with h_ij = k(p_i, p_j) + k(q_i, q_j)
-    - k(p_i, q_j) - k(p_j, q_i) (Gretton et al., JMLR 2012).  Samples of
+    - k(p_i, q_j) - k(p_j, q_i) (Gretton et al., JMLR 2012), for a distance
+    `kernel` (else ConfigError first): the characteristic ones.  Samples of
     other sizes raise ShapeError before any distance is formed.  With
     `history`, a list, stack or window view of the block that p_i and q_i
-    share (distance kernels only), the samples are the joints (history_i,
-    p_i) and (history_i, q_i); the block's `pair_sq_dists` is added to each
-    Gram's statistic.  The terms of p alone come from `real_side`, or from
-    a `RealSide` passed as `sample_p` with its resolved kernel and no
-    history (the same bits); g_qq and g_pq from `gram_matrix`.  One Gram is
-    alive at a time: each is reduced to its sum and trace first.
+    share, the samples are the joints (history_i, p_i) and (history_i,
+    q_i); the block's `pair_sq_dists` is added to each Gram's statistic.
+    The terms of p alone come from `real_side`, or from a `RealSide` passed
+    as `sample_p` with its resolved kernel and no history (the same bits);
+    g_qq and g_pq from `gram_matrix`.  One Gram is alive at a time: each is
+    reduced to its sum and trace first.
 
     Samples that coincide give exactly 0: they are recognised, because the
     within-sample Grams are symmetric products, which round differently
     from the cross product.
     """
+    kernel.require_distance()
     real = sample_p if isinstance(sample_p, RealSide) else None
     if real is not None and (history is not None or kernel != real.kernel):
         raise ConfigError("a RealSide brings its history, and needs its resolved kernel")
-    if history is not None and not kernel.is_distance:
-        raise ConfigError(f"a shared history needs a distance kernel, got {kernel.family}")
     p, q = as_stack(sample_p) if real is None else real.sample, as_stack(sample_q)
     n = len(p)
     if not len(q) == n >= 2:

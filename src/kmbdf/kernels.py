@@ -1,10 +1,10 @@
 """Kernel evaluation, Gram matrices, and analytic kernel gradients.
 
-Five families are supported: exponential, gaussian, linear, polynomial and
-sigmoid.  Inputs are joint sequences -- (H+T) x D matrices obtained by
-concatenating a history block and a label/forecast block along time -- but any
-consistently shaped arrays work; distance- and inner-product-based families
-both operate on the flattened matrix.
+The training objective takes five families: exponential, gaussian, linear,
+polynomial and sigmoid.  Grams, bandwidths and the MMD^2 take the two
+distance families only, as characteristic kernels.  Inputs are joint
+sequences -- (H+T) x D matrices, a history block and a label/forecast block
+concatenated along time -- but any consistently shaped arrays work.
 
 Conventions:
     exponential:  K(a, b) = exp(-||a - b|| / (2 sigma^2))     (UNsquared norm)
@@ -41,8 +41,8 @@ class KernelSpec(Node):
 
     Parameters irrelevant to `family` are ignored.  `sigma` is a bandwidth
     > 0 whose square is a finite float > 0, or "median", unresolved: a
-    distance kernel evaluated with it raises ConfigError unless
-    `mmd_squared` or `median_gram` resolves it.
+    distance kernel evaluated with it raises ConfigError unless `mmd_squared`
+    or `median_gram` resolves it.  Only the distance families make Grams.
     """
 
     family: Literal[KERNEL_FAMILIES] = "exponential"
@@ -69,13 +69,18 @@ class KernelSpec(Node):
     def is_distance(self) -> bool:
         return self.family in ("exponential", "gaussian")
 
+    def require_distance(self) -> None:
+        """ConfigError unless a distance family: Grams and the MMD^2 take no other."""
+        if not self.is_distance:
+            raise ConfigError(f"Grams and the MMD^2 need a distance kernel, got {self.family}")
+
 
 def kernel_from_stat(spec: KernelSpec, stat: np.ndarray, size: int) -> np.ndarray:
     """K from the pair statistic: the squared distance for the distance
     families, the inner product otherwise; `size` is the flattened length.
     K overwrites `stat`, a float array the caller owns, and is returned."""
     if spec.is_distance and spec.sigma == "median":
-        raise ConfigError("sigma 'median' must be resolved by median_bandwidth first")
+        raise ConfigError("sigma 'median' must be resolved by median_bandwidth or median_gram")
     if spec.is_distance:
         if spec.family == "exponential":
             np.sqrt(stat, out=stat)
@@ -166,15 +171,14 @@ def _sq_dists(rf, cf, r_sq, c_sq, rows, cols, out=None) -> np.ndarray:
     return sq
 
 
-def _pairwise(rf: np.ndarray, cf: np.ndarray, distance: bool, rows, cols) -> np.ndarray:
-    """Squared distances or inner products between the rows of two stacks.
+def _pairwise(rf: np.ndarray, cf: np.ndarray, rows, cols) -> np.ndarray:
+    """Squared distances between the rows of two stacks.
 
     `rf` (R, P) and `cf` (C, P) are float working copies of `rows` and
-    `cols`, the caller's lists or stacks; for distances the copies are
-    centred in place on their shared mean (pass the same array twice, and
-    the same input twice, for distances within one stack).  Inner products
-    are `rf @ cf.T`.  Squared distances are ||a||^2 + ||b||^2 - 2 <a, b> on
-    the centred rows, one matrix product for all entries; an entry whose
+    `cols`, the caller's lists or stacks, centred in place on their shared
+    mean (pass the same array twice, and the same input twice, within one
+    stack).  Squared distances are ||a||^2 + ||b||^2 - 2 <a, b> on the
+    centred rows, one matrix product for all entries; an entry whose
     result is at most NEAR_PAIR_RATIO * (||a||^2 + ||b||^2) is recomputed
     as sum((a - b)^2) from the uncentred rows of `rows` and `cols`, so
     coincident rows give exactly 0.
@@ -184,8 +188,6 @@ def _pairwise(rf: np.ndarray, cf: np.ndarray, distance: bool, rows, cols) -> np.
     it is within a relative 2e3 P u of the squared distance of the centred
     rows; a recomputed entry carries only the rounding of the difference.
     """
-    if not distance:
-        return rf @ cf.T
     if rf is cf:
         rf -= rf.mean(axis=0)
         r_sq = c_sq = _row_sq(rf)
@@ -268,49 +270,44 @@ def _working_copy(mats, shape=None) -> np.ndarray:
     return stack.reshape(len(stack), -1)
 
 
-def _add_shared(stat: np.ndarray, shared, spec: KernelSpec) -> np.ndarray:
-    """`stat` plus `shared`, the squared distances of a block that every
-    input shares; `spec` must be a distance kernel."""
-    if shared is None:
-        return stat
-    if not spec.is_distance:
-        # The inner-product families' scale is 1/len of the whole joint,
-        # which a label block alone does not know.
-        raise ConfigError(f"a shared block needs a distance kernel, got {spec.family}")
-    if np.shape(shared) != stat.shape:
-        raise ShapeError(f"shared statistic {np.shape(shared)} does not match {stat.shape}")
-    stat += shared
+def _gram_sq_dists(spec: KernelSpec, rows, cols, shared) -> np.ndarray:
+    """Squared distances between the joints (shared block, rows[i]) and
+    (shared block, cols[j]), after `spec.require_distance()`."""
+    spec.require_distance()
+    if cols is rows:
+        stat = pair_sq_dists(rows)
+    else:
+        rf = _working_copy(rows)
+        stat = _pairwise(rf, _working_copy(cols, shape=np.shape(rows[0])), rows, cols)
+    if shared is not None:
+        if np.shape(shared) != stat.shape:
+            raise ShapeError(f"shared statistic {np.shape(shared)} does not match {stat.shape}")
+        stat += shared
     return stat
 
 
 def gram_matrix(spec: KernelSpec, rows, cols, shared=None) -> np.ndarray:
-    """Entry (i, j) = K(rows[i], cols[j]), from one pair statistic made K in place.
+    """Entry (i, j) = K(rows[i], cols[j]), from one pair statistic made K in
+    place; a family other than the distance ones raises ConfigError first.
 
     Rows and columns are lists or (N, L, D) stacks; each distinct input is
     copied once for one `_pairwise` product, so the in-place centring never
     touches the caller's data.  `gram_matrix(spec, z, z)` (the same object
-    twice) is one symmetric product on one copy; for the distance families
-    it takes its squared distances from `pair_sq_dists(z)`, so a stride-1
-    window stack takes the sliding path instead.  Either way the result is
-    exactly symmetric, and for the distance families its diagonal is
-    exactly K(z_i, z_i) = 1.  Against the per-pair reference kernel in
-    `tests/kernel_reference.py` the entries agree to rtol 1e-12, including
-    near-duplicate points and points at a large common offset; see
-    `_pairwise` for the bound.  Identical inputs give bit-identical results.
+    twice) takes its squared distances from `pair_sq_dists(z)`, one
+    symmetric product or the sliding path: the result is exactly symmetric
+    with a diagonal of exactly K(z_i, z_i) = 1.  Against the per-pair
+    reference kernel in `tests/kernel_reference.py` the entries agree to
+    rtol 1e-12, including near-duplicate points and points at a large
+    common offset; see `_pairwise` for the bound.  Identical inputs give
+    bit-identical results.
 
-    `shared` (R, C), for the distance families only, holds the squared
-    distances of a block that rows and columns share: the Gram is then that
-    of the joints (shared block, rows[i]) against (shared block, cols[j]),
-    and each block keeps its own `_pairwise` bound.  Only `balancing`'s test
-    MMD^2 passes it, as `pair_sq_dists` of the history block it is given.
+    `shared` (R, C) holds the squared distances of a block that rows and
+    columns share: the Gram is then that of the joints (shared block,
+    rows[i]) against (shared block, cols[j]), and each block keeps its own
+    `_pairwise` bound.  Only `balancing`'s test MMD^2 passes it, as
+    `pair_sq_dists` of the history block it is given.
     """
-    if spec.is_distance and cols is rows:
-        stat = pair_sq_dists(rows)
-    else:
-        rf = _working_copy(rows)
-        cf = rf if cols is rows else _working_copy(cols, shape=np.shape(rows[0]))
-        stat = _pairwise(rf, cf, spec.is_distance, rows, cols)
-    return kernel_from_stat(spec, _add_shared(stat, shared, spec), np.size(rows[0]))
+    return kernel_from_stat(spec, _gram_sq_dists(spec, rows, cols, shared), np.size(rows[0]))
 
 
 # Differences per `grad_b_sum` product (2 MB) unless one row is larger.  A
@@ -429,7 +426,7 @@ def pair_sq_dists(stack) -> np.ndarray:
     rows = _window_rows(stack)
     if rows is None:
         flats = _working_copy(stack)
-        return _pairwise(flats, flats, True, stack, stack)
+        return _pairwise(flats, flats, stack, stack)
     if not np.isfinite(rows).all():
         raise DomainError("kernel inputs must be finite")
     return _sliding_sq_dists(rows, *stack.shape[:2])
@@ -458,8 +455,10 @@ def _median_sigma(sq: np.ndarray) -> float:
 
 
 def median_gram(spec: KernelSpec, joints, shared=None):
-    """A distance `spec` at the median bandwidth of the joints (shared block,
-    joints[i]) and its `gram_matrix(spec, joints, joints, shared)`, bit for bit."""
-    sq = _add_shared(pair_sq_dists(joints), shared, spec)
-    spec = replace(spec, sigma=_median_sigma(sq))
+    """A distance `spec`, sigma "median" resolved to the median bandwidth of
+    the joints (shared block, joints[i]) and a numeric sigma kept, and its
+    `gram_matrix(spec, joints, joints, shared)`, bit for bit."""
+    sq = _gram_sq_dists(spec, joints, joints, shared)
+    if spec.sigma == "median":
+        spec = replace(spec, sigma=_median_sigma(sq))
     return spec, kernel_from_stat(spec, sq, np.size(joints[0]))

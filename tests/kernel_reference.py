@@ -1,8 +1,18 @@
-"""Reference implementations shared by the test modules."""
+"""Reference implementations and checks shared by the test modules."""
+
+from contextlib import nullcontext
 
 import numpy as np
+import pytest
 
+from kmbdf.errors import ConfigError
 from kmbdf.kernels import grad_coeffs, kernel_from_stat
+
+
+def refused_unless_distance(spec):
+    """A no-op context for a distance `spec`, else `pytest.raises` of the
+    ConfigError with which Grams and the MMD^2 refuse the other families."""
+    return nullcontext() if spec.is_distance else pytest.raises(ConfigError, match="distance")
 
 
 def eval_kernel(spec, a, b):

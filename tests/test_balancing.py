@@ -32,7 +32,7 @@ from kmbdf.kernels import (
 )
 from kmbdf.objectives import KmbDfObjective, MseObjective, make_objective
 
-from kernel_reference import eval_kernel, kernel_grad_b
+from kernel_reference import eval_kernel, kernel_grad_b, refused_unless_distance
 
 EXP = KernelSpec(family="exponential", sigma=1.0)
 
@@ -491,10 +491,10 @@ class TestKmbDfGrad:
 
 class TestMmdSquared:
     def test_identical_samples(self):
-        # Exactly 0 in every family, and at the paper_t96 test MMD^2 shape,
-        # although the within-sample Grams are symmetric products and the
-        # cross Gram is not: computed through the Grams, some of these
-        # cases come out near 1e-17, the distance families included.
+        # Exactly 0 for both distance families, and at the paper_t96 test
+        # MMD^2 shape, although the within-sample Grams are symmetric
+        # products and the cross Gram is not: computed through the Grams,
+        # some of these cases come out near 1e-17.
         def check(kernel, stack):
             sample = list(stack)
             for p, q in ((stack, stack.copy()), (sample, [z.copy() for z in sample])):
@@ -504,7 +504,7 @@ class TestMmdSquared:
             rng = np.random.default_rng(seed)
             for shape, offset in (((8, 3, 2), 0.0), ((32, 12, 4), 0.0), ((32, 12, 4), 1e3)):
                 stack = offset + rng.normal(size=shape)
-                for kernel in ALL_KERNELS + [
+                for kernel in ALL_KERNELS[:2] + [
                     KernelSpec(family=f, sigma=median_bandwidth(stack))
                     for f in ("exponential", "gaussian")
                 ]:
@@ -538,19 +538,18 @@ class TestMmdSquared:
         # sum_{i != j} h_ij / (n (n - 1)), with h_ij = k(p_i, p_j) +
         # k(q_i, q_j) - k(p_i, q_j) - k(p_j, q_i); with a history, on the
         # concatenated joints.  The scale keeps the gaussian's off-diagonal
-        # K well above rounding beside its unit diagonal.
+        # K well above rounding beside its unit diagonal.  The inner-product
+        # families are refused.
         rng = np.random.default_rng(48 + n)
         hist, lab, fc = 0.3 * rng.normal(size=(3, n, 3, 2))
-        cases = [(lab, fc, None, lab, fc)]
-        if kernel.is_distance:
-            joints = [np.concatenate([hist, z], axis=1) for z in (lab, fc)]
-            cases.append((lab, fc, hist, *joints))
+        joints = [np.concatenate([hist, z], axis=1) for z in (lab, fc)]
         k = lambda a, b: eval_kernel(kernel, a, b)
-        for p, q, history, jp, jq in cases:
+        for p, q, history, jp, jq in ((lab, fc, None, lab, fc), (lab, fc, hist, *joints)):
             h = [k(jp[i], jp[j]) + k(jq[i], jq[j]) - k(jp[i], jq[j]) - k(jp[j], jq[i])
                  for i in range(n) for j in range(n) if i != j]
-            got = mmd_squared(kernel, p, q, history).value
-            np.testing.assert_allclose(got, sum(h) / (n * (n - 1)), rtol=1e-10, atol=0)
+            with refused_unless_distance(kernel):
+                got = mmd_squared(kernel, p, q, history).value
+                np.testing.assert_allclose(got, sum(h) / (n * (n - 1)), rtol=1e-10, atol=0)
 
     @pytest.mark.parametrize("sizes", [(5, 4), (1, 5), (5, 1), (1, 1)],
                              ids=["m != n", "singleton p", "singleton q", "singletons"])
@@ -652,12 +651,11 @@ class TestMmdSquared:
         # One real side serves several forecast samples, each with the bits
         # of its own call on the samples and history.
         for name, p, q, history in mmd_reference_cases():
-            if history is not None and not kernel.is_distance:
-                continue
-            real = real_side(kernel, p, history)
-            for fc in (q, np.asarray(q) + 0.1, p):
-                want = mmd_squared(kernel, p, fc, history)
-                assert mmd_squared(real.kernel, real, fc) == want, name
+            with refused_unless_distance(kernel):
+                real = real_side(kernel, p, history)
+                for fc in (q, np.asarray(q) + 0.1, p):
+                    want = mmd_squared(kernel, p, fc, history)
+                    assert mmd_squared(real.kernel, real, fc) == want, name
 
     def test_real_side_needs_its_kernel_and_no_history(self):
         z = np.random.default_rng(48).normal(size=(5, 3, 2))
@@ -673,10 +671,12 @@ class TestMmdSquared:
 
     @pytest.mark.parametrize("spec", ALL_KERNELS[2:], ids=lambda s: s.family)
     def test_inner_product_families_ignore_sigma(self, spec):
+        # Refused at any sigma: they are not characteristic kernels.
         rng = np.random.default_rng(45)
         p, q = rng.normal(size=(2, 7, 3, 2))
-        values = {mmd_squared(replace(spec, sigma=sigma), p, q) for sigma in ("median", 0.4, 9.0)}
-        assert len(values) == 1
+        for sigma in ("median", 0.4, 9.0):
+            with pytest.raises(ConfigError, match="distance kernel"):
+                mmd_squared(replace(spec, sigma=sigma), p, q)
 
 
 def three_gram_mmd(kernel, sample_p, sample_q, history=None):
@@ -685,10 +685,7 @@ def three_gram_mmd(kernel, sample_p, sample_q, history=None):
     p, q = np.asarray(sample_p, dtype=float), np.asarray(sample_q, dtype=float)
     n = len(p)
     shared = None if history is None else pair_sq_dists(history)
-    if kernel.is_distance and kernel.sigma == "median":
-        kernel, g_pp = median_gram(kernel, p, shared)
-    else:
-        g_pp = gram_matrix(kernel, p, p, shared)
+    kernel, g_pp = median_gram(kernel, p, shared)
     g_qq = gram_matrix(kernel, q, q, shared)
     g_pq = gram_matrix(kernel, p, q, shared)
     if np.array_equal(p, q):
@@ -723,12 +720,11 @@ class TestMmdOneGramAtATime:
                              ids=lambda k: f"{k.family}-{k.sigma}")
     def test_equals_three_gram_reference(self, kernel):
         for name, p, q, history in mmd_reference_cases():
-            if history is not None and not kernel.is_distance:
-                continue
-            got = mmd_squared(kernel, p, q, history).value
-            assert got == three_gram_mmd(kernel, p, q, history), name
-            if name.startswith("coinciding"):
-                assert got == 0.0, name
+            with refused_unless_distance(kernel):
+                got = mmd_squared(kernel, p, q, history).value
+                assert got == three_gram_mmd(kernel, p, q, history), name
+                if name.startswith("coinciding"):
+                    assert got == 0.0, name
 
     @pytest.mark.parametrize("sample", ["stack", "list"])
     def test_peak_memory_is_about_two_grams(self, sample):
@@ -748,6 +744,41 @@ class TestMmdOneGramAtATime:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * n * n * 8
+
+
+INNER_PRODUCT_KERNELS = [
+    KernelSpec(family="linear"),
+    KernelSpec(family="polynomial", degree=2),
+    KernelSpec(family="sigmoid"),
+]
+
+
+class TestDistanceKernelsOnly:
+    """Grams, their bandwidth and the MMD^2 refuse the inner-product
+    families before any pair statistic is formed."""
+
+    @pytest.mark.parametrize("history", [False, True], ids=["no history", "history"])
+    @pytest.mark.parametrize("entry", ["gram_matrix", "median_gram", "real_side", "mmd_squared"])
+    @pytest.mark.parametrize("kernel", INNER_PRODUCT_KERNELS, ids=lambda k: k.family)
+    def test_refused_before_any_statistic(self, kernel, entry, history, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a pair statistic was formed")
+
+        # balancing holds its own reference to pair_sq_dists.
+        for module, name in ((kernels, "pair_sq_dists"), (balancing, "pair_sq_dists"),
+                             (kernels, "_pairwise")):
+            monkeypatch.setattr(module, name, forbidden)
+        rng = np.random.default_rng(0)
+        z, hist = rng.normal(size=(5, 3, 2)), rng.normal(size=(5, 4, 2))
+        shared, block = (np.zeros((5, 5)), hist) if history else (None, None)
+        calls = {
+            "gram_matrix": lambda: kernels.gram_matrix(kernel, z, z + 1.0, shared),
+            "median_gram": lambda: kernels.median_gram(kernel, z, shared),
+            "real_side": lambda: real_side(kernel, z, block),
+            "mmd_squared": lambda: mmd_squared(kernel, z, z + 1.0, block),
+        }
+        with pytest.raises(ConfigError, match="distance kernel"):
+            calls[entry]()
 
 
 class TestBalanceConfig:

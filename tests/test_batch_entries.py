@@ -25,7 +25,6 @@ from kmbdf.models import backward_batch, forward_batch, init_forecaster
 from kmbdf.objectives import FrequencyL1Objective, KmbDfObjective, MseObjective
 
 EXP = KernelSpec(family="exponential", sigma=1.3)
-LIN = KernelSpec(family="linear")
 CFG = BalanceConfig(alpha=0.4, top_k=2, margin_c=0.01, kernel=EXP)
 BATCH = [(5, 3, 2), (5, 2, 2), (5, 2, 2)]  # histories, labels, forecasts
 PAIR = [(5, 3, 2), (4, 3, 2)]  # two samples of joints
@@ -42,7 +41,6 @@ class Entry(NamedTuple):
 
 ENTRIES = {
     "gram_matrix": Entry(lambda r, c: gram_matrix(EXP, r, c), PAIR, (0, 1), False, True),
-    "gram_matrix_linear": Entry(lambda r, c: gram_matrix(LIN, r, c), PAIR, (0, 1), False, True),
     "gram_matrix_within": Entry(lambda z: gram_matrix(EXP, z, z), [(5, 3, 2)], (0,), False, True),
     "pair_sq_dists": Entry(pair_sq_dists, [(5, 3, 2)], (0,), False, True),
     "median_bandwidth": Entry(median_bandwidth, [(5, 3, 2)], (0,), False, True),

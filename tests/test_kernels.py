@@ -18,7 +18,7 @@ from kmbdf.kernels import (
     pair_sq_dists,
 )
 
-from kernel_reference import eval_kernel, kernel_grad_b
+from kernel_reference import eval_kernel, kernel_grad_b, refused_unless_distance
 
 ALL_SPECS = [
     KernelSpec(family="exponential", sigma=1.0),
@@ -120,17 +120,19 @@ class TestGramMatrix:
         pts = [rng.normal(size=(3, 2)) for _ in range(5)]
         stack = np.asarray(pts)
         expected = double_loop(spec, pts, pts)
-        # Lists and (N, L, D) stacks, as two objects or as one object twice.
+        # Lists and (N, L, D) stacks, as two objects or as one object twice;
+        # the inner-product families are refused in every form.
         for rows, cols in ((pts, list(pts)), (stack, stack.copy()), (pts, stack),
                            (pts, pts), (stack, stack)):
-            np.testing.assert_allclose(
-                gram_matrix(spec, rows, cols), expected, rtol=1e-12, atol=0
-            )
-        # One object twice is one symmetric product: exactly symmetric, and
-        # the distance families' diagonal is exactly K(z, z) = 1.
-        g = gram_matrix(spec, stack, stack)
-        np.testing.assert_array_equal(g, g.T)
+            with refused_unless_distance(spec):
+                np.testing.assert_allclose(
+                    gram_matrix(spec, rows, cols), expected, rtol=1e-12, atol=0
+                )
+        # One object twice is one symmetric product: exactly symmetric, with
+        # a diagonal of exactly K(z, z) = 1.
         if spec.is_distance:
+            g = gram_matrix(spec, stack, stack)
+            np.testing.assert_array_equal(g, g.T)
             np.testing.assert_array_equal(np.diag(g), 1.0)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
@@ -140,10 +142,11 @@ class TestGramMatrix:
         rng = np.random.default_rng(9)
         pts = [rng.normal(size=(6, 3)) for _ in range(7)]
         shifted = [p + 1e-9 for p in pts]
-        np.testing.assert_allclose(
-            gram_matrix(spec, pts, shifted), double_loop(spec, pts, shifted),
-            rtol=1e-12, atol=0,
-        )
+        with refused_unless_distance(spec):
+            np.testing.assert_allclose(
+                gram_matrix(spec, pts, shifted), double_loop(spec, pts, shifted),
+                rtol=1e-12, atol=0,
+            )
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
     def test_large_offset(self, spec):
@@ -152,10 +155,11 @@ class TestGramMatrix:
         rng = np.random.default_rng(10)
         rows = [1e3 + 1e-3 * rng.normal(size=(200, 20)) for _ in range(6)]
         cols = [1e3 + 1e-3 * rng.normal(size=(200, 20)) for _ in range(5)]
-        np.testing.assert_allclose(
-            gram_matrix(spec, rows, cols), double_loop(spec, rows, cols),
-            rtol=1e-12, atol=0,
-        )
+        with refused_unless_distance(spec):
+            np.testing.assert_allclose(
+                gram_matrix(spec, rows, cols), double_loop(spec, rows, cols),
+                rtol=1e-12, atol=0,
+            )
 
     def test_inputs_not_modified(self):
         rng = np.random.default_rng(11)
@@ -197,7 +201,7 @@ class TestGramMatrix:
         assert np.min(np.linalg.eigvalsh(g)) >= -1e-8
 
     def test_rectangular(self):
-        spec = KernelSpec(family="linear")
+        spec = KernelSpec(family="exponential", sigma=1.0)
         rng = np.random.default_rng(6)
         rows = [rng.normal(size=(2, 2)) for _ in range(3)]
         cols = [rng.normal(size=(2, 2)) for _ in range(4)]
@@ -205,7 +209,7 @@ class TestGramMatrix:
 
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):
-            gram_matrix(KernelSpec(family="linear"), [], [np.zeros((1, 1))])
+            gram_matrix(KernelSpec(family="exponential", sigma=1.0), [], [np.zeros((1, 1))])
 
 
 class TestKernelGrad:
@@ -393,9 +397,18 @@ class TestSharedBlock:
                     rtol=1e-12, atol=0,
                 )
             np.testing.assert_allclose(
-                median_gram(spec, lab, shared)[0].sigma, median_bandwidth(reals),
-                rtol=1e-12, atol=0,
+                median_gram(KernelSpec(family=spec.family), lab, shared)[0].sigma,
+                median_bandwidth(reals), rtol=1e-12, atol=0,
             )
+
+    @pytest.mark.parametrize("spec", ALL_SPECS[:2], ids=lambda s: s.family)
+    def test_median_gram_keeps_a_fixed_sigma(self, spec):
+        # Only sigma "median" is resolved; a fixed sigma gives gram_matrix's bits.
+        for hist, lab, _ in shared_block_cases():
+            for shared in (None, pair_sq_dists(hist)):
+                kept, g = median_gram(spec, lab, shared)
+                assert kept == spec
+                assert g.tobytes() == gram_matrix(spec, lab, lab, shared).tobytes()
 
     def test_pair_sq_dists(self):
         rng = np.random.default_rng(22)
@@ -766,21 +779,25 @@ def gram_cases():
 class TestKernelInPlace:
     @pytest.mark.parametrize("spec", INPLACE_SPECS, ids=lambda s: s.family)
     def test_gram_is_kernel_of_a_copy_of_its_statistic(self, spec):
+        # The inner-product families have no Gram, but the objective still
+        # makes their inner products K in place.
         for name, rows, cols, shared in gram_cases():
             if shared is not None and not spec.is_distance:
                 continue
-            if spec.is_distance and cols is rows:
+            rf = kernels._working_copy(rows)
+            if not spec.is_distance:
+                stat = rf @ kernels._working_copy(cols).T
+            elif cols is rows:
                 stat = pair_sq_dists(rows)
             else:
-                rf = kernels._working_copy(rows)
-                cf = rf if cols is rows else kernels._working_copy(cols)
-                stat = kernels._pairwise(rf, cf, spec.is_distance, rows, cols)
+                stat = kernels._pairwise(rf, kernels._working_copy(cols), rows, cols)
             if shared is not None:
                 stat += shared
             size = np.size(rows[0])
             want = formula(spec, stat.copy(), size)
-            np.testing.assert_array_equal(gram_matrix(spec, rows, cols, shared), want,
-                                          err_msg=name)
+            with refused_unless_distance(spec):
+                np.testing.assert_array_equal(gram_matrix(spec, rows, cols, shared), want,
+                                              err_msg=name)
             out = kernel_from_stat(spec, stat, size)
             assert out is stat
             np.testing.assert_array_equal(out, want, err_msg=name)
@@ -788,11 +805,10 @@ class TestKernelInPlace:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
     def test_gram_leaves_inputs_unmodified(self, spec):
         for name, rows, cols, shared in gram_cases():
-            if shared is not None and not spec.is_distance:
-                continue
             before = [np.array(z) for z in (rows, cols)]
             shared_before = None if shared is None else shared.copy()
-            gram_matrix(spec, rows, cols, shared)
+            with refused_unless_distance(spec):
+                gram_matrix(spec, rows, cols, shared)
             np.testing.assert_array_equal(np.array(rows), before[0], err_msg=name)
             np.testing.assert_array_equal(np.array(cols), before[1], err_msg=name)
             if shared is not None:

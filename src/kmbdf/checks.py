@@ -51,10 +51,13 @@ def _kernel_cases():
 def run_gradcheck(trials: int = 3, tol: float = 1e-5, seed: int = 0):
     """FD-check the balancing gradient across kernels and modes.
 
-    Returns a list of dicts with the worst relative error per case.
+    Returns a list of dicts with the worst relative error per case.  Unless
+    trials >= 1, 0 < tol < inf and seed >= 0, ConfigError before any check.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
+    if not 0.0 < tol < np.inf or seed < 0:
+        raise ConfigError(f"gradcheck needs 0 < tol < inf and seed >= 0, got tol={tol}, seed={seed}")
     rng = np.random.default_rng(seed)
     results = []
     for kernel in _kernel_cases():

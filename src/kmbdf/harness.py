@@ -247,8 +247,12 @@ def train(config: ExperimentConfig, dataset: dict | None = None) -> TrainReport:
     is a new best; after `patience` epochs without one training stops, and
     the test metrics and checkpoint use the best epoch's parameters.  A
     non-finite step loss or validation MSE raises DomainError naming its
-    epoch, before anything is written.  `timing` adds build (0.0 if passed
-    in), validation and test seconds."""
+    epoch.  `config.out` is made a directory first (OSError if it cannot
+    be); its report, trace and checkpoint are written after the test
+    metrics, so a run that raises leaves none of them.  `timing` adds build
+    (0.0 if passed in), validation and test seconds."""
+    if config.out:
+        os.makedirs(config.out, exist_ok=True)
     build_s = 0.0
     if dataset is None:
         t0 = time.perf_counter()
@@ -345,7 +349,6 @@ def train(config: ExperimentConfig, dataset: dict | None = None) -> TrainReport:
         },
     )
     if config.out:
-        os.makedirs(config.out, exist_ok=True)
         with open(os.path.join(config.out, "report.json"), "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
         with open(os.path.join(config.out, "trace.csv"), "w", newline="", encoding="utf-8") as fh:
@@ -380,6 +383,8 @@ def run_sweep(base_config: ExperimentConfig, param: str, values, out_dir=None):
         balance = replace(objective.config, **overrides)
         return replace(base_config, objective=replace(objective, config=balance), out=None)
 
+    if out_dir:  # before any run, so an `out_dir` that cannot be one loses none
+        os.makedirs(out_dir, exist_ok=True)
     dataset = build_dataset(base_config)
     reports = {}
     rows = []
@@ -402,7 +407,6 @@ def run_sweep(base_config: ExperimentConfig, param: str, values, out_dir=None):
         dmae = 100.0 * (rep.test_mae - base_mae) / base_mae
         rows.append((label, rep.test_mse, rep.test_mae, dmse, dmae))
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "sweep.csv"), "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["param", "MSE", "MAE", "dMSE_pct", "dMAE_pct"])
@@ -432,8 +436,8 @@ def timing_probe(
     trend across horizons is meaningful.
     """
     horizons = list(horizons)
-    if n < 2:
-        raise ConfigError(f"timing needs n (--batch) >= 2, got {n}")
+    if n < 2 or seed < 0:
+        raise ConfigError(f"timing needs n (--batch) >= 2 and seed >= 0, got n={n}, seed={seed}")
     if min(reps, channels, history_len, *horizons) < 1:
         raise ConfigError(
             f"timing needs reps, channels, history_len and horizons >= 1, got reps={reps}, "

@@ -171,27 +171,29 @@ def _sq_dists(rf, cf, r_sq, c_sq, rows, cols, out=None) -> np.ndarray:
     return sq
 
 
-def _pairwise(rf: np.ndarray, cf: np.ndarray, rows, cols) -> np.ndarray:
-    """Squared distances between the rows of two stacks.
+def _pairwise(rows, cols) -> np.ndarray:
+    """(R, C) squared distances between the matrices of two lists or stacks,
+    left unmodified; `cols is rows` within one sample.
 
-    `rf` (R, P) and `cf` (C, P) are float working copies of `rows` and
-    `cols`, the caller's lists or stacks, centred in place on their shared
-    mean (pass the same array twice, and the same input twice, within one
-    stack).  Squared distances are ||a||^2 + ||b||^2 - 2 <a, b> on the
-    centred rows, one matrix product for all entries; an entry whose
-    result is at most NEAR_PAIR_RATIO * (||a||^2 + ||b||^2) is recomputed
-    as sum((a - b)^2) from the uncentred rows of `rows` and `cols`, so
-    coincident rows give exactly 0.
+    Each distinct input gets one `_working_copy`, rows first and then cols
+    against rows' matrix shape, centred in place: within one sample on its
+    own mean, across two on their shared mean.  Squared distances are
+    ||a||^2 + ||b||^2 - 2 <a, b> on the centred rows, one matrix product
+    for all entries; an entry whose result is at most NEAR_PAIR_RATIO *
+    (||a||^2 + ||b||^2) is recomputed as sum((a - b)^2) from the uncentred
+    `rows` and `cols`, so coincident rows give exactly 0.
 
     Error bound: the expansion's rounding is at most about 2 P u
     (||a||^2 + ||b||^2) for unit roundoff u = 2^-53, so an entry kept from
     it is within a relative 2e3 P u of the squared distance of the centred
     rows; a recomputed entry carries only the rounding of the difference.
     """
-    if rf is cf:
+    rf = cf = _working_copy(rows)
+    if cols is rows:
         rf -= rf.mean(axis=0)
         r_sq = c_sq = _row_sq(rf)
     else:
+        cf = _working_copy(cols, shape=np.shape(rows[0]))
         mean = (rf.sum(axis=0) + cf.sum(axis=0)) / (len(rf) + len(cf))
         rf -= mean
         cf -= mean
@@ -261,7 +263,7 @@ def as_stack(batch, copy: bool = False) -> np.ndarray:
 
 def _working_copy(mats, shape=None) -> np.ndarray:
     """(N, L*D) float copy of a stack or a list of same-shaped finite
-    matrices, each of `shape` if given, for `_pairwise` to centre in place."""
+    matrices, each of `shape` if given; only `_pairwise` makes one, to centre in place."""
     stack = as_stack(mats, copy=True)
     if shape is not None and stack.shape[1:] != shape:
         raise ShapeError(f"kernel inputs differ in shape: {shape} vs {stack.shape[1:]}")
@@ -274,11 +276,7 @@ def _gram_sq_dists(spec: KernelSpec, rows, cols, shared) -> np.ndarray:
     """Squared distances between the joints (shared block, rows[i]) and
     (shared block, cols[j]), after `spec.require_distance()`."""
     spec.require_distance()
-    if cols is rows:
-        stat = pair_sq_dists(rows)
-    else:
-        rf = _working_copy(rows)
-        stat = _pairwise(rf, _working_copy(cols, shape=np.shape(rows[0])), rows, cols)
+    stat = pair_sq_dists(rows) if cols is rows else _pairwise(rows, cols)
     if shared is not None:
         if np.shape(shared) != stat.shape:
             raise ShapeError(f"shared statistic {np.shape(shared)} does not match {stat.shape}")
@@ -290,9 +288,9 @@ def gram_matrix(spec: KernelSpec, rows, cols, shared=None) -> np.ndarray:
     """Entry (i, j) = K(rows[i], cols[j]), from one pair statistic made K in
     place; a family other than the distance ones raises ConfigError first.
 
-    Rows and columns are lists or (N, L, D) stacks; each distinct input is
-    copied once for one `_pairwise` product, so the in-place centring never
-    touches the caller's data.  `gram_matrix(spec, z, z)` (the same object
+    Rows and columns are lists or (N, L, D) stacks, left unmodified: on the
+    product path each distinct input is copied once, inside `_pairwise`, and
+    the sliding path copies none.  `gram_matrix(spec, z, z)` (the same object
     twice) takes its squared distances from `pair_sq_dists(z)`, one
     symmetric product or the sliding path: the result is exactly symmetric
     with a diagonal of exactly K(z_i, z_i) = 1.  Against the per-pair
@@ -422,11 +420,10 @@ def pair_sq_dists(stack) -> np.ndarray:
     A stride-1 window stack (see `_window_rows`), such as a view from
     `data.joint_windows`, one of its blocks or a contiguous slice, takes the
     sliding path; any other input (a list, a gathered copy, `view[::2]`, float32)
-    one symmetric `_pairwise` product.  Both keep `_pairwise`'s bound."""
+    one symmetric `_pairwise(stack, stack)`, which copies it once.  Both keep its bound."""
     rows = _window_rows(stack)
     if rows is None:
-        flats = _working_copy(stack)
-        return _pairwise(flats, flats, stack, stack)
+        return _pairwise(stack, stack)
     if not np.isfinite(rows).all():
         raise DomainError("kernel inputs must be finite")
     return _sliding_sq_dists(rows, *stack.shape[:2])

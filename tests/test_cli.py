@@ -3,9 +3,10 @@ import warnings
 
 import pytest
 
-from kmbdf import cli, harness
+from kmbdf import checks, cli, harness
 from kmbdf.balancing import mmd_squared
 from kmbdf.cli import main
+from kmbdf.errors import ConfigError
 
 
 @pytest.fixture
@@ -60,6 +61,25 @@ class TestTrainCommand:
         capsys.readouterr()
         assert (out / "report.json").exists()
         assert (out / "checkpoint.json").exists()
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_out_that_is_a_file_exits_2_before_training(self, config_path, capsys, tmp_path,
+                                                         monkeypatch, command):
+        def forbidden(*args):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(harness, "adam_step", forbidden)
+        monkeypatch.setattr(harness, "build_dataset", forbidden)
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        argv = ["--out", str(afile), command, "--config", config_path]
+        if command == "sweep":
+            argv += ["--set", "objective.kind=kmb_df", "--param", "alpha", "--values", "0.3"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "OSError"
+        assert afile.read_text() == "kept"
 
     def test_missing_config_errors(self, capsys):
         rc = main(["train", "--config", "/nonexistent/config.json"])
@@ -366,6 +386,13 @@ CONFIG = object()
     (["timing", "--horizons", "4", "--channels", "0"], "channels=0"),
     (["mmd-test", "--window", "0"], "--window"),
     (["gradcheck", "--trials", "0"], "trials"),
+    (["gradcheck", "--trials", "1", "--tol", "inf"], "tol=inf"),
+    (["gradcheck", "--tol", "0"], "tol=0.0"),
+    (["gradcheck", "--tol", "-1"], "tol=-1.0"),
+    (["gradcheck", "--tol", "nan"], "tol=nan"),
+    (["--seed", "-1", "gradcheck"], "seed=-1"),
+    (["--seed", "-1", "timing", "--horizons", "4", "--batch", "8", "--channels", "2",
+      "--history", "6", "--reps", "1"], "seed=-1"),
     (["timing", "--batch", "-3"], "--batch"),
     (["timing", "--batch", "0"], "--batch"),
     (["timing", "--batch", "1"], "--batch"),
@@ -413,6 +440,19 @@ class TestGradcheckCommand:
         assert rc == 0
         results = json.loads(capsys.readouterr().out)["results"]
         assert results and all(r["pass"] for r in results)
+
+    @pytest.mark.parametrize("tol, seed", [
+        (float("inf"), 0), (0.0, 0), (-1.0, 0), (float("nan"), 0), (1e-5, -1),
+    ])
+    def test_bad_tol_or_seed_raises_before_any_check(self, monkeypatch, tol, seed):
+        # An infinite tol would pass every case, and a tol <= 0 or NaN fail
+        # every one: either switches the check off.
+        def forbidden(*args):
+            raise AssertionError("a gradient was checked")
+
+        monkeypatch.setattr(checks, "kmb_df_grad", forbidden)
+        with pytest.raises(ConfigError, match="0 < tol < inf and seed >= 0"):
+            checks.run_gradcheck(trials=1, tol=tol, seed=seed)
 
 
 class TestMmdTestCommand:

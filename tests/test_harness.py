@@ -481,6 +481,19 @@ class TestTrain:
         with np.errstate(all="ignore"), pytest.raises(DomainError, match="at epoch 1: "):
             train(cfg)
         assert not (tmp_path / "run" / "report.json").exists()
+        # The directory is made before the first step, and left empty.
+        assert list((tmp_path / "run").iterdir()) == []
+
+    def test_out_that_is_a_file_fails_before_any_step(self, monkeypatch, tmp_path):
+        def forbidden(*args):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(harness, "adam_step", forbidden)
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        with pytest.raises(FileExistsError):
+            train(small_config(out=str(afile)))
+        assert afile.read_text() == "kept"
 
     def test_deterministic(self):
         a = train(small_config()).to_json(include_timing=False)
@@ -698,6 +711,17 @@ class TestRunSweep:
         with pytest.raises(ConfigError):
             run_sweep(small_config(), "alpha", [0.5])
 
+    def test_out_dir_that_is_a_file_fails_before_the_dataset(self, monkeypatch, tmp_path):
+        def forbidden(*args):
+            raise AssertionError("the dataset was built")
+
+        monkeypatch.setattr(harness, "build_dataset", forbidden)
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        with pytest.raises(FileExistsError):
+            run_sweep(self.base(), "alpha", [0.3], out_dir=str(afile))
+        assert afile.read_text() == "kept"
+
 
 class TestTimingProbe:
     def test_shape_and_fields(self):
@@ -735,3 +759,12 @@ class TestTimingProbe:
         # One untimed call per horizon, then one timed call per horizon in
         # each of the `reps` rounds: a stall spans horizons, not one block.
         assert horizons == [4, 8, 2] * 4
+
+    def test_negative_seed_raises_before_any_call(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the probe ran")
+
+        monkeypatch.setattr(KmbDfObjective, "loss_and_grad", forbidden)
+        monkeypatch.setattr(harness, "median_bandwidth", forbidden)
+        with pytest.raises(ConfigError, match="seed=-1"):
+            timing_probe([4], n=4, channels=2, history_len=3, reps=1, seed=-1)

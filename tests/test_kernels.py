@@ -784,13 +784,13 @@ class TestKernelInPlace:
         for name, rows, cols, shared in gram_cases():
             if shared is not None and not spec.is_distance:
                 continue
-            rf = kernels._working_copy(rows)
             if not spec.is_distance:
-                stat = rf @ kernels._working_copy(cols).T
+                rf, cf = (np.array(z, dtype=float).reshape(len(z), -1) for z in (rows, cols))
+                stat = rf @ cf.T
             elif cols is rows:
                 stat = pair_sq_dists(rows)
             else:
-                stat = kernels._pairwise(rf, kernels._working_copy(cols), rows, cols)
+                stat = kernels._pairwise(rows, cols)
             if shared is not None:
                 stat += shared
             size = np.size(rows[0])
@@ -813,6 +813,38 @@ class TestKernelInPlace:
             np.testing.assert_array_equal(np.array(cols), before[1], err_msg=name)
             if shared is not None:
                 np.testing.assert_array_equal(shared, shared_before, err_msg=name)
+
+    def test_pairwise_copies_each_distinct_input_once(self, monkeypatch):
+        # `_pairwise` makes the working copies: one per distinct input on the
+        # product paths, lists and gathered stacks alike, none on the sliding
+        # path; the caller's lists come back unmodified.
+        copied, working_copy = [], kernels._working_copy
+        monkeypatch.setattr(kernels, "_working_copy",
+                            lambda mats, **kw: copied.append(mats) or working_copy(mats, **kw))
+        spec = KernelSpec(family="exponential", sigma=0.7)
+        view = data.joint_windows(ar1_series(40, 2, seed=54), 6)
+        gathered, head = view[[0, 3, 4, 9, 20]], view[:7]
+        a, b = list(gathered), list(1.0 + view[[1, 2, 5, 7, 11]])
+        cases = [
+            (lambda: gram_matrix(spec, a, b), [a, b]),
+            (lambda: gram_matrix(spec, gathered, head), [gathered, head]),
+            (lambda: gram_matrix(spec, a, a), [a]),
+            (lambda: median_gram(spec, a), [a]),
+            (lambda: median_gram(spec, gathered), [gathered]),
+            (lambda: pair_sq_dists(a), [a]),
+            (lambda: pair_sq_dists(gathered), [gathered]),
+            (lambda: pair_sq_dists(view), []),
+            (lambda: gram_matrix(spec, view, view), []),
+            (lambda: median_gram(spec, view[2:30], pair_sq_dists(view[2:30])), []),
+        ]
+        before = [z.copy() for z in a + b]
+        for i, (call, inputs) in enumerate(cases):
+            copied.clear()
+            call()
+            assert len(copied) == len(inputs), i
+            assert all(c is z for c, z in zip(copied, inputs)), i
+        for z, want in zip(a + b, before):
+            np.testing.assert_array_equal(z, want)
 
     @pytest.mark.parametrize("spec", INPLACE_SPECS, ids=lambda s: s.family)
     def test_scalar_statistic(self, spec):
